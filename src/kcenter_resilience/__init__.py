@@ -19,15 +19,14 @@ from .core import (
     SymmetrizedSet,
     SymmetryViolation,
     SYMMETRIC,
-    ThresholdGraph,
     TriangleViolation,
     ball,
+    components,
     cost,
     epsilon_distance,
     snap_up,
     symmetrized_set,
     threshold_components,
-    threshold_graph,
     validate_instance,
     voronoi_partition,
 )

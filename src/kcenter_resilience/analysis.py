@@ -32,8 +32,8 @@ class CCCReport:
     ccc2: dict  # cluster index -> {center index: tuple of excluded centers}
 
 
-def check_structure(instance, clustering: Clustering, r_star: float,
-                    alpha: float = None) -> StructureReport:
+def check_structure(instance, clustering: Clustering,
+                    r_star: float) -> StructureReport:
     """Evaluate every structural predicate by direct scan.
 
     property1: each point of C_i' is strictly closer to its center than to
@@ -55,7 +55,7 @@ def check_structure(instance, clustering: Clustering, r_star: float,
     witnesses = {}
 
     try:
-        sym = symmetrized_set(d, r_star, reference=clustering)
+        sym = symmetrized_set(d, r_star)
         a_members = set(sym.members)
     except EmptyA:
         sym = None

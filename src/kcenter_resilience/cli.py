@@ -54,7 +54,7 @@ def _read_clustering(path):
     try:
         with open(path) as fh:
             return kci.parse_clustering(fh.read())
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise _InputError(f"cannot read clustering {path}: {e}")
 
 
@@ -64,6 +64,14 @@ def cmd_solve(args):
         raise _InputError(f"unknown solver {args.algo!r}; "
                           f"known: {', '.join(sorted(SOLVERS))}")
     entry = SOLVERS[args.algo]
+    if not 1 <= args.k <= instance.n:
+        raise _InputError(f"--k must be in 1..{instance.n}, got {args.k}")
+    if args.r is not None and not args.r >= 0:
+        raise _InputError(f"--r must be >= 0, got {args.r!r}")
+    if entry.get("needs_epsilon") and args.epsilon is None:
+        raise _InputError(f"solver {args.algo} needs --epsilon")
+    if entry.get("symmetric") and not instance.is_symmetric:
+        raise _InputError(f"solver {args.algo} needs a symmetric instance")
     fn = entry["fn"]
     chosen_r = args.r
     try:
@@ -113,7 +121,7 @@ def cmd_verify(args):
         raise _InputError(f"truth has {truth.n} points, instance {instance.n}")
     r_star = args.r if args.r is not None else truth.radius
     params = StabilityParams(alpha=args.alpha, epsilon=args.epsilon)
-    structure = check_structure(instance, truth, r_star, alpha=args.alpha)
+    structure = check_structure(instance, truth, r_star)
     ccc = find_cluster_capturing_centers(instance, truth, r_star)
     fals = falsify_resilience(instance, truth.k, params,
                               budget=args.budget, seed=args.seed,
@@ -175,7 +183,7 @@ def cmd_generate(args):
             _emit_planted(planted, prefix)
         elif args.family == "dom-set":
             n_vertices, edges = named_graph(args.graph)
-            instance = gen_from_dominating_set(n_vertices, edges, args.k)
+            instance = gen_from_dominating_set(n_vertices, edges)
             kci.write_atomic(prefix + ".kci", kci.emit_instance(instance))
             print(f"wrote {prefix}.kci")
         elif args.family == "random":
@@ -216,13 +224,9 @@ def _bench_row(row, timing, oracle_budget):
     try:
         planted = _bench_instance(family, params, seed)
         instance, truth = planted.instance, planted.truth
-        entry = SOLVERS[solver_id]
-        fn = entry["fn"]
-        epsilon = params.get("epsilon")
-        if entry["needs_r"]:
-            outcome = fn(instance, truth.k, truth.radius, epsilon)
-        else:
-            outcome = fn(instance, truth.k, None, epsilon)
+        # solvers that take no r* ignore the planted radius
+        outcome = SOLVERS[solver_id]["fn"](instance, truth.k, truth.radius,
+                                           params.get("epsilon"))
         if not outcome.ok or outcome.clustering is None:
             raise RuntimeError(outcome.status)
         eps_dist = epsilon_distance(outcome.clustering, truth)

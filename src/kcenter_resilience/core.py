@@ -1,4 +1,4 @@
-"""Core data model: instances, clusterings, balls, threshold graphs, closeness.
+"""Core data model: instances, clusterings, balls, components, closeness.
 
 Distances are stored as dense n x n tables where ``dist[p][q]`` is the
 distance *from* p *to* q.  All operations are pure and deterministic; every
@@ -7,11 +7,12 @@ tie is broken toward the smallest point index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -231,59 +232,38 @@ def ball(instance, center: int, radius: float, domain=None):
     return tuple(q for q in sorted(domain) if d[center, q] <= radius)
 
 
-@dataclass(frozen=True)
-class ThresholdGraph:
-    vertices: tuple
-    threshold: float
-    edges: tuple  # unordered pairs (p, q) with p < q
+def mutual_within(d, threshold: float) -> np.ndarray:
+    """Pairs within ``threshold`` of each other in both directions."""
+    return (d <= threshold) & (d.T <= threshold)
 
 
-def threshold_graph(instance, vertices=None, threshold: float = 0.0) -> ThresholdGraph:
-    """Graph joining pairs at distance <= threshold (both directions if asymmetric)."""
+def label_groups(labels):
+    """Points grouped by label: index-sorted lists, ordered by smallest member."""
+    groups = {}
+    for p, lab in enumerate(labels.tolist()):
+        groups.setdefault(lab, []).append(p)
+    return sorted(groups.values())
+
+
+def components(adj):
+    """Connected components of a symmetric boolean adjacency matrix.
+
+    Returned as index-sorted lists ordered by smallest member; the diagonal
+    is ignored.
+    """
+    _, labels = connected_components(adj, directed=False)
+    return label_groups(labels)
+
+
+def threshold_components(instance, threshold: float = 0.0):
+    """Connected components of the threshold graph, sorted by smallest member.
+
+    Two points are joined when they are within ``threshold`` of each other
+    in both directions.
+    """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    d = _as_table(instance)
-    if vertices is None:
-        vertices = range(d.shape[0])
-    verts = tuple(sorted(set(int(v) for v in vertices)))
-    edges = []
-    for i, p in enumerate(verts):
-        for q in verts[i + 1:]:
-            if d[p, q] <= threshold and d[q, p] <= threshold:
-                edges.append((p, q))
-    return ThresholdGraph(vertices=verts, threshold=threshold, edges=tuple(edges))
-
-
-class _DSU:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-            return True
-        return False
-
-
-def threshold_components(instance, vertices=None, threshold: float = 0.0):
-    """Connected components of the threshold graph, sorted by smallest member."""
-    g = threshold_graph(instance, vertices, threshold)
-    dsu = _DSU(g.vertices)
-    for p, q in g.edges:
-        dsu.union(p, q)
-    groups = {}
-    for v in g.vertices:
-        groups.setdefault(dsu.find(v), []).append(v)
-    return [sorted(groups[r]) for r in sorted(groups)]
+    return components(mutual_within(_as_table(instance), threshold))
 
 
 @dataclass(frozen=True)
@@ -292,16 +272,14 @@ class SymmetrizedSet:
 
     ``members`` is A; ``nearest_in_A`` maps each point outside A to
     A(p) = argmin_{q in A} d(q, p) (incoming distance, smallest index on
-    ties).  ``restricted_clusters`` holds C_i n A when a reference
-    clustering was supplied.
+    ties).
     """
 
     members: tuple
     nearest_in_A: dict
-    restricted_clusters: tuple = None
 
 
-def symmetrized_set(instance, r_star: float, reference: Clustering = None) -> SymmetrizedSet:
+def symmetrized_set(instance, r_star: float) -> SymmetrizedSet:
     """Compute A = {p | for all q: d(q,p) <= r* implies d(p,q) <= r*}."""
     if r_star < 0:
         raise ValueError("r_star must be >= 0")
@@ -318,10 +296,4 @@ def symmetrized_set(instance, r_star: float, reference: Clustering = None) -> Sy
         if fails[p]:
             j = int(d[a_idx, p].argmin())  # first occurrence = smallest index
             nearest[p] = int(a_idx[j])
-    restricted = None
-    if reference is not None:
-        mset = set(members)
-        restricted = tuple(tuple(q for q in cl if q in mset)
-                           for cl in reference.clusters())
-    return SymmetrizedSet(members=members, nearest_in_A=nearest,
-                          restricted_clusters=restricted)
+    return SymmetrizedSet(members=members, nearest_in_A=nearest)

@@ -241,7 +241,7 @@ def gen_bad_center_18(alpha) -> PlantedInstance:
                                                r=1.0))
 
 
-def gen_from_dominating_set(n_vertices, edges, k=None) -> Instance:
+def gen_from_dominating_set(n_vertices, edges) -> Instance:
     """Graph metric with d = 1 on edges and 2 otherwise.
 
     The optimal k-center cost is 1 iff the graph has a dominating set of

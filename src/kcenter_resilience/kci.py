@@ -86,14 +86,22 @@ def parse_clustering(text: str) -> Clustering:
     k = data["k"]
     centers = tuple(data["centers"])
     clusters = data["clusters"]
+    if not k == len(clusters) == len(centers):
+        raise ValueError(f"k = {k} but {len(clusters)} clusters and "
+                         f"{len(centers)} centers")
+    # n points, each in 0..n-1 and none twice: every point appears once
     n = sum(len(g) for g in clusters)
     assignment = [None] * n
     for i, g in enumerate(clusters):
         for p in g:
+            if type(p) is not int or not 0 <= p < n:
+                raise ValueError(f"point {p!r} is not in 0..{n - 1}")
+            if assignment[p] is not None:
+                raise ValueError(f"point {p} appears more than once")
             assignment[p] = i
-    for p, lab in enumerate(assignment):
-        if lab is None:
-            raise ValueError(f"point {p} missing from clusters")
+    for i, c in enumerate(centers):
+        if type(c) is not int or not 0 <= c < n or assignment[c] != i:
+            raise ValueError(f"center {c!r} is not in its cluster {i}")
     return Clustering(k=k, centers=centers, assignment=tuple(assignment),
                       radius=float(data["radius"]))
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from .core import (Clustering, Instance, _as_table, ball, cost,
-                   symmetrized_set, threshold_components, voronoi_partition,
-                   EmptyA)
+from .core import (Clustering, Instance, _as_table, ball, components,
+                   label_groups, mutual_within, symmetrized_set,
+                   threshold_components, voronoi_partition, EmptyA)
 
 
 class AsymmetricInput(ValueError):
@@ -128,19 +127,13 @@ def hochbaum_shmoys_cover(instance, r: float, k: int):
     return tuple(centers)
 
 
-def exact_via_approximation(instance, k: int, alpha: float,
-                            approx=None) -> SolveOutcome:
-    """Voronoi partition of an alpha-approximate center set.
+def exact_via_approximation(instance, k: int, alpha: float) -> SolveOutcome:
+    """Voronoi partition of the farthest-first centers.
 
     Under alpha-perturbation resilience this partition is the optimal
-    clustering; the caller owns the alpha-approximation guarantee of
-    ``approx`` (default: farthest-first, alpha = 2 on symmetric inputs).
+    clustering; farthest-first is a 2-approximation on symmetric inputs.
     """
-    if approx is None:
-        centers = farthest_first(instance, k)
-    else:
-        centers = approx(instance, k)
-    cl = voronoi_partition(instance, centers)
+    cl = voronoi_partition(instance, farthest_first(instance, k))
     return SolveOutcome(status="exact-claim", clustering=cl,
                         diagnostics={"alpha": alpha, "approx_cost": cl.radius})
 
@@ -248,9 +241,8 @@ def asymmetric_3eps(instance, k: int, r_star: float,
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "empty symmetrized set"})
     a = list(sym.members)
-    na = len(a)
     sub = d[np.ix_(a, a)]
-    adj = (sub <= r_star) & (sub.T <= r_star)
+    adj = mutual_within(sub, r_star)
     hops = shortest_path(adj.astype(float), method="D", unweighted=True)
 
     cover_local = None
@@ -345,18 +337,11 @@ def weak_proximity_linkage(instance, k: int,
     _require_symmetric(instance)
     d = _as_table(instance)
     n = d.shape[0]
-    labels = np.arange(n)
+    labels = np.arange(n)  # a component's label is its smallest member
     committed = []
-
-    def comp_members(lab):
-        out = {}
-        for p in range(n):
-            out.setdefault(lab[p], []).append(p)
-        return out
-
     while len(set(labels.tolist())) > k:
         scratch = labels.copy()
-        comps = comp_members(scratch)
+        comps = {g[0]: g for g in label_groups(scratch)}
         fval = {root: verifier(m) for root, m in comps.items()}
         last_edge = None
         while any(v < 0 for v in fval.values()):
@@ -387,9 +372,9 @@ def weak_proximity_linkage(instance, k: int,
         rp, rq = labels[p], labels[q]
         keep, drop = min(rp, rq), max(rp, rq)
         labels[labels == drop] = keep
-    groups = sorted(comp_members(labels).values(), key=min)
     return SolveOutcome(status="exact-claim",
-                        clustering=_clustering_from_groups(d, groups),
+                        clustering=_clustering_from_groups(
+                            d, label_groups(labels)),
                         diagnostics={"committed_edges": tuple(committed),
                                      "consistency_factor": np.inf})
 
@@ -407,17 +392,7 @@ def approx_stability_2eps(instance, k: int, r_star: float,
     n = d.shape[0]
     within = d <= 2 * r_star  # within[p] = membership mask of B_{2r*}(p)
     counts = within.astype(np.int64) @ within.T.astype(np.int64)
-    adj = counts > epsilon * n
-    from .core import _DSU
-    dsu = _DSU(range(n))
-    for p in range(n):
-        for q in range(p + 1, n):
-            if adj[p, q]:
-                dsu.union(p, q)
-    groups = {}
-    for p in range(n):
-        groups.setdefault(dsu.find(p), []).append(p)
-    comps = [sorted(groups[r]) for r in sorted(groups)]
+    comps = components(counts > epsilon * n)
     diagnostics = {"component_count": len(comps), "consistency_factor": 2.0}
     if len(comps) != k:
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
@@ -496,18 +471,19 @@ def _alg3(instance, k, r_star=None, epsilon=None):
 
 
 # Stable solver identifiers for the CLI and bench harness.  needs_r marks
-# solvers parameterized by r* (sweepable when r is absent).
+# solvers parameterized by r* (sweepable when r is absent); needs_epsilon and
+# symmetric (rejects asymmetric instances) are False when absent.
 SOLVERS = {
-    "ff2": {"fn": _ff2, "needs_r": False},
+    "ff2": {"fn": _ff2, "needs_r": False, "symmetric": True},
     "hs": {"fn": _hs, "needs_r": True},
-    "thm3": {"fn": _thm3, "needs_r": False},
+    "thm3": {"fn": _thm3, "needs_r": False, "symmetric": True},
     "alg1-2pr": {"fn": lambda inst, k, r, eps=None: asymmetric_2pr(inst, k, r),
                  "needs_r": True},
     "thm5-3eps": {"fn": lambda inst, k, r, eps=None: symmetric_3eps(inst, k, r),
-                  "needs_r": True},
+                  "needs_r": True, "symmetric": True},
     "alg2-3eps-asym": {"fn": lambda inst, k, r, eps=None: asymmetric_3eps(inst, k, r),
                        "needs_r": True},
-    "alg3-linkage": {"fn": _alg3, "needs_r": False},
+    "alg3-linkage": {"fn": _alg3, "needs_r": False, "symmetric": True},
     "alg4-2eps-as": {"fn": lambda inst, k, r, eps: approx_stability_2eps(inst, k, r, eps),
-                     "needs_r": True},
+                     "needs_r": True, "needs_epsilon": True, "symmetric": True},
 }

@@ -20,7 +20,7 @@ from kcenter_resilience.generators import (
 def test_planted_symmetric_all_flags_true():
     planted = gen_planted_symmetric(12, 3, 1.0, 2.0, 7)
     r = brute_force_optimal(planted.instance.dist, 3).optimal_radius
-    rep = check_structure(planted.instance, planted.truth, r, alpha=2.0)
+    rep = check_structure(planted.instance, planted.truth, r)
     assert rep.property1 and rep.property1_full_scope
     assert rep.property2
     assert rep.weak_center_proximity

@@ -209,3 +209,54 @@ def test_bench_oracle_infeasible_row_blank_ratio(tmp_path):
     fields = row.split(",")
     assert fields[5] == ""  # radius_ratio column absent
     assert fields[7] == "exact-claim"
+
+
+@pytest.mark.parametrize("flags,asym", [
+    (["--algo", "ff2", "--k", "0"], False),
+    (["--algo", "thm5-3eps", "--k", "13"], False),
+    (["--algo", "hs", "--k", "3", "--r", "-1"], False),
+    (["--algo", "alg4-2eps-as", "--k", "3"], False),
+    (["--algo", "ff2", "--k", "3"], True),
+    (["--algo", "thm3", "--k", "3"], True),
+    (["--algo", "thm5-3eps", "--k", "3", "--r", "1"], True),
+    (["--algo", "alg3-linkage", "--k", "3"], True),
+    (["--algo", "alg4-2eps-as", "--k", "3", "--epsilon", "0.1"], True),
+], ids=["k-0", "k-above-n", "negative-r", "no-epsilon", "ff2-asym",
+        "thm3-asym", "thm5-asym", "alg3-asym", "alg4-asym"])
+def test_solve_bad_arguments_exit_1(tmp_path, capsys, flags, asym):
+    if asym:
+        path = tmp_path / "asym.kci"
+        path.write_text(emit_instance(gen_random_metric(12, "asymmetric", 3)))
+        path = str(path)
+    else:
+        path = gen_planted_files(tmp_path) + ".kci"
+    assert run(["solve", path, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _rename_point(truth, old, new):
+    for g in truth["clusters"]:
+        g[:] = [new if p == old else p for p in g]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: _rename_point(t, 11, -1),  # was read as point 11
+    lambda t: _rename_point(t, 11, 99),
+    lambda t: t["clusters"][1].append(t["clusters"][0][0]),
+    lambda t: t.__setitem__("k", 4),
+    lambda t: t["centers"].pop(),
+    lambda t: t["centers"].reverse(),
+], ids=["negative-point", "point-99", "duplicate-point", "k-mismatch",
+        "missing-center", "center-outside-cluster"])
+def test_verify_malformed_truth_exits_1(tmp_path, capsys, edit):
+    prefix = gen_planted_files(tmp_path)
+    truth = json.load(open(prefix + ".truth.json"))
+    edit(truth)
+    bad = tmp_path / "bad.truth.json"
+    bad.write_text(json.dumps(truth))
+    assert run(["verify", prefix + ".kci", str(bad), "--alpha", "2",
+                "--budget", "5", "--out", str(tmp_path / "rep.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Instance model, validation, costs, partitions, closeness, threshold graphs."""
+"""Instance model, validation, costs, partitions, closeness, components."""
 
 import itertools
 
@@ -14,12 +14,12 @@ from kcenter_resilience import (
     SymmetryViolation,
     TriangleViolation,
     ball,
+    components,
     cost,
     epsilon_distance,
     snap_up,
     symmetrized_set,
     threshold_components,
-    threshold_graph,
     validate_instance,
     voronoi_partition,
 )
@@ -193,11 +193,44 @@ def test_threshold_refinement():
         assert any(set(comp) <= set(big) for big in coarse)
 
 
-def test_threshold_graph_asymmetric_needs_both_directions():
+def test_threshold_components_asymmetric_needs_both_directions():
     d = np.array([[0, 1, 2], [2, 0, 2], [2, 2, 0]], dtype=float)
     inst = validate_instance(d, "asymmetric")
-    g = threshold_graph(inst, threshold=1.0)
-    assert g.edges == ()  # d(0,1)=1 but d(1,0)=2
+    # d(0,1)=1 but d(1,0)=2, so no pair is joined
+    assert threshold_components(inst, threshold=1.0) == [[0], [1], [2]]
+
+
+def _components_by_bfs(adj):
+    """Reference: breadth-first search from each unseen point in index order."""
+    n = len(adj)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, frontier = [start], [start]
+        while frontier:
+            p = frontier.pop()
+            for q in range(n):
+                if adj[p][q] and not seen[q]:
+                    seen[q] = True
+                    comp.append(q)
+                    frontier.append(q)
+        out.append(sorted(comp))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 60])
+def test_components_matches_bfs_reference(n):
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.5 / n, 1.0 / n, 2.0 / n, 0.2, 1.0):
+        for _ in range(5):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            adj = upper | upper.T
+            assert components(adj) == _components_by_bfs(adj.tolist())
+    assert components(np.ones((n, n), dtype=bool)) == [list(range(n))]
+    assert components(np.zeros((n, n), dtype=bool)) == [[p] for p in range(n)]
 
 
 def test_symmetrized_set_symmetric_is_everything():
