@@ -32,6 +32,14 @@ class CCCReport:
     ccc2: dict  # cluster index -> {center index: tuple of excluded centers}
 
 
+def _bad_center_hits(d, clusters, centers, r_star):
+    """(q, c_i) for every q outside C_i with d(q, c_i) <= r*, in (i, j, q)
+    order: property 2's violations, and c_i is then a bad center."""
+    return [(q, c) for i, c in enumerate(centers)
+            for j, g in enumerate(clusters) if j != i
+            for q in g if d[q, c] <= r_star]
+
+
 def check_structure(instance, clustering: Clustering,
                     r_star: float) -> StructureReport:
     """Evaluate every structural predicate by direct scan.
@@ -81,15 +89,9 @@ def check_structure(instance, clustering: Clustering,
     if not property1_full:
         witnesses["property1_full_scope"] = w
 
-    property2 = True
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            for q in clusters[j]:
-                if not d[q, centers[i]] > r_star:
-                    property2 = False
-                    witnesses.setdefault("property2", (q, centers[i]))
+    hits = _bad_center_hits(d, clusters, centers, r_star)
+    if hits:
+        witnesses["property2"] = hits[0]
     weak = True
     for i in range(k):
         for p in clusters[i]:
@@ -111,10 +113,6 @@ def check_structure(instance, clustering: Clustering,
             for j in range(k):
                 if j != i:
                     factor = min(factor, d[centers[j], p] / dcp)
-    bad = tuple(sorted(
-        centers[i] for i in range(k)
-        if any(d[q, centers[i]] <= r_star
-               for j in range(k) if j != i for q in clusters[j])))
 
     respects = sym is not None
     if sym is not None:
@@ -129,10 +127,10 @@ def check_structure(instance, clustering: Clustering,
 
     return StructureReport(property1=property1,
                            property1_full_scope=property1_full,
-                           property2=property2,
+                           property2=not hits,
                            weak_center_proximity=weak,
                            center_proximity_factor=float(factor),
-                           bad_centers=bad,
+                           bad_centers=tuple(sorted({c for _, c in hits})),
                            a_respects_opt=respects,
                            witnesses=witnesses)
 
@@ -188,5 +186,6 @@ def count_bad_centers_bound_check(instance, clustering: Clustering,
     A necessary condition for (3,eps)-perturbation resilience when all
     optimal clusters have more than 2*eps*n points.
     """
-    report = check_structure(instance, clustering, r_star)
-    return len(report.bad_centers) <= 6
+    hits = _bad_center_hits(_as_table(instance), clustering.clusters(),
+                            clustering.centers, r_star)
+    return len({c for _, c in hits}) <= 6

@@ -16,7 +16,7 @@ from math import comb
 
 from . import kci
 from .analysis import check_structure, find_cluster_capturing_centers
-from .core import (Instance, InstanceViolation, StabilityParams, cost,
+from .core import (Instance, InstanceViolation, StabilityParams,
                    epsilon_distance)
 from .generators import (ConstructionCheckFailed, InfeasibleParams,
                          RejectionBudgetExceeded, gen_bad_center_18,
@@ -25,8 +25,9 @@ from .generators import (ConstructionCheckFailed, InfeasibleParams,
                          gen_random_metric, named_graph)
 from .oracle import (DEFAULT_SUBSET_BUDGET, BudgetExceeded,
                      brute_force_optimal, falsify_resilience)
-from .solvers import (SOLVERS, NoCandidateWorks, NeedsMoreCenters,
-                      SolverBudgetExceeded, VerifierStuck, sweep_radius)
+from .solvers import (SOLVERS, AsymmetricInput, NoCandidateWorks,
+                      NeedsMoreCenters, SolverBudgetExceeded, VerifierStuck,
+                      sweep_radius)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -39,6 +40,8 @@ class _InputError(Exception):
 
 
 def _read_instance(path, slack=0.0):
+    if not slack >= 0:
+        raise _InputError(f"--slack must be >= 0, got {slack!r}")
     try:
         with open(path) as fh:
             text = fh.read()
@@ -58,29 +61,37 @@ def _read_clustering(path):
         raise _InputError(f"cannot read clustering {path}: {e}")
 
 
+def _check_k(k, n):
+    if not 1 <= k <= n:
+        raise _InputError(f"--k must be in 1..{n}, got {k}")
+
+
+def _check_r(r):
+    if r is not None and not r >= 0:
+        raise _InputError(f"--r must be >= 0, got {r!r}")
+
+
 def cmd_solve(args):
     instance = _read_instance(args.input, slack=args.slack)
     if args.algo not in SOLVERS:
         raise _InputError(f"unknown solver {args.algo!r}; "
                           f"known: {', '.join(sorted(SOLVERS))}")
-    entry = SOLVERS[args.algo]
-    if not 1 <= args.k <= instance.n:
-        raise _InputError(f"--k must be in 1..{instance.n}, got {args.k}")
-    if args.r is not None and not args.r >= 0:
-        raise _InputError(f"--r must be >= 0, got {args.r!r}")
-    if entry.get("needs_epsilon") and args.epsilon is None:
-        raise _InputError(f"solver {args.algo} needs --epsilon")
-    if entry.get("symmetric") and not instance.is_symmetric:
-        raise _InputError(f"solver {args.algo} needs a symmetric instance")
-    fn = entry["fn"]
+    solver = SOLVERS[args.algo]
+    _check_k(args.k, instance.n)
+    _check_r(args.r)
+    if solver.needs_epsilon and not (args.epsilon is not None
+                                     and 0 <= args.epsilon <= 1):
+        raise _InputError(f"solver {args.algo} needs --epsilon in [0, 1]")
     chosen_r = args.r
     try:
-        if entry["needs_r"] and args.r is None:
+        if solver.needs_r and args.r is None:
             outcome, chosen_r = sweep_radius(
                 instance, args.k,
-                lambda inst, k, r: fn(inst, k, r, args.epsilon))
+                lambda inst, k, r: solver.solve(inst, k, r, args.epsilon))
         else:
-            outcome = fn(instance, args.k, chosen_r, args.epsilon)
+            outcome = solver.solve(instance, args.k, chosen_r, args.epsilon)
+    except AsymmetricInput:
+        raise _InputError(f"solver {args.algo} needs a symmetric instance")
     except NoCandidateWorks:
         print("status not-resilient (no candidate radius works)")
         return EXIT_PROMISE
@@ -101,10 +112,8 @@ def cmd_solve(args):
 
 def cmd_oracle(args):
     instance = _read_instance(args.input, slack=args.slack)
-    try:
-        res = brute_force_optimal(instance.dist, args.k, budget=args.budget)
-    except BudgetExceeded as e:
-        raise _InputError(str(e))
+    _check_k(args.k, instance.n)
+    res = brute_force_optimal(instance.dist, args.k, budget=args.budget)
     print(f"radius {res.optimal_radius!r}")
     print(f"optimal-center-sets {len(res.optimal_center_sets)}")
     print(f"partition-unique {'true' if res.partition_unique else 'false'}")
@@ -119,8 +128,12 @@ def cmd_verify(args):
     truth = _read_clustering(args.truth)
     if truth.n != instance.n:
         raise _InputError(f"truth has {truth.n} points, instance {instance.n}")
+    _check_r(args.r)
     r_star = args.r if args.r is not None else truth.radius
-    params = StabilityParams(alpha=args.alpha, epsilon=args.epsilon)
+    try:
+        params = StabilityParams(alpha=args.alpha, epsilon=args.epsilon)
+    except ValueError as e:
+        raise _InputError(str(e))
     structure = check_structure(instance, truth, r_star)
     ccc = find_cluster_capturing_centers(instance, truth, r_star)
     fals = falsify_resilience(instance, truth.k, params,
@@ -164,30 +177,18 @@ def _emit_planted(planted, prefix):
 def cmd_generate(args):
     prefix = args.out_prefix or args.family
     try:
-        if args.family == "planted-sym":
-            planted = gen_planted_symmetric(args.n, args.k, args.r,
-                                            args.alpha, args.seed)
-            _emit_planted(planted, prefix)
-        elif args.family == "planted-asym":
-            planted = gen_planted_asymmetric(args.n, args.k, args.r,
-                                             args.alpha, args.skew, args.seed)
-            _emit_planted(planted, prefix)
-        elif args.family == "bad-center-18":
-            planted = gen_bad_center_18(args.alpha)
-            _emit_planted(planted, prefix)
+        if args.family in _BENCH_FAMILIES:
+            _emit_planted(_bench_instance(args.family, vars(args), args.seed),
+                          prefix)
         elif args.family == "eps-padding":
             if args.base is None:
                 raise _InputError("--base is required for eps-padding")
-            base = _read_instance(args.base)
-            planted = gen_eps_padding(base, args.k, args.alpha, args.epsilon)
-            _emit_planted(planted, prefix)
-        elif args.family == "dom-set":
-            n_vertices, edges = named_graph(args.graph)
-            instance = gen_from_dominating_set(n_vertices, edges)
-            kci.write_atomic(prefix + ".kci", kci.emit_instance(instance))
-            print(f"wrote {prefix}.kci")
-        elif args.family == "random":
-            instance = gen_random_metric(args.n, args.mode, args.seed)
+            _emit_planted(gen_eps_padding(_read_instance(args.base), args.k,
+                                          args.alpha, args.epsilon), prefix)
+        elif args.family in ("dom-set", "random"):
+            instance = (gen_from_dominating_set(*named_graph(args.graph))
+                        if args.family == "dom-set"
+                        else gen_random_metric(args.n, args.mode, args.seed))
             kci.write_atomic(prefix + ".kci", kci.emit_instance(instance))
             print(f"wrote {prefix}.kci")
         else:
@@ -225,7 +226,7 @@ def _bench_row(row, timing, oracle_budget):
         planted = _bench_instance(family, params, seed)
         instance, truth = planted.instance, planted.truth
         # solvers that take no r* ignore the planted radius
-        outcome = SOLVERS[solver_id]["fn"](instance, truth.k, truth.radius,
+        outcome = SOLVERS[solver_id].solve(instance, truth.k, truth.radius,
                                            params.get("epsilon"))
         if not outcome.ok or outcome.clustering is None:
             raise RuntimeError(outcome.status)
@@ -257,6 +258,13 @@ def cmd_bench(args):
         raise _InputError(f"cannot read manifest {args.manifest}: {e}")
     if not isinstance(manifest, list):
         raise _InputError("manifest must be a JSON list of rows")
+    for i, row in enumerate(manifest):
+        if not (isinstance(row, dict) and "family" in row and "solver" in row
+                and isinstance(row.get("params", {}), dict)
+                and isinstance(row.get("seed", 0), int)):
+            raise _InputError(f"manifest row {i} must be an object with "
+                              "family, solver, optional params object and "
+                              "optional integer seed")
     lines = ["family,params,seed,solver,eps_dist,radius_ratio,wall_ms,status"]
     for row in manifest:
         lines.append(_bench_row(row, timing=not args.no_timing,
@@ -345,7 +353,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as e:
+    except (_InputError, BudgetExceeded) as e:  # a budget flag below C(n, k)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

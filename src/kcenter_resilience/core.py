@@ -92,7 +92,7 @@ class StabilityParams:
     epsilon: float
 
     def __post_init__(self):
-        if self.alpha < 1:
+        if not self.alpha >= 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if not 0 <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [0,1], got {self.epsilon}")
@@ -103,16 +103,13 @@ class Clustering:
     """A partition into k labeled clusters, one designated center each.
 
     ``assignment[p]`` is the cluster index of point p, ``centers[i]`` the
-    center of cluster i.  ``empty_clusters`` flags degenerate clusters that
-    captured no point (the structure is still returned so callers can
-    inspect it).
+    center of cluster i.
     """
 
     k: int
     centers: tuple
     assignment: tuple
     radius: float
-    empty_clusters: tuple = ()
 
     @property
     def n(self) -> int:
@@ -183,24 +180,20 @@ def cost(instance, centers: Iterable[int]) -> float:
 def voronoi_partition(instance, centers: Sequence[int]) -> Clustering:
     """Assign each point to its closest center (distance center -> point).
 
-    Ties go to the center with the smallest point index.  Centers that
-    capture no point are flagged in ``empty_clusters``.
+    Ties go to the center with the smallest point index, except that a
+    center always belongs to its own cluster, so no cluster is empty.
     """
     d = _as_table(instance)
     centers = tuple(int(c) for c in centers)
     if len(set(centers)) != len(centers):
         raise ValueError("centers must be distinct")
-    k = len(centers)
     order = np.argsort(centers, kind="stable")  # smallest center index first
-    rows = d[np.asarray(centers)[order]]
-    pos = rows.argmin(axis=0)  # first occurrence = smallest center index
-    assignment = tuple(int(order[j]) for j in pos)
-    # a center always belongs to its own cluster (distance 0, ties by index)
-    radius = cost(d, centers)
-    captured = set(assignment)
-    empties = tuple(i for i in range(k) if i not in captured)
-    return Clustering(k=k, centers=centers, assignment=assignment,
-                      radius=radius, empty_clusters=empties)
+    ordered = np.asarray(centers)[order]
+    pos = d[ordered].argmin(axis=0)  # first occurrence = smallest center index
+    pos[ordered] = np.arange(len(centers))  # also when two centers coincide
+    return Clustering(k=len(centers), centers=centers,
+                      assignment=tuple(int(order[j]) for j in pos),
+                      radius=cost(d, centers))
 
 
 def epsilon_distance(a: Clustering, b: Clustering) -> float:

@@ -20,6 +20,9 @@ from .analysis import check_structure
 from .oracle import brute_force_optimal
 
 
+SKEW_ATTEMPTS = 50  # gen_planted_asymmetric's draws before giving up
+
+
 class InfeasibleParams(ValueError):
     pass
 
@@ -117,8 +120,7 @@ def gen_planted_symmetric(n, k, r, alpha, seed, _sep_scale=1.0) -> PlantedInstan
                                                separation=min_cross))
 
 
-def gen_planted_asymmetric(n, k, r, alpha, skew, seed,
-                           max_attempts=50) -> PlantedInstance:
+def gen_planted_asymmetric(n, k, r, alpha, skew, seed) -> PlantedInstance:
     """Directionally skewed planted instance satisfying the ball-pruning
     algorithm's structural conditions.
 
@@ -126,7 +128,7 @@ def gen_planted_asymmetric(n, k, r, alpha, skew, seed,
     ``skew``, multiplies each ordered pair by an independent factor in
     [1, skew], restores the directed triangle inequality by shortest-path
     closure, then re-checks validity and the structural conditions.
-    Attempts are repeated with fresh factor draws until all checks pass.
+    Up to SKEW_ATTEMPTS fresh factor draws are tried until all checks pass.
     """
     if skew < 1:
         raise InfeasibleParams(f"skew must be >= 1, got {skew}")
@@ -135,7 +137,7 @@ def gen_planted_asymmetric(n, k, r, alpha, skew, seed,
         return base
     truth = base.truth
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(SKEW_ATTEMPTS):
         u = rng.uniform(1.0, skew, size=(n, n))
         np.fill_diagonal(u, 1.0)
         # snap before the closure: grid values are closed under addition,
@@ -162,7 +164,7 @@ def gen_planted_asymmetric(n, k, r, alpha, skew, seed,
                                     separation=_min_cross_distance(
                                         d, new_truth.assignment)))
     raise RejectionBudgetExceeded(
-        f"no valid skewed instance in {max_attempts} attempts (seed {seed})")
+        f"no valid skewed instance in {SKEW_ATTEMPTS} attempts (seed {seed})")
 
 
 def gen_bad_center_18(alpha) -> PlantedInstance:
@@ -257,8 +259,7 @@ def gen_from_dominating_set(n_vertices, edges) -> Instance:
     return validate_instance(d, SYMMETRIC)
 
 
-def gen_eps_padding(base: Instance, k, alpha, epsilon,
-                    oracle_budget=2_000_000) -> PlantedInstance:
+def gen_eps_padding(base: Instance, k, alpha, epsilon) -> PlantedInstance:
     """Pad a symmetric instance with ceil(n/epsilon) isolated points.
 
     Each pad point sits at distance alpha*(D+1) from everything (D = base
@@ -280,7 +281,7 @@ def gen_eps_padding(base: Instance, k, alpha, epsilon,
     d[:n, :n] = base.dist
     np.fill_diagonal(d, 0.0)
     instance = validate_instance(d, SYMMETRIC)
-    opt = brute_force_optimal(base.dist, k, budget=oracle_budget)
+    opt = brute_force_optimal(base.dist, k)
     base_cl = opt.clustering(base.dist)
     k_prime = k + n_pad
     centers = tuple(base_cl.centers) + tuple(range(n, total))

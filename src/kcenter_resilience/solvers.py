@@ -14,6 +14,7 @@ checkers are the way to confirm it on concrete instances.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ from scipy.sparse.csgraph import shortest_path
 from .core import (Clustering, Instance, _as_table, ball, components,
                    label_groups, mutual_within, symmetrized_set,
                    threshold_components, voronoi_partition, EmptyA)
+
+
+PATCH_BUDGET = 5_000_000  # asymmetric_3eps's patch enumeration limit
 
 
 class AsymmetricInput(ValueError):
@@ -64,26 +68,23 @@ def _require_symmetric(instance):
 
 
 def _one_center(d, members):
-    """Best center of a point set: minimizes max distance, smallest index ties."""
+    """(center, cost) of a point set: the member minimizing its max distance
+    to the set (smallest index on ties) and that max distance."""
     members = sorted(members)
-    sub = d[np.ix_(members, members)]
-    ecc = sub.max(axis=1)
-    return members[int(ecc.argmin())]
+    ecc = d[np.ix_(members, members)].max(axis=1)
+    best = int(ecc.argmin())
+    return members[best], float(ecc[best])
 
 
 def _clustering_from_groups(d, groups):
     """Build a Clustering from disjoint covering groups, ordered as given."""
-    n = d.shape[0]
-    assignment = [None] * n
-    centers = []
+    assignment = [None] * d.shape[0]
+    centers, costs = zip(*(_one_center(d, g) for g in groups))
     for i, g in enumerate(groups):
-        c = _one_center(d, g)
-        centers.append(c)
         for p in g:
             assignment[p] = i
-    radius = max(d[centers[i], p] for i, g in enumerate(groups) for p in g)
-    return Clustering(k=len(groups), centers=tuple(centers),
-                      assignment=tuple(assignment), radius=float(radius))
+    return Clustering(k=len(groups), centers=centers,
+                      assignment=tuple(assignment), radius=max(costs))
 
 
 def farthest_first(instance, k: int):
@@ -99,9 +100,11 @@ def farthest_first(instance, k: int):
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     centers = [0]
     mind = d[0].copy()
+    mind[0] = -1.0  # below every distance: a center is never picked again
     while len(centers) < k:
         nxt = int(mind.argmax())
         centers.append(nxt)
+        mind[nxt] = -1.0
         mind = np.minimum(mind, d[nxt])
     return tuple(centers)
 
@@ -223,8 +226,7 @@ def symmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                         diagnostics=diagnostics)
 
 
-def asymmetric_3eps(instance, k: int, r_star: float,
-                    budget: int = 5_000_000) -> SolveOutcome:
+def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     """Cover-and-patch algorithm for asymmetric k-center under (3,eps)-PR.
 
     Covers the symmetrized set A in the hop metric of its threshold graph
@@ -271,9 +273,9 @@ def asymmetric_3eps(instance, k: int, r_star: float,
             pool = [p for p in range(n) if p not in kept_s]
             for extra in itertools.combinations(pool, x):
                 work += 1
-                if work > budget:
+                if work > PATCH_BUDGET:
                     raise SolverBudgetExceeded(
-                        f"patch enumeration exceeded budget {budget}")
+                        f"patch enumeration exceeded budget {PATCH_BUDGET}")
                 cand = list(kept) + list(extra)
                 if d[cand].min(axis=0).max() <= 3 * r_star:
                     chosen = tuple(sorted(cand))
@@ -316,12 +318,8 @@ class ClusterVerifier:
         """All optimal clusters share a 1-center cost: f(B) = cost(B) - target."""
         d = _as_table(instance)
 
-        def fn(b):
-            members = sorted(b)
-            sub = d[np.ix_(members, members)]
-            return float(sub.max(axis=1).min()) - target
-
-        return cls(kind="target-cost", fn=fn)
+        return cls(kind="target-cost",
+                   fn=lambda b: _one_center(d, b)[1] - target)
 
 
 def weak_proximity_linkage(instance, k: int,
@@ -433,57 +431,56 @@ def sweep_radius(instance, k: int, solver):
 
 def _self_consistent(d, clustering, r):
     """Every cluster has some member within r of all its members."""
-    for g in clustering.clusters():
-        if not g:
-            continue
-        sub = d[np.ix_(g, g)]
-        if sub.max(axis=1).min() > r:
-            return False
-    return True
+    return all(_one_center(d, g)[1] <= r for g in clustering.clusters() if g)
 
 
-def _ff2(instance, k, r_star=None, epsilon=None):
-    centers = farthest_first(instance, k)
-    cl = voronoi_partition(instance, centers)
-    return SolveOutcome(status="approximation-only", clustering=cl,
+def _approximation(instance, centers):
+    """Voronoi partition of 2-approximate centers, claiming nothing more."""
+    return SolveOutcome(status="approximation-only",
+                        clustering=voronoi_partition(instance, centers),
                         diagnostics={"consistency_factor": 2.0})
 
 
-def _hs(instance, k, r_star, epsilon=None):
+def _hs(instance, k, r_star, epsilon):
     try:
         centers = hochbaum_shmoys_cover(instance, r_star, k)
     except NeedsMoreCenters as e:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"needed": e.count})
-    cl = voronoi_partition(instance, centers)
-    return SolveOutcome(status="approximation-only", clustering=cl,
-                        diagnostics={"consistency_factor": 2.0})
+    return _approximation(instance, centers)
 
 
-def _thm3(instance, k, r_star=None, epsilon=None):
-    return exact_via_approximation(instance, k, alpha=2.0)
+@dataclass(frozen=True)
+class Solver:
+    """solve(instance, k, r_star, epsilon) -> SolveOutcome for one solver id.
+
+    needs_r: takes r*, so it is swept when r is absent; needs_epsilon:
+    epsilon must be given.  Symmetric-only solvers raise AsymmetricInput
+    before any work.  solve looks its layer function up by name at call
+    time, so patching that name reaches it.
+    """
+
+    solve: Callable[..., SolveOutcome]
+    needs_r: bool = False
+    needs_epsilon: bool = False
 
 
-def _alg3(instance, k, r_star=None, epsilon=None):
-    n = _as_table(instance).shape[0]
-    return weak_proximity_linkage(instance, k,
-                                  ClusterVerifier.equal_size(n, k))
-
-
-# Stable solver identifiers for the CLI and bench harness.  needs_r marks
-# solvers parameterized by r* (sweepable when r is absent); needs_epsilon and
-# symmetric (rejects asymmetric instances) are False when absent.
+# Stable solver identifiers for the CLI and bench harness.
 SOLVERS = {
-    "ff2": {"fn": _ff2, "needs_r": False, "symmetric": True},
-    "hs": {"fn": _hs, "needs_r": True},
-    "thm3": {"fn": _thm3, "needs_r": False, "symmetric": True},
-    "alg1-2pr": {"fn": lambda inst, k, r, eps=None: asymmetric_2pr(inst, k, r),
-                 "needs_r": True},
-    "thm5-3eps": {"fn": lambda inst, k, r, eps=None: symmetric_3eps(inst, k, r),
-                  "needs_r": True, "symmetric": True},
-    "alg2-3eps-asym": {"fn": lambda inst, k, r, eps=None: asymmetric_3eps(inst, k, r),
-                       "needs_r": True},
-    "alg3-linkage": {"fn": _alg3, "needs_r": False, "symmetric": True},
-    "alg4-2eps-as": {"fn": lambda inst, k, r, eps: approx_stability_2eps(inst, k, r, eps),
-                     "needs_r": True, "needs_epsilon": True, "symmetric": True},
+    "ff2": Solver(lambda inst, k, r, eps:
+                  _approximation(inst, farthest_first(inst, k))),
+    "hs": Solver(_hs, needs_r=True),
+    "thm3": Solver(lambda inst, k, r, eps:
+                   exact_via_approximation(inst, k, alpha=2.0)),
+    "alg1-2pr": Solver(lambda inst, k, r, eps: asymmetric_2pr(inst, k, r),
+                       needs_r=True),
+    "thm5-3eps": Solver(lambda inst, k, r, eps: symmetric_3eps(inst, k, r),
+                        needs_r=True),
+    "alg2-3eps-asym": Solver(lambda inst, k, r, eps:
+                             asymmetric_3eps(inst, k, r), needs_r=True),
+    "alg3-linkage": Solver(lambda inst, k, r, eps: weak_proximity_linkage(
+        inst, k, ClusterVerifier.equal_size(_as_table(inst).shape[0], k))),
+    "alg4-2eps-as": Solver(lambda inst, k, r, eps:
+                           approx_stability_2eps(inst, k, r, eps),
+                           needs_r=True, needs_epsilon=True),
 }

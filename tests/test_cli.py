@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from kcenter_resilience import parse_clustering, parse_instance, emit_instance
+from kcenter_resilience import (emit_instance, parse_clustering,
+                                parse_instance, validate_instance)
 from kcenter_resilience.cli import main
 from kcenter_resilience.generators import gen_random_metric
 from kcenter_resilience.kci import KciFormatError
@@ -216,13 +217,14 @@ def test_bench_oracle_infeasible_row_blank_ratio(tmp_path):
     (["--algo", "thm5-3eps", "--k", "13"], False),
     (["--algo", "hs", "--k", "3", "--r", "-1"], False),
     (["--algo", "alg4-2eps-as", "--k", "3"], False),
+    (["--algo", "alg4-2eps-as", "--k", "3", "--epsilon", "-1"], False),
     (["--algo", "ff2", "--k", "3"], True),
     (["--algo", "thm3", "--k", "3"], True),
     (["--algo", "thm5-3eps", "--k", "3", "--r", "1"], True),
     (["--algo", "alg3-linkage", "--k", "3"], True),
     (["--algo", "alg4-2eps-as", "--k", "3", "--epsilon", "0.1"], True),
-], ids=["k-0", "k-above-n", "negative-r", "no-epsilon", "ff2-asym",
-        "thm3-asym", "thm5-asym", "alg3-asym", "alg4-asym"])
+], ids=["k-0", "k-above-n", "negative-r", "no-epsilon", "negative-epsilon",
+        "ff2-asym", "thm3-asym", "thm5-asym", "alg3-asym", "alg4-asym"])
 def test_solve_bad_arguments_exit_1(tmp_path, capsys, flags, asym):
     if asym:
         path = tmp_path / "asym.kci"
@@ -234,6 +236,59 @@ def test_solve_bad_arguments_exit_1(tmp_path, capsys, flags, asym):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,rows,needle", [
+    (["oracle", "{ps}.kci", "--k", "0"], None, "--k"),
+    (["oracle", "{ps}.kci", "--k", "13"], None, "--k"),
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "0.5"], None,
+     "alpha"),
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "nan"], None,
+     "alpha"),
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
+      "--epsilon", "2"], None, "epsilon"),
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2", "--r", "-1"],
+     None, "--r"),
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
+      "--oracle-budget", "10"], None, "budget 10"),
+    (["bench", "--manifest", "{manifest}"], [1], "row 0"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "solver": "thm3"},
+      {"params": {"alpha": 2.0}, "solver": "thm3"}], "row 1"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}}], "row 0"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "seed": "x",
+       "solver": "thm3"}], "row 0"),
+    (["solve", "{ps}.kci", "--algo", "ff2", "--k", "3", "--slack", "-1"],
+     None, "--slack"),
+], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
+        "verify-alpha-nan", "verify-epsilon-above-1", "verify-negative-r",
+        "verify-oracle-budget-too-small",
+        "bench-row-not-object", "bench-row-no-family", "bench-row-no-solver",
+        "bench-seed-not-int", "negative-slack"])
+def test_input_boundary_exit_1(tmp_path, capsys, argv, rows, needle):
+    prefix = gen_planted_files(tmp_path)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(rows))
+    capsys.readouterr()
+    argv = [a.format(ps=prefix, manifest=manifest) for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo", ["ff2", "thm3"])
+def test_solve_k_equals_n_with_coincident_points(tmp_path, algo):
+    # points 0 and 1 coincide: farthest-first must not pick a center twice
+    path = tmp_path / "coincident.kci"
+    path.write_text(emit_instance(validate_instance(
+        [[0, 0, 1], [0, 0, 1], [1, 1, 0]], "symmetric")))
+    out = tmp_path / "cl.json"
+    assert run(["solve", str(path), "--algo", algo, "--k", "3",
+                "--out", str(out)]) == 0
+    assert sorted(parse_clustering(out.read_text()).centers) == [0, 1, 2]
 
 
 def _rename_point(truth, old, new):

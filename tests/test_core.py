@@ -102,14 +102,17 @@ def test_voronoi_radius_equals_cost():
     assert cl.radius == cost(inst, [1, 4])
 
 
-def test_voronoi_empty_cluster_flagged():
-    # point 2's row dominates point 1's row, so center 1 captures nothing
+def test_voronoi_center_in_own_cluster():
+    # point 2's row dominates point 1's row, yet center 1 keeps itself
     d = np.array([[0.0, 2.0, 2.0],
                   [2.0, 0.0, 1.0],
                   [2.0, 1.0, 0.0]])
     inst = validate_instance(d, "asymmetric")
     cl = voronoi_partition(inst, [0, 1, 2])
-    assert cl.empty_clusters == ()
+    assert cl.assignment == (0, 1, 2)
+    # points 0 and 1 coincide: the zero tie must not empty center 1's cluster
+    same = validate_instance([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "symmetric")
+    assert voronoi_partition(same, [2, 1, 0]).assignment == (2, 1, 0)
     d2 = np.array([[0.0, 3.0, 3.0],
                    [3.0, 0.0, 3.0],
                    [1.0, 3.0, 0.0]])
