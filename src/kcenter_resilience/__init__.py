@@ -45,11 +45,8 @@ from .solvers import (
     AsymmetricInput,
     ClusterVerifier,
     NeedsMoreCenters,
-    NoCandidateWorks,
     SOLVERS,
     SolveOutcome,
-    SolverBudgetExceeded,
-    VerifierStuck,
     approx_stability_2eps,
     asymmetric_2pr,
     asymmetric_3eps,

@@ -1,8 +1,8 @@
 """Command line entry point: solve, oracle, verify, generate, bench.
 
 Exit codes: 0 success, 1 input error, 2 a solver's resilience promise
-visibly failed (not-resilient / no usable cover), 3 the falsifier found a
-counterexample.  One command per invocation; output files are written via
+visibly failed (status not-resilient, with the outcome's reason if it has
+one), 3 the falsifier found a counterexample.  One command per invocation; output files are written via
 temp-and-rename so a crash never leaves a partial file.
 """
 
@@ -25,9 +25,7 @@ from .generators import (ConstructionCheckFailed, InfeasibleParams,
                          gen_random_metric, named_graph)
 from .oracle import (DEFAULT_SUBSET_BUDGET, BudgetExceeded,
                      brute_force_optimal, falsify_resilience)
-from .solvers import (SOLVERS, AsymmetricInput, NoCandidateWorks,
-                      NeedsMoreCenters, SolverBudgetExceeded, VerifierStuck,
-                      sweep_radius)
+from .solvers import SOLVERS, AsymmetricInput, sweep_radius
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -92,14 +90,9 @@ def cmd_solve(args):
             outcome = solver.solve(instance, args.k, chosen_r, args.epsilon)
     except AsymmetricInput:
         raise _InputError(f"solver {args.algo} needs a symmetric instance")
-    except NoCandidateWorks:
-        print("status not-resilient (no candidate radius works)")
-        return EXIT_PROMISE
-    except (NeedsMoreCenters, VerifierStuck, SolverBudgetExceeded) as e:
-        print(f"status not-resilient ({e})")
-        return EXIT_PROMISE
-    if not outcome.ok or outcome.clustering is None:
-        print(f"status {outcome.status}")
+    if not outcome.ok:
+        reason = outcome.diagnostics.get("reason")
+        print(f"status {outcome.status}" + (f" ({reason})" if reason else ""))
         return EXIT_PROMISE
     if chosen_r is not None:
         print(f"r {chosen_r!r}")
@@ -177,7 +170,7 @@ def _emit_planted(planted, prefix):
 def cmd_generate(args):
     prefix = args.out_prefix or args.family
     try:
-        if args.family in _BENCH_FAMILIES:
+        if args.family in _BENCH_PARAMS:
             _emit_planted(_bench_instance(args.family, vars(args), args.seed),
                           prefix)
         elif args.family == "eps-padding":
@@ -199,7 +192,10 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-_BENCH_FAMILIES = ("planted-sym", "planted-asym", "bad-center-18")
+# bench family -> the params keys its generator reads
+_BENCH_PARAMS = {"planted-sym": ("n", "k", "r", "alpha"),
+                 "planted-asym": ("n", "k", "r", "alpha", "skew"),
+                 "bad-center-18": ("alpha",)}
 
 
 def _bench_instance(family, params, seed):
@@ -211,7 +207,7 @@ def _bench_instance(family, params, seed):
                                       params["alpha"], params["skew"], seed)
     if family == "bad-center-18":
         return gen_bad_center_18(params["alpha"])
-    raise _InputError(f"bench family must be one of {_BENCH_FAMILIES}, "
+    raise _InputError(f"bench family must be one of {tuple(_BENCH_PARAMS)}, "
                       f"got {family!r}")
 
 
@@ -221,6 +217,7 @@ def _bench_row(row, timing, oracle_budget):
     seed = int(row.get("seed", 0))
     solver_id = row["solver"]
     params_str = ";".join(f"{key}={params[key]}" for key in sorted(params))
+    eps_str = ratio_str = ""
     start = time.perf_counter()
     try:
         planted = _bench_instance(family, params, seed)
@@ -228,22 +225,16 @@ def _bench_row(row, timing, oracle_budget):
         # solvers that take no r* ignore the planted radius
         outcome = SOLVERS[solver_id].solve(instance, truth.k, truth.radius,
                                            params.get("epsilon"))
-        if not outcome.ok or outcome.clustering is None:
-            raise RuntimeError(outcome.status)
-        eps_dist = epsilon_distance(outcome.clustering, truth)
-        if comb(instance.n, truth.k) <= oracle_budget:
-            opt = brute_force_optimal(instance.dist, truth.k)
-            ratio = (outcome.clustering.radius / opt.optimal_radius
-                     if opt.optimal_radius > 0 else 1.0)
-            ratio_str = repr(ratio)
-        else:
-            ratio_str = ""
+        if outcome.ok:
+            eps_str = repr(epsilon_distance(outcome.clustering, truth))
+            if comb(instance.n, truth.k) <= oracle_budget:
+                opt = brute_force_optimal(instance.dist, truth.k)
+                ratio_str = repr(outcome.clustering.radius / opt.optimal_radius
+                                 if opt.optimal_radius > 0 else 1.0)
         status = outcome.status
-        eps_str = repr(eps_dist)
     except Exception as e:  # per-row failures go in the CSV, not up the stack
         status = f"error:{type(e).__name__}"
-        eps_str = ""
-        ratio_str = ""
+        eps_str = ratio_str = ""
     wall_ms = (time.perf_counter() - start) * 1000.0
     wall_str = f"{wall_ms:.3f}" if timing else ""
     return (f"{family},{params_str},{seed},{solver_id},"
@@ -259,12 +250,17 @@ def cmd_bench(args):
     if not isinstance(manifest, list):
         raise _InputError("manifest must be a JSON list of rows")
     for i, row in enumerate(manifest):
-        if not (isinstance(row, dict) and "family" in row and "solver" in row
-                and isinstance(row.get("params", {}), dict)
+        if not (isinstance(row, dict) and isinstance(row.get("family"), str)
+                and "solver" in row and isinstance(row.get("params", {}), dict)
                 and isinstance(row.get("seed", 0), int)):
             raise _InputError(f"manifest row {i} must be an object with "
-                              "family, solver, optional params object and "
-                              "optional integer seed")
+                              "family string, solver, optional params object "
+                              "and optional integer seed")
+    for i, row in enumerate(manifest):  # shapes first, then params
+        for key in _BENCH_PARAMS.get(row["family"], ()):
+            if key not in row.get("params", {}):
+                raise _InputError(f"manifest row {i}: {row['family']} params "
+                                  f"lack {key!r}")
     lines = ["family,params,seed,solver,eps_dist,radius_ratio,wall_ms,status"]
     for row in manifest:
         lines.append(_bench_row(row, timing=not args.no_timing,

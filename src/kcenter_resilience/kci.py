@@ -60,7 +60,11 @@ def parse_instance(text: str, slack: float = 0.0) -> Instance:
             rows.append([float(x) for x in parts])
         except ValueError:
             raise KciFormatError(4 + i, "non-numeric distance entry")
-    return validate_instance(np.asarray(rows), mode, slack=slack)
+    table = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise KciFormatError(4 + int(bad[0]), "non-finite distance entry")
+    return validate_instance(table, mode, slack=slack)
 
 
 def clustering_to_dict(clustering: Clustering) -> dict:
@@ -102,8 +106,12 @@ def parse_clustering(text: str) -> Clustering:
     for i, c in enumerate(centers):
         if type(c) is not int or not 0 <= c < n or assignment[c] != i:
             raise ValueError(f"center {c!r} is not in its cluster {i}")
+    radius = float(data["radius"])
+    if not 0 <= radius < float("inf"):
+        raise ValueError(f"radius must be a finite number >= 0, "
+                         f"got {data['radius']!r}")
     return Clustering(k=k, centers=centers, assignment=tuple(assignment),
-                      radius=float(data["radius"]))
+                      radius=radius)
 
 
 def to_jsonable(obj):

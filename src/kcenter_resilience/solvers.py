@@ -5,7 +5,8 @@ Every solver returns a SolveOutcome.  Statuses:
   exact-claim         optimal under the solver's resilience promise
   eps-close-claim     epsilon-close to optimal under the promise
   approximation-only  the usual worst-case guarantee, nothing more
-  not-resilient       the promise visibly failed (no clustering returned)
+  not-resilient       the promise visibly failed (no clustering returned;
+                      diagnostics["reason"] says why when a step can)
 
 A claim is only as good as the promise; the oracle and the structure
 checkers are the way to confirm it on concrete instances.
@@ -36,18 +37,6 @@ class NeedsMoreCenters(RuntimeError):
     def __init__(self, count, k):
         self.count, self.k = count, k
         super().__init__(f"cover needs {count} centers, only {k} allowed")
-
-
-class NoCandidateWorks(RuntimeError):
-    pass
-
-
-class VerifierStuck(RuntimeError):
-    """The linkage inner loop cannot proceed; cluster verifiability fails."""
-
-
-class SolverBudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -261,37 +250,31 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                             diagnostics={"reason": "no hop cover for any k' <= k"})
     c_set = tuple(a[i] for i in cover_local)
 
-    chosen = None
-    x_used = None
+    def patches():  # (x, centers): k - x kept from c_set, x others added
+        for x in range(0, min(6, k) + 1):
+            for kept in itertools.combinations(c_set, k - x):
+                kept_s = set(kept)
+                pool = [p for p in range(n) if p not in kept_s]
+                for extra in itertools.combinations(pool, x):
+                    yield x, list(kept) + list(extra)
+
+    chosen = x_used = None
+    reason = "no 3r* cover with x <= 6"
     work = 0
-    for x in range(0, min(6, k) + 1):
-        keep = k - x
-        if keep > len(c_set) or keep < 0:
-            continue
-        for kept in itertools.combinations(c_set, keep):
-            kept_s = set(kept)
-            pool = [p for p in range(n) if p not in kept_s]
-            for extra in itertools.combinations(pool, x):
-                work += 1
-                if work > PATCH_BUDGET:
-                    raise SolverBudgetExceeded(
-                        f"patch enumeration exceeded budget {PATCH_BUDGET}")
-                cand = list(kept) + list(extra)
-                if d[cand].min(axis=0).max() <= 3 * r_star:
-                    chosen = tuple(sorted(cand))
-                    x_used = x
-                    break
-            if chosen:
-                break
-        if chosen:
+    for x, cand in patches():
+        if work == PATCH_BUDGET:
+            reason = f"patch enumeration exceeded budget {PATCH_BUDGET}"
+            break
+        work += 1
+        if d[cand].min(axis=0).max() <= 3 * r_star:
+            chosen, x_used = tuple(sorted(cand)), x
             break
     diagnostics = {"k_prime": k_prime_used, "hop_cover": c_set,
                    "x": x_used, "patch_work": work,
                    "consistency_factor": 3.0}
     if chosen is None:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={**diagnostics,
-                                         "reason": "no 3r* cover with x <= 6"})
+                            diagnostics={**diagnostics, "reason": reason})
     cl = voronoi_partition(d, chosen)
     return SolveOutcome(status="eps-close-claim", clustering=cl,
                         diagnostics=diagnostics)
@@ -337,6 +320,11 @@ def weak_proximity_linkage(instance, k: int,
     n = d.shape[0]
     labels = np.arange(n)  # a component's label is its smallest member
     committed = []
+
+    def stuck(reason):
+        return SolveOutcome(status="not-resilient", diagnostics={
+            "reason": reason, "committed_edges": tuple(committed)})
+
     while len(set(labels.tolist())) > k:
         scratch = labels.copy()
         comps = {g[0]: g for g in label_groups(scratch)}
@@ -344,12 +332,11 @@ def weak_proximity_linkage(instance, k: int,
         last_edge = None
         while any(v < 0 for v in fval.values()):
             if len(comps) == 1:
-                raise VerifierStuck("a single component still has f < 0")
+                return stuck("a single component still has f < 0")
+            # two or more components, one with f < 0: some pair is eligible
             neg = np.array([fval[scratch[p]] < 0 for p in range(n)])
             diff = scratch[:, None] != scratch[None, :]
             eligible = diff & (neg[:, None] | neg[None, :])
-            if not eligible.any():
-                raise VerifierStuck("no joinable pair touches an f < 0 component")
             masked = np.where(eligible, d, np.inf)
             flat = int(masked.argmin())  # row-major: smallest (p, q) on ties
             p, q = divmod(flat, n)
@@ -363,8 +350,7 @@ def weak_proximity_linkage(instance, k: int,
             fval[keep] = verifier(members)
             last_edge = (int(min(p, q)), int(max(p, q)))
         if last_edge is None:
-            raise VerifierStuck(
-                "all components verify but more than k remain")
+            return stuck("all components verify but more than k remain")
         committed.append(last_edge)
         p, q = last_edge
         rp, rq = labels[p], labels[q]
@@ -406,7 +392,9 @@ def sweep_radius(instance, k: int, solver):
     as the candidate radius and returns the first successful,
     self-consistent outcome together with the chosen radius.  The optimal
     radius is always among the candidates because it is attained by some
-    center-point pair.
+    center-point pair.  When none works it returns a not-resilient outcome
+    whose diagnostics["sweep_log"] holds each candidate's (r, status), and
+    None for the radius.
     """
     d = _as_table(instance)
     n = d.shape[0]
@@ -414,11 +402,7 @@ def sweep_radius(instance, k: int, solver):
     candidates = sorted(set([0.0] + off.tolist()))
     log = []
     for r in candidates:
-        try:
-            outcome = solver(instance, k, r)
-        except (VerifierStuck, SolverBudgetExceeded, NeedsMoreCenters):
-            log.append((r, "error"))
-            continue
+        outcome = solver(instance, k, r)
         if not outcome.ok:
             log.append((r, outcome.status))
             continue
@@ -426,7 +410,8 @@ def sweep_radius(instance, k: int, solver):
         if _self_consistent(d, outcome.clustering, r * factor):
             return outcome, r
         log.append((r, "inconsistent"))
-    raise NoCandidateWorks(f"no candidate radius works; sweep log: {log}")
+    return SolveOutcome(status="not-resilient", diagnostics={
+        "reason": "no candidate radius works", "sweep_log": tuple(log)}), None
 
 
 def _self_consistent(d, clustering, r):

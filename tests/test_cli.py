@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from kcenter_resilience import (emit_instance, parse_clustering,
-                                parse_instance, validate_instance)
+                                parse_instance, solvers, validate_instance)
 from kcenter_resilience.cli import main
-from kcenter_resilience.generators import gen_random_metric
+from kcenter_resilience.generators import (gen_planted_asymmetric,
+                                           gen_random_metric)
 from kcenter_resilience.kci import KciFormatError
 
 
@@ -88,6 +89,28 @@ def test_solve_promise_violation_exits_2(tmp_path):
     # wrong radius: threshold graph cannot have exactly k components
     assert run(["solve", prefix + ".kci", "--algo", "thm5-3eps",
                 "--k", "3", "--r", "1e-9"]) == 2
+
+
+def test_solve_sweep_without_working_radius_prints_reason(tmp_path, capsys):
+    # 4 points on a line: the threshold graph has 4 components or 1, never 2
+    pts = np.arange(4.0)
+    path = tmp_path / "line.kci"
+    path.write_text(emit_instance(validate_instance(
+        np.abs(pts[:, None] - pts[None, :]), "symmetric")))
+    assert run(["solve", str(path), "--algo", "thm5-3eps", "--k", "2"]) == 2
+    assert capsys.readouterr().out == \
+        "status not-resilient (no candidate radius works)\n"
+
+
+def test_solve_patch_budget_prints_reason(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solvers, "PATCH_BUDGET", 0)
+    planted = gen_planted_asymmetric(12, 3, 1.0, 2.0, 1.2, 1)
+    path = tmp_path / "pa.kci"
+    path.write_text(emit_instance(planted.instance))
+    assert run(["solve", str(path), "--algo", "alg2-3eps-asym", "--k", "3",
+                "--r", repr(planted.truth.radius)]) == 2
+    assert capsys.readouterr().out == \
+        "status not-resilient (patch enumeration exceeded budget 0)\n"
 
 
 def test_oracle_command(tmp_path, capsys):
@@ -212,6 +235,22 @@ def test_bench_oracle_infeasible_row_blank_ratio(tmp_path):
     assert fields[7] == "exact-claim"
 
 
+def test_bench_failed_promise_row_is_not_resilient(tmp_path):
+    # epsilon = 1 joins no pair, so alg4-2eps-as finds n components, not k
+    manifest = [{"family": "planted-sym",
+                 "params": {"n": 10, "k": 2, "r": 1.0, "alpha": 2.0,
+                            "epsilon": 1.0},
+                 "seed": 2, "solver": "alg4-2eps-as"}]
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    out = str(tmp_path / "b.csv")
+    assert run(["bench", "--manifest", str(mpath), "--out", out,
+                "--no-timing"]) == 0
+    assert open(out).read().splitlines()[1] == \
+        "planted-sym,alpha=2.0;epsilon=1.0;k=2;n=10;r=1.0,2,alg4-2eps-as," \
+        ",,,not-resilient"
+
+
 @pytest.mark.parametrize("flags,asym", [
     (["--algo", "ff2", "--k", "0"], False),
     (["--algo", "thm5-3eps", "--k", "13"], False),
@@ -238,7 +277,11 @@ def test_solve_bad_arguments_exit_1(tmp_path, capsys, flags, asym):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,rows,needle", [
+def _two_point_kci(entry):
+    return f"kci 1\nmode symmetric\nn 2\n0.0 {entry}\n{entry} 0.0\n"
+
+
+@pytest.mark.parametrize("argv,payload,needle", [
     (["oracle", "{ps}.kci", "--k", "0"], None, "--k"),
     (["oracle", "{ps}.kci", "--k", "13"], None, "--k"),
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "0.5"], None,
@@ -260,19 +303,35 @@ def test_solve_bad_arguments_exit_1(tmp_path, capsys, flags, asym):
     (["bench", "--manifest", "{manifest}"],
      [{"family": "bad-center-18", "params": {"alpha": 2.0}, "seed": "x",
        "solver": "thm3"}], "row 0"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "solver": "thm3"},
+      {"family": "planted-asym", "solver": "alg1-2pr",
+       "params": {"n": 12, "k": 3, "r": 1.0, "alpha": 2.0}}],
+     "row 1: planted-asym params lack 'skew'"),
     (["solve", "{ps}.kci", "--algo", "ff2", "--k", "3", "--slack", "-1"],
      None, "--slack"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "nan",
+     "bad.kci: line 4: non-finite"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "inf",
+     "bad.kci: line 4: non-finite"),
+    (["verify", "{kci}", "{ps}.truth.json", "--alpha", "2"], "1e400",
+     "bad.kci: line 4: non-finite"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-epsilon-above-1", "verify-negative-r",
         "verify-oracle-budget-too-small",
         "bench-row-not-object", "bench-row-no-family", "bench-row-no-solver",
-        "bench-seed-not-int", "negative-slack"])
-def test_input_boundary_exit_1(tmp_path, capsys, argv, rows, needle):
+        "bench-seed-not-int", "bench-params-missing-key", "negative-slack",
+        "kci-nan", "kci-inf", "kci-1e400"])
+def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
+    # payload: manifest rows (a list) or one KCI distance entry (a string)
     prefix = gen_planted_files(tmp_path)
     manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps(rows))
+    manifest.write_text(json.dumps(payload))
+    kci = tmp_path / "bad.kci"
+    if isinstance(payload, str):
+        kci.write_text(_two_point_kci(payload))
     capsys.readouterr()
-    argv = [a.format(ps=prefix, manifest=manifest) for a in argv]
+    argv = [a.format(ps=prefix, manifest=manifest, kci=kci) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -303,8 +362,11 @@ def _rename_point(truth, old, new):
     lambda t: t.__setitem__("k", 4),
     lambda t: t["centers"].pop(),
     lambda t: t["centers"].reverse(),
+    lambda t: t.__setitem__("radius", -1),
+    lambda t: t.__setitem__("radius", float("nan")),
 ], ids=["negative-point", "point-99", "duplicate-point", "k-mismatch",
-        "missing-center", "center-outside-cluster"])
+        "missing-center", "center-outside-cluster", "negative-radius",
+        "nan-radius"])
 def test_verify_malformed_truth_exits_1(tmp_path, capsys, edit):
     prefix = gen_planted_files(tmp_path)
     truth = json.load(open(prefix + ".truth.json"))

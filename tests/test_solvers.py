@@ -8,9 +8,8 @@ from kcenter_resilience import (
     AsymmetricInput,
     ClusterVerifier,
     NeedsMoreCenters,
-    NoCandidateWorks,
     SOLVERS,
-    VerifierStuck,
+    SolveOutcome,
     approx_stability_2eps,
     asymmetric_2pr,
     asymmetric_3eps,
@@ -25,6 +24,7 @@ from kcenter_resilience import (
     validate_instance,
     weak_proximity_linkage,
 )
+from kcenter_resilience import solvers
 from kcenter_resilience.generators import (
     gen_planted_asymmetric,
     gen_planted_symmetric,
@@ -208,8 +208,21 @@ def test_weak_proximity_linkage_verifier_stuck():
     inst = gen_random_metric(6, "symmetric", 3)
     # f >= 0 everywhere: no component may ever be grown
     always_ok = ClusterVerifier(kind="degenerate", fn=lambda b: 0.0)
-    with pytest.raises(VerifierStuck):
-        weak_proximity_linkage(inst, 2, always_ok)
+    out = weak_proximity_linkage(inst, 2, always_ok)
+    assert out.status == "not-resilient" and out.clustering is None
+    assert out.diagnostics["reason"] == \
+        "all components verify but more than k remain"
+    assert out.diagnostics["committed_edges"] == ()
+
+
+def test_weak_proximity_linkage_single_component_stuck():
+    inst = gen_random_metric(6, "symmetric", 3)
+    # f < 0 everywhere: merging never stops short of one component
+    never_ok = ClusterVerifier(kind="degenerate", fn=lambda b: -1.0)
+    out = weak_proximity_linkage(inst, 2, never_ok)
+    assert out.status == "not-resilient"
+    assert out.diagnostics["reason"] == "a single component still has f < 0"
+    assert out.diagnostics["committed_edges"] == ()
 
 
 def test_approx_stability_planted():
@@ -262,12 +275,46 @@ def test_sweep_radius_candidates_below_r_star_fail():
 
 def test_sweep_radius_no_candidate_works():
     inst = gen_random_metric(6, "symmetric", 7)
+    tried = []
 
     def always_fails(i, k, r):
-        raise NeedsMoreCenters(k + 1, k)
+        tried.append(r)
+        return SolveOutcome(status="not-resilient")
 
-    with pytest.raises(NoCandidateWorks):
-        sweep_radius(inst, 4, always_fails)
+    out, chosen = sweep_radius(inst, 4, always_fails)
+    assert chosen is None
+    assert out.status == "not-resilient" and out.clustering is None
+    assert out.diagnostics["reason"] == "no candidate radius works"
+    assert out.diagnostics["sweep_log"] == tuple(
+        (r, "not-resilient") for r in tried)
+    assert [r for r, _ in out.diagnostics["sweep_log"]] == \
+        sorted(set([0.0] + inst.dist[inst.dist > 0].tolist()))
+
+
+@pytest.mark.parametrize(
+    "solver_id,budget",
+    [(sid, None) for sid in sorted(SOLVERS)] + [("alg2-3eps-asym", 0)],
+    ids=sorted(SOLVERS) + ["alg2-3eps-asym-budget-0"])
+def test_sweep_raises_nothing_but_asymmetric_input(monkeypatch, solver_id,
+                                                    budget):
+    # a failed promise is a not-resilient outcome, never an exception
+    if budget is not None:
+        monkeypatch.setattr(solvers, "PATCH_BUDGET", budget)
+    instances = [gen_random_metric(7, mode, seed)
+                 for mode in ("symmetric", "asymmetric") for seed in (0, 1)]
+    instances += [gen_planted_symmetric(9, 3, 1.0, 2.0, 2).instance,
+                  gen_planted_asymmetric(9, 3, 1.0, 2.0, 1.2, 2).instance]
+    solve = SOLVERS[solver_id].solve
+    for inst in instances:
+        for k in (1, 2, 3):
+            try:
+                out, chosen = sweep_radius(
+                    inst, k, lambda i, kk, r: solve(i, kk, r, 0.1))
+            except AsymmetricInput:
+                assert not inst.is_symmetric
+                continue
+            assert out.ok == (chosen is not None)
+            assert out.ok or "reason" in out.diagnostics
 
 
 def test_solver_registry_ids():

@@ -71,3 +71,15 @@ def test_solver_entry_looks_up_its_layer_function_by_name(
                      "--r", repr(planted.truth.radius), "--epsilon", "0.05",
                      "--out", str(tmp_path / "out.json")]) == 0
     assert calls
+
+
+def test_linkage_counter_reads_a_stuck_outcome():
+    # the counter reads committed_edges from every result, failures included;
+    # f = |B| - 2: pairs verify, so more than k = 3 components remain
+    inst = gen_planted_symmetric(12, 3, 1.0, 2.0, 2).instance
+    args = (inst, 3, solvers.ClusterVerifier.equal_size(12, 6))
+    out = solvers.weak_proximity_linkage(*args)
+    assert out.status == "not-resilient"
+    counter = tracing.COUNTERS["solvers.weak_proximity_linkage"]
+    assert counter(args, {}, out) == len(out.diagnostics["committed_edges"])
+    assert counter(args, {}, out) > 0
