@@ -43,7 +43,7 @@ def _read_instance(path, slack=0.0):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read {path}: {e}")
     try:
         return kci.parse_instance(text, slack=slack)
@@ -205,10 +205,7 @@ def _bench_instance(family, params, seed):
     if family == "planted-asym":
         return gen_planted_asymmetric(params["n"], params["k"], params["r"],
                                       params["alpha"], params["skew"], seed)
-    if family == "bad-center-18":
-        return gen_bad_center_18(params["alpha"])
-    raise _InputError(f"bench family must be one of {tuple(_BENCH_PARAMS)}, "
-                      f"got {family!r}")
+    return gen_bad_center_18(params["alpha"])
 
 
 def _bench_row(row, timing, oracle_budget):
@@ -257,10 +254,18 @@ def cmd_bench(args):
                               "family string, solver, optional params object "
                               "and optional integer seed")
     for i, row in enumerate(manifest):  # shapes first, then params
-        for key in _BENCH_PARAMS.get(row["family"], ()):
-            if key not in row.get("params", {}):
-                raise _InputError(f"manifest row {i}: {row['family']} params "
+        family, params = row["family"], row.get("params", {})
+        if family not in _BENCH_PARAMS:
+            raise _InputError(f"manifest row {i}: unknown family {family!r}; "
+                              f"known: {', '.join(_BENCH_PARAMS)}")
+        for key in _BENCH_PARAMS[family]:
+            if key not in params:
+                raise _InputError(f"manifest row {i}: {family} params "
                                   f"lack {key!r}")
+        for key, value in params.items():
+            if type(value) not in (int, float):
+                raise _InputError(f"manifest row {i}: param {key!r} must be "
+                                  f"a number, got {value!r}")
     lines = ["family,params,seed,solver,eps_dist,radius_ratio,wall_ms,status"]
     for row in manifest:
         lines.append(_bench_row(row, timing=not args.no_timing,

@@ -277,16 +277,12 @@ def symmetrized_set(instance, r_star: float) -> SymmetrizedSet:
     if r_star < 0:
         raise ValueError("r_star must be >= 0")
     d = _as_table(instance)
-    n = d.shape[0]
     # p fails iff some q has d(q,p) <= r* but d(p,q) > r*
     fails = np.any((d.T <= r_star) & (d > r_star), axis=1)
-    members = tuple(int(p) for p in range(n) if not fails[p])
-    if not members:
+    a_idx, fail_idx = np.flatnonzero(~fails), np.flatnonzero(fails)
+    if not a_idx.size:
         raise EmptyA(f"no point satisfies the predicate at r*={r_star}")
-    a_idx = np.asarray(members)
-    nearest = {}
-    for p in range(n):
-        if fails[p]:
-            j = int(d[a_idx, p].argmin())  # first occurrence = smallest index
-            nearest[p] = int(a_idx[j])
-    return SymmetrizedSet(members=members, nearest_in_A=nearest)
+    # first occurrence = smallest index
+    nearest = a_idx[d[np.ix_(a_idx, fail_idx)].argmin(axis=0)]
+    return SymmetrizedSet(members=tuple(a_idx.tolist()), nearest_in_A=dict(
+        zip(fail_idx.tolist(), nearest.tolist())))

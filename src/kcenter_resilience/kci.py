@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -90,7 +91,7 @@ def parse_clustering(text: str) -> Clustering:
     k = data["k"]
     centers = tuple(data["centers"])
     clusters = data["clusters"]
-    if not k == len(clusters) == len(centers):
+    if type(k) is not int or not k == len(clusters) == len(centers):
         raise ValueError(f"k = {k} but {len(clusters)} clusters and "
                          f"{len(centers)} centers")
     # n points, each in 0..n-1 and none twice: every point appears once
@@ -106,12 +107,13 @@ def parse_clustering(text: str) -> Clustering:
     for i, c in enumerate(centers):
         if type(c) is not int or not 0 <= c < n or assignment[c] != i:
             raise ValueError(f"center {c!r} is not in its cluster {i}")
-    radius = float(data["radius"])
-    if not 0 <= radius < float("inf"):
+    radius = data["radius"]
+    if type(radius) not in (int, float) \
+            or not 0 <= radius <= sys.float_info.max:
         raise ValueError(f"radius must be a finite number >= 0, "
-                         f"got {data['radius']!r}")
+                         f"got {radius!r}")
     return Clustering(k=k, centers=centers, assignment=tuple(assignment),
-                      radius=radius)
+                      radius=float(radius))
 
 
 def to_jsonable(obj):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from .core import (Clustering, Instance, _as_table, ball, components,
+from .core import (Clustering, Instance, _as_table, components,
                    label_groups, mutual_within, symmetrized_set,
                    threshold_components, voronoi_partition, EmptyA)
 
@@ -146,55 +146,45 @@ def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
     except EmptyA:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "empty symmetrized set"})
-    a = list(sym.members)
-    aset = set(a)
-    balls = {c: set(ball(d, c, r_star, domain=a)) for c in a}
-    full_ball_sizes = {c: len(ball(d, c, r_star)) for c in a}
+    a = np.asarray(sym.members)
+    sub = d[np.ix_(a, a)]
+    inball = sub <= r_star  # inball[i]: ball of a[i] restricted to A
 
-    pruned_leak = []
-    for c in a:
-        g = balls[c]
-        outside = [q for q in a if q not in g]
-        if any(d[q, p] < d[c, p] for p in g for q in outside):
-            pruned_leak.append(c)
-    survivors = [c for c in a if c not in set(pruned_leak)]
+    # a ball leaks when a member is closer to some A-point outside it
+    leaks = np.array([(sub[~row][:, row] < sub[i, row]).any()
+                      for i, row in enumerate(inball)], dtype=bool)
+    alive = np.flatnonzero(~leaks)  # positions in A, ascending
+    m = inball[alive].astype(float)
+    inside = (m @ (1.0 - m).T) == 0  # inside[i, j]: ball i is within ball j
+    # a ball inside another survivor goes, and so does the later of equals
+    inside &= ~inside.T | np.tri(len(alive), k=-1, dtype=bool)
+    survivors = alive[~inside.any(axis=1)]
 
-    pruned_subset = []
-    for p in survivors:
-        for q in survivors:
-            if p == q:
-                continue
-            if balls[p] < balls[q] or (balls[p] == balls[q] and q < p):
-                pruned_subset.append(p)
-                break
-    survivors = [c for c in survivors if c not in set(pruned_subset)]
-
+    centers = a[survivors].tolist()
+    restricted = inball[survivors].sum(axis=1).tolist()
+    unrestricted = (d[centers] <= r_star).sum(axis=1).tolist()
     diagnostics = {
         "surviving": len(survivors),
-        "pruned_leak": len(pruned_leak),
-        "pruned_subset": len(pruned_subset),
-        "ball_sizes_restricted": {c: len(balls[c]) for c in survivors},
-        "ball_sizes_unrestricted": {c: full_ball_sizes[c] for c in survivors},
+        "pruned_leak": int(leaks.sum()),
+        "pruned_subset": len(alive) - len(survivors),
+        "ball_sizes_restricted": dict(zip(centers, restricted)),
+        "ball_sizes_unrestricted": dict(zip(centers, unrestricted)),
         "consistency_factor": 1.0,
     }
     if len(survivors) != k:
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
 
-    groups = [sorted(balls[c]) for c in survivors]
-    covered = set().union(*(set(g) for g in groups))
-    if covered != aset or sum(len(g) for g in groups) != len(a):
+    cover = inball[survivors]
+    if not (cover.sum(axis=0) == 1).all():
         diagnostics["reason"] = "surviving balls do not partition A"
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
-    owner = {}
-    for i, g in enumerate(groups):
-        for p in g:
-            owner[p] = i
-    for p, ap in sym.nearest_in_A.items():
-        groups[owner[ap]].append(p)
-    groups = [sorted(g) for g in groups]
-    groups.sort(key=min)
+    owner = np.empty(d.shape[0], dtype=np.intp)  # surviving ball per point
+    owner[a] = cover.argmax(axis=0)
+    outside = sym.nearest_in_A
+    owner[list(outside)] = owner[list(outside.values())]
     return SolveOutcome(status="exact-claim",
-                        clustering=_clustering_from_groups(d, groups),
+                        clustering=_clustering_from_groups(
+                            d, label_groups(owner)),
                         diagnostics=diagnostics)
 
 
@@ -305,6 +295,27 @@ class ClusterVerifier:
                    fn=lambda b: _one_center(d, b)[1] - target)
 
 
+def _spanning_tree(d):
+    """Minimum spanning tree of the table as edge arrays (p, q), by rank.
+
+    A pair ranks by its first entry in the table's entries sorted by
+    (d[p, q], p, q), the order of a row-major argmin; the order is strict,
+    so the tree is unique.  Kruskal with a label array.
+    """
+    n = d.shape[0]
+    labels = np.arange(n)
+    tree = []
+    for flat in np.argsort(d, axis=None, kind="stable").tolist():
+        if len(tree) == n - 1:
+            break
+        p, q = divmod(flat, n)
+        lp, lq = labels[p], labels[q]
+        if lp != lq:
+            tree.append((p, q))
+            labels[labels == max(lp, lq)] = min(lp, lq)
+    return np.array(tree, dtype=np.intp).reshape(-1, 2).T
+
+
 def weak_proximity_linkage(instance, k: int,
                            verifier: ClusterVerifier) -> SolveOutcome:
     """Guarded single linkage for any center-based objective.
@@ -314,10 +325,16 @@ def weak_proximity_linkage(instance, k: int,
     verifies; then keeps only the very last linkage edge and starts over.
     Under weak center proximity plus cluster verifiability the components
     at k are exactly the optimal clusters.
+
+    Each merge joins the cheapest pair leaving some f < 0 component, and
+    every pair leaving that component is eligible, so by the cut property
+    it is an edge of the minimum spanning tree: each step scans only the
+    n - 1 tree edges, in the same (d, p, q) order as a scan of the table.
     """
     _require_symmetric(instance)
     d = _as_table(instance)
     n = d.shape[0]
+    tree_p, tree_q = _spanning_tree(d)
     labels = np.arange(n)  # a component's label is its smallest member
     committed = []
 
@@ -325,30 +342,26 @@ def weak_proximity_linkage(instance, k: int,
         return SolveOutcome(status="not-resilient", diagnostics={
             "reason": reason, "committed_edges": tuple(committed)})
 
-    while len(set(labels.tolist())) > k:
+    while n - len(committed) > k:
         scratch = labels.copy()
         comps = {g[0]: g for g in label_groups(scratch)}
-        fval = {root: verifier(m) for root, m in comps.items()}
+        neg = np.zeros(n, dtype=bool)  # neg[root]: that component has f < 0
+        for root, members in comps.items():
+            neg[root] = verifier(members) < 0
         last_edge = None
-        while any(v < 0 for v in fval.values()):
+        while neg.any():
             if len(comps) == 1:
                 return stuck("a single component still has f < 0")
-            # two or more components, one with f < 0: some pair is eligible
-            neg = np.array([fval[scratch[p]] < 0 for p in range(n)])
-            diff = scratch[:, None] != scratch[None, :]
-            eligible = diff & (neg[:, None] | neg[None, :])
-            masked = np.where(eligible, d, np.inf)
-            flat = int(masked.argmin())  # row-major: smallest (p, q) on ties
-            p, q = divmod(flat, n)
-            rp, rq = scratch[p], scratch[q]
-            keep, drop = min(rp, rq), max(rp, rq)
+            # two or more components, one with f < 0: a tree edge leaves it
+            lp, lq = scratch[tree_p], scratch[tree_q]
+            i = int(((lp != lq) & (neg[lp] | neg[lq])).argmax())
+            p, q = int(tree_p[i]), int(tree_q[i])
+            keep, drop = min(lp[i], lq[i]), max(lp[i], lq[i])
             members = comps.pop(drop) + comps.pop(keep)
             scratch[scratch == drop] = keep
             comps[keep] = members
-            fval.pop(drop)
-            fval.pop(keep)
-            fval[keep] = verifier(members)
-            last_edge = (int(min(p, q)), int(max(p, q)))
+            neg[drop], neg[keep] = False, verifier(members) < 0
+            last_edge = (min(p, q), max(p, q))
         if last_edge is None:
             return stuck("all components verify but more than k remain")
         committed.append(last_edge)

@@ -308,6 +308,15 @@ def _two_point_kci(entry):
       {"family": "planted-asym", "solver": "alg1-2pr",
        "params": {"n": 12, "k": 3, "r": 1.0, "alpha": 2.0}}],
      "row 1: planted-asym params lack 'skew'"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "solver": "thm3"},
+      {"family": "planted-symm", "solver": "thm3",
+       "params": {"n": 12, "k": 3, "r": 1.0, "alpha": 2.0}}],
+     "row 1: unknown family 'planted-symm'"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "planted-sym", "solver": "thm3",
+       "params": {"n": "12", "k": 3, "r": 1.0, "alpha": 2.0}}],
+     "row 0: param 'n' must be a number, got '12'"),
     (["solve", "{ps}.kci", "--algo", "ff2", "--k", "3", "--slack", "-1"],
      None, "--slack"),
     (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "nan",
@@ -320,7 +329,8 @@ def _two_point_kci(entry):
         "verify-alpha-nan", "verify-epsilon-above-1", "verify-negative-r",
         "verify-oracle-budget-too-small",
         "bench-row-not-object", "bench-row-no-family", "bench-row-no-solver",
-        "bench-seed-not-int", "bench-params-missing-key", "negative-slack",
+        "bench-seed-not-int", "bench-params-missing-key",
+        "bench-unknown-family", "bench-param-not-a-number", "negative-slack",
         "kci-nan", "kci-inf", "kci-1e400"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     # payload: manifest rows (a list) or one KCI distance entry (a string)
@@ -364,9 +374,12 @@ def _rename_point(truth, old, new):
     lambda t: t["centers"].reverse(),
     lambda t: t.__setitem__("radius", -1),
     lambda t: t.__setitem__("radius", float("nan")),
+    lambda t: t.__setitem__("radius", 10 ** 400),  # was an OverflowError
+    lambda t: t.__setitem__("radius", "1.0"),
+    lambda t: t.__setitem__("k", 3.0),  # was a TypeError in clusters()
 ], ids=["negative-point", "point-99", "duplicate-point", "k-mismatch",
         "missing-center", "center-outside-cluster", "negative-radius",
-        "nan-radius"])
+        "nan-radius", "huge-int-radius", "string-radius", "float-k"])
 def test_verify_malformed_truth_exits_1(tmp_path, capsys, edit):
     prefix = gen_planted_files(tmp_path)
     truth = json.load(open(prefix + ".truth.json"))

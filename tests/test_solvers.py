@@ -21,10 +21,12 @@ from kcenter_resilience import (
     hochbaum_shmoys_cover,
     sweep_radius,
     symmetric_3eps,
+    symmetrized_set,
     validate_instance,
     weak_proximity_linkage,
 )
 from kcenter_resilience import solvers
+from kcenter_resilience.core import label_groups
 from kcenter_resilience.generators import (
     gen_planted_asymmetric,
     gen_planted_symmetric,
@@ -328,3 +330,201 @@ def test_solvers_deterministic():
     b = asymmetric_3eps(planted.instance, 3, planted.truth.radius)
     assert a.clustering.assignment == b.clustering.assignment
     assert a.diagnostics == b.diagnostics
+
+
+# --- differential checks against from-definition references ----------------
+
+def _reference_linkage(d, k, verifier):
+    """Guarded linkage by definition: rescan every pair for each merge."""
+    n = d.shape[0]
+    labels = np.arange(n)
+    committed = []
+
+    def stuck(reason):
+        return SolveOutcome(status="not-resilient", diagnostics={
+            "reason": reason, "committed_edges": tuple(committed)})
+
+    while len(set(labels.tolist())) > k:
+        scratch = labels.copy()
+        comps = {g[0]: g for g in label_groups(scratch)}
+        fval = {root: verifier(m) for root, m in comps.items()}
+        last_edge = None
+        while any(v < 0 for v in fval.values()):
+            if len(comps) == 1:
+                return stuck("a single component still has f < 0")
+            neg = np.array([fval[scratch[p]] < 0 for p in range(n)])
+            diff = scratch[:, None] != scratch[None, :]
+            eligible = diff & (neg[:, None] | neg[None, :])
+            flat = int(np.where(eligible, d, np.inf).argmin())  # row-major
+            p, q = divmod(flat, n)
+            rp, rq = scratch[p], scratch[q]
+            keep, drop = min(rp, rq), max(rp, rq)
+            members = comps.pop(drop) + comps.pop(keep)
+            scratch[scratch == drop] = keep
+            comps[keep] = members
+            fval.pop(drop)
+            fval.pop(keep)
+            fval[keep] = verifier(members)
+            last_edge = (int(min(p, q)), int(max(p, q)))
+        if last_edge is None:
+            return stuck("all components verify but more than k remain")
+        committed.append(last_edge)
+        p, q = last_edge
+        rp, rq = labels[p], labels[q]
+        labels[labels == max(rp, rq)] = min(rp, rq)
+    return SolveOutcome(status="exact-claim",
+                        clustering=solvers._clustering_from_groups(
+                            d, label_groups(labels)),
+                        diagnostics={"committed_edges": tuple(committed),
+                                     "consistency_factor": np.inf})
+
+
+def _reference_symmetrized_set(d, r):
+    """(A, nearest A-point of each other point) by the definition."""
+    n = d.shape[0]
+    a = [p for p in range(n)
+         if all(d[p, q] <= r for q in range(n) if d[q, p] <= r)]
+    nearest = {p: min(a, key=lambda q: (d[q, p], q))
+               for p in range(n) if a and p not in a}
+    return a, nearest
+
+
+def _reference_2pr(d, k, r):
+    """Ball pruning for asymmetric 2-PR on Python sets."""
+    a, nearest = _reference_symmetrized_set(d, r)
+    if not a:
+        return SolveOutcome(status="not-resilient",
+                            diagnostics={"reason": "empty symmetrized set"})
+    balls = {c: {q for q in a if d[c, q] <= r} for c in a}
+    leak = [c for c in a
+            if any(d[q, p] < d[c, p] for p in balls[c]
+                   for q in a if q not in balls[c])]
+    alive = [c for c in a if c not in leak]
+    pruned = [p for p in alive
+              if any(balls[p] < balls[q] or (balls[p] == balls[q] and q < p)
+                     for q in alive if q != p)]
+    survivors = [c for c in alive if c not in pruned]
+    diagnostics = {
+        "surviving": len(survivors),
+        "pruned_leak": len(leak),
+        "pruned_subset": len(pruned),
+        "ball_sizes_restricted": {c: len(balls[c]) for c in survivors},
+        "ball_sizes_unrestricted": {
+            c: sum(1 for q in range(d.shape[0]) if d[c, q] <= r)
+            for c in survivors},
+        "consistency_factor": 1.0,
+    }
+    if len(survivors) != k:
+        return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
+    groups = [sorted(balls[c]) for c in survivors]
+    if sorted(p for g in groups for p in g) != a:
+        diagnostics["reason"] = "surviving balls do not partition A"
+        return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
+    owner = {p: i for i, g in enumerate(groups) for p in g}
+    for p, ap in nearest.items():
+        groups[owner[ap]].append(p)
+    groups = sorted(sorted(g) for g in groups)
+    return SolveOutcome(status="exact-claim",
+                        clustering=solvers._clustering_from_groups(d, groups),
+                        diagnostics=diagnostics)
+
+
+def _grid_table(n, seed, directed):
+    """L1 distances between points of a 4 x 4 integer grid: many ties, and
+    zeros where two points coincide.  Directed: steps up cost 2, down 3."""
+    pts = np.random.default_rng(seed).integers(0, 4, size=(n, 2))
+    step = pts[None, :, :] - pts[:, None, :]
+    if directed:
+        return (2 * np.clip(step, 0, None)
+                + 3 * np.clip(-step, 0, None)).sum(axis=2).astype(float)
+    return np.abs(step).sum(axis=2).astype(float)
+
+
+def _outcome_key(out):
+    cl = out.clustering
+    return (out.status, repr(out.diagnostics),
+            None if cl is None else (cl.k, cl.centers, cl.assignment,
+                                     cl.radius))
+
+
+SYM_TABLES = (
+    [gen_planted_symmetric(n, 3, 1.0, 2.0, s).instance.dist
+     for n in (9, 12) for s in (0, 1)]
+    + [_grid_table(n, s, directed=False) for n in (7, 10) for s in (0, 1)]
+    + [gen_random_metric(n, "symmetric", s).dist for n in (6, 9) for s in (0, 1)])
+ASYM_TABLES = (
+    [gen_planted_asymmetric(n, 3, 1.0, 2.0, 1.2, s).instance.dist
+     for n in (9, 12) for s in (0, 1)]
+    + [_grid_table(n, s, directed=True) for n in (7, 10) for s in (0, 1)]
+    + [gen_random_metric(n, "asymmetric", s).dist for n in (6, 9) for s in (0, 1)])
+
+
+def _verifiers(d, n, k):
+    off = np.sort(d[~np.eye(n, dtype=bool)])
+    return [ClusterVerifier.equal_size(n, k),
+            ClusterVerifier.target_cost(d, float(off[len(off) // 10])),
+            ClusterVerifier.target_cost(d, float(off[len(off) // 3])),
+            ClusterVerifier(kind="always-0", fn=lambda b: 0.0),
+            ClusterVerifier(kind="always-minus-1", fn=lambda b: -1.0),
+            ClusterVerifier(kind="sum-mod-3", fn=lambda b: sum(b) % 3 - 1),
+            ClusterVerifier(kind="odd-size", fn=lambda b: -(len(b) % 2))]
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["sym", "asym"])
+def test_weak_proximity_linkage_matches_reference(asymmetric):
+    # raw tables skip the symmetry check, so the tree's tie order is also
+    # checked where d(p, q) != d(q, p)
+    calls = mismatches = 0
+    for d in ASYM_TABLES if asymmetric else SYM_TABLES:
+        n = d.shape[0]
+        for k in (1, 2, 3):
+            for ver in _verifiers(d, n, k):
+                seen = [[], []]
+                recorders = [ClusterVerifier(ver.kind, lambda b, s=s: (
+                    s.append(list(b)), ver(b))[1]) for s in seen]
+                got = weak_proximity_linkage(d, k, recorders[0])
+                want = _reference_linkage(d, k, recorders[1])
+                calls += 1
+                mismatches += (_outcome_key(got) != _outcome_key(want)
+                               or seen[0] != seen[1])
+    assert calls == 12 * 3 * 7 and mismatches == 0
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["sym", "asym"])
+def test_asymmetric_2pr_matches_reference(asymmetric):
+    calls = mismatches = 0
+    for d in ASYM_TABLES if asymmetric else SYM_TABLES:
+        n = d.shape[0]
+        for r in sorted(set([0.0] + d[~np.eye(n, dtype=bool)].tolist())):
+            a, nearest = _reference_symmetrized_set(d, r)
+            if a:
+                sym = symmetrized_set(d, r)
+                mismatches += (sym.members != tuple(a)
+                               or list(sym.nearest_in_A.items())
+                               != list(nearest.items()))
+            for k in (1, 2, 3):
+                calls += 1
+                mismatches += (_outcome_key(asymmetric_2pr(d, k, r))
+                               != _outcome_key(_reference_2pr(d, k, r)))
+    assert calls > 1000 and mismatches == 0
+
+
+def test_weak_proximity_linkage_rescans_after_each_merge():
+    # f < 0 on odd sizes: a merge can make a pair skipped earlier in the
+    # round eligible again.  One pass per round over the sorted pairs gets
+    # stuck here; one pass over the tree edges commits (6, 7) third.
+    w = np.array([[0, 15, 22, 2, 4, 6, 10, 7],
+                  [15, 0, 28, 8, 11, 21, 16, 13],
+                  [22, 28, 0, 24, 25, 9, 1, 19],
+                  [2, 8, 24, 0, 27, 3, 14, 17],
+                  [4, 11, 25, 27, 0, 20, 23, 12],
+                  [6, 21, 9, 3, 20, 0, 18, 26],
+                  [10, 16, 1, 14, 23, 18, 0, 5],
+                  [7, 13, 19, 17, 12, 26, 5, 0]])
+    # distances 101..128: any table with entries in [a, 2a] is a metric
+    inst = validate_instance(np.where(w > 0, 100.0 + w, 0.0), "symmetric")
+    odd_size = ClusterVerifier(kind="odd-size", fn=lambda b: -(len(b) % 2))
+    out = weak_proximity_linkage(inst, 2, odd_size)
+    assert out.status == "exact-claim"
+    assert out.diagnostics["committed_edges"] == \
+        ((1, 3), (0, 7), (0, 4), (3, 5), (0, 3), (2, 6))
