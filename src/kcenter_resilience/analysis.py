@@ -1,8 +1,22 @@
 """Checkers for the structural conditions a reference clustering may satisfy.
 
-Every flag is computed by exhaustive scan straight from its definition and
-every false flag carries a witness tuple that violates the corresponding
-inequality, so reports are independently re-checkable.
+Each predicate is one boolean mask over the table, straight from its
+definition, and each false flag carries a witness: the first violation in
+the scan order below, with i = lab(p) and j = lab(q) != i.
+
+- property1: each p of C_i' is strictly closer to c_i than to any q of
+  another C_j' (C_i' is C_i restricted to the symmetrized set A); witness
+  (p, i, q, j), first in (i, j, p, q).  property1_full_scope: the same over
+  the full clusters.
+- property2: no q outside C_i has d(q, c_i) <= r*, else c_i is a bad
+  center; witness (q, c_i), first in (i, j, q).
+- weak_center_proximity: d(c_i, p) < d(p, q) for every p, q in distinct
+  clusters; witness (p, q), first in (i, p, j, q).
+- center_proximity_factor: the minimum of d(c_j, p) / d(c_i, p) over the
+  other centers c_j, skipping points with d(c_i, p) = 0.
+- a_respects_opt: every center lies in A and every point outside A
+  attaches to a same-cluster A-point; witness ("center", c_i), first in i,
+  else ("attachment", p, A(p)), first in p.
 """
 
 from __future__ import annotations
@@ -32,105 +46,85 @@ class CCCReport:
     ccc2: dict  # cluster index -> {center index: tuple of excluded centers}
 
 
-def _bad_center_hits(d, clusters, centers, r_star):
-    """(q, c_i) for every q outside C_i with d(q, c_i) <= r*, in (i, j, q)
-    order: property 2's violations, and c_i is then a bad center."""
-    return [(q, c) for i, c in enumerate(centers)
-            for j, g in enumerate(clusters) if j != i
-            for q in g if d[q, c] <= r_star]
+def _first(mask, order):
+    """(row, col) of the first true entry of ``mask`` when entries are
+    visited in lexicographic order of ``order(row, col)``; None if none."""
+    rows, cols = np.nonzero(mask)
+    if not rows.size:
+        return None
+    at = np.lexsort(order(rows, cols)[::-1])[0]
+    return int(rows[at]), int(cols[at])
+
+
+def _bad_center_hits(d, clustering, r_star):
+    """hits[i, q]: q lies outside C_i with d(q, c_i) <= r*.  These are
+    property 2's violations, and c_i is then a bad center."""
+    lab = np.asarray(clustering.assignment)
+    return ((d[:, list(clustering.centers)] <= r_star).T
+            & (lab != np.arange(clustering.k)[:, None]))
 
 
 def check_structure(instance, clustering: Clustering,
                     r_star: float) -> StructureReport:
-    """Evaluate every structural predicate by direct scan.
-
-    property1: each point of C_i' is strictly closer to its center than to
-    any point of another C_j' (C_i' = C_i restricted to the symmetrized
-    set); also reported over the unrestricted clusters.
-    property2: no point of another cluster is within r* of a center.
-    weak_center_proximity: each point strictly closer to its center than to
-    any point of another cluster.
-    center_proximity_factor: infimum over cross pairs of
-    d(c_j, p) / d(c_i, p); pairs with d(c_i, p) = 0 are skipped.
-    bad_centers: centers with a foreign point within r* (incoming).
-    a_respects_opt: all centers lie in A and every point outside A attaches
-    to a same-cluster A-point.
-    """
+    """Evaluate every predicate of the module docstring at r*."""
     d = _as_table(instance)
-    clusters = clustering.clusters()
-    centers = clustering.centers
-    k = clustering.k
+    n, k = d.shape[0], clustering.k
+    cen = np.asarray(clustering.centers)
+    lab = np.asarray(clustering.assignment)
+    dc = d[cen[lab], np.arange(n)]  # d(c_lab(p), p)
+    cross = lab[:, None] != lab[None, :]  # [p, q]: p, q in distinct clusters
     witnesses = {}
 
     try:
         sym = symmetrized_set(d, r_star)
-        a_members = set(sym.members)
     except EmptyA:
         sym = None
-        a_members = set()
+    in_a = np.isin(np.arange(n), sym.members if sym else ())
 
-    def prop1_over(groups):
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                for p in groups[i]:
-                    dcp = d[centers[i], p]
-                    for q in groups[j]:
-                        if not dcp < d[q, p]:
-                            return False, (p, i, q, j)
-        return True, None
+    p1 = cross & ~(dc[:, None] < d.T)  # [p, q]: not d(c_i, p) < d(q, p)
+    holds = {}
+    for key, mask in (("property1", p1 & in_a[:, None] & in_a[None, :]),
+                      ("property1_full_scope", p1)):
+        hit = _first(mask, lambda p, q: (lab[p], lab[q], p, q))
+        holds[key] = hit is None
+        if hit is not None:
+            p, q = hit
+            witnesses[key] = (p, int(lab[p]), q, int(lab[q]))
 
-    restricted = [[p for p in cl if p in a_members] for cl in clusters]
-    property1, w = prop1_over(restricted)
-    if not property1:
-        witnesses["property1"] = w
-    property1_full, w = prop1_over(clusters)
-    if not property1_full:
-        witnesses["property1_full_scope"] = w
+    hits = _bad_center_hits(d, clustering, r_star)
+    hit = _first(hits, lambda i, q: (i, lab[q], q))
+    if hit is not None:
+        witnesses["property2"] = (hit[1], clustering.centers[hit[0]])
 
-    hits = _bad_center_hits(d, clusters, centers, r_star)
-    if hits:
-        witnesses["property2"] = hits[0]
-    weak = True
-    for i in range(k):
-        for p in clusters[i]:
-            dcp = d[centers[i], p]
-            for j in range(k):
-                if j == i:
-                    continue
-                for q in clusters[j]:
-                    if not dcp < d[p, q]:
-                        weak = False
-                        witnesses.setdefault("weak_center_proximity", (p, q))
+    # [p, q]: not d(c_i, p) < d(p, q)
+    weak_hit = _first(cross & ~(dc[:, None] < d),
+                      lambda p, q: (lab[p], p, lab[q], q))
+    if weak_hit is not None:
+        witnesses["weak_center_proximity"] = weak_hit
 
-    factor = np.inf
-    for i in range(k):
-        for p in clusters[i]:
-            dcp = d[centers[i], p]
-            if dcp == 0:
-                continue  # ratio is infinite for this pair
-            for j in range(k):
-                if j != i:
-                    factor = min(factor, d[centers[j], p] / dcp)
+    nz = np.flatnonzero(dc != 0)  # the ratio is infinite where d(c_i, p) = 0
+    ratio = d[np.ix_(cen, nz)] / dc[nz]  # [j, p]: d(c_j, p) / d(c_i, p)
+    factor = ratio[np.arange(k)[:, None] != lab[nz]].min(initial=np.inf)
 
     respects = sym is not None
     if sym is not None:
-        for i in range(k):
-            if centers[i] not in a_members:
-                respects = False
-                witnesses.setdefault("a_respects_opt", ("center", centers[i]))
-        for p, ap in sym.nearest_in_A.items():
-            if clustering.assignment[p] != clustering.assignment[ap]:
-                respects = False
-                witnesses.setdefault("a_respects_opt", ("attachment", p, ap))
+        outside = cen[~in_a[cen]]
+        attached = np.array(list(sym.nearest_in_A.items()),
+                            dtype=int).reshape(-1, 2)
+        split = attached[lab[attached[:, 0]] != lab[attached[:, 1]]]
+        respects = not (outside.size or split.size)
+        if outside.size:
+            witnesses["a_respects_opt"] = ("center", int(outside[0]))
+        elif split.size:
+            witnesses["a_respects_opt"] = ("attachment", *split[0].tolist())
 
-    return StructureReport(property1=property1,
-                           property1_full_scope=property1_full,
-                           property2=not hits,
-                           weak_center_proximity=weak,
+    bad = np.sort(cen[hits.any(axis=1)])
+    return StructureReport(property1=holds["property1"],
+                           property1_full_scope=holds["property1_full_scope"],
+                           property2=not hits.any(),
+                           weak_center_proximity=weak_hit is None,
                            center_proximity_factor=float(factor),
-                           bad_centers=tuple(sorted({c for _, c in hits})),
+                           bad_centers=tuple(bad.tolist()),
                            a_respects_opt=respects,
                            witnesses=witnesses)
 
@@ -141,39 +135,35 @@ def find_cluster_capturing_centers(instance, clustering: Clustering,
 
     c_i captures C_j (first order) when, against every competitor center
     c_x (x outside {i, j}), more than half of C_j is both within r* of c_i
-    and strictly closer to c_i than to c_x.  Second order allows one
-    competitor c_l to be excluded; the excluded centers are recorded per
+    and strictly closer to c_i than to c_x; with no competitor left, more
+    than half of C_j must still lie within r* of c_i.  Second order allows
+    one competitor c_l to be excluded; the excluded centers are recorded per
     entry (l = i yields the first-order condition, so every CCC is a CCC2).
     """
     d = _as_table(instance)
-    clusters = clustering.clusters()
-    centers = clustering.centers
-    k = clustering.k
-
-    def majority_vs(i, j, excluded):
-        half = len(clusters[j]) / 2
-        for x in range(k):
-            if x == j or x in excluded:
-                continue
-            good = sum(1 for p in clusters[j]
-                       if d[centers[i], p] <= r_star
-                       and d[centers[i], p] < d[centers[x], p])
-            if not good > half:
-                return False
-        # with no competitors left, the within-r* majority must still hold
-        good = sum(1 for p in clusters[j] if d[centers[i], p] <= r_star)
-        return good > half
-
+    centers, k = clustering.centers, clustering.k
+    lab = np.asarray(clustering.assignment)
     ccc = {}
     ccc2 = {}
     for j in range(k):
+        dj = d[np.ix_(centers, np.flatnonzero(lab == j))]  # [i, p]: d(c_i, p)
+        half = dj.shape[1] / 2
+        near = dj <= r_star
+        # good[i, x] = #{p in C_j : d(c_i,p) <= r* and d(c_i,p) < d(c_x,p)}
+        good = (near[:, None] & (dj[:, None] < dj[None])).sum(axis=2)
+        lost = ~(good > half)  # [i, x]: c_x keeps c_i from a majority
+        np.fill_diagonal(lost, False)
+        lost[:, j] = False
+        # captures[i, l]: c_i captures C_j once c_l is excluded
+        captures = ((near.sum(axis=1) > half)[:, None]
+                    & (lost.sum(axis=1)[:, None] - lost == 0))
+        captures[:, j] = False
         for i in range(k):
             if i == j:
                 continue
-            if majority_vs(i, j, excluded={i}):
+            if captures[i, i]:
                 ccc[j] = centers[i]
-            excl = tuple(centers[l] for l in range(k)
-                         if l != j and majority_vs(i, j, excluded={i, l}))
+            excl = tuple(centers[l] for l in np.flatnonzero(captures[i]))
             if excl:
                 ccc2.setdefault(j, {})[centers[i]] = excl
     return CCCReport(ccc=ccc, ccc2=ccc2)
@@ -186,6 +176,5 @@ def count_bad_centers_bound_check(instance, clustering: Clustering,
     A necessary condition for (3,eps)-perturbation resilience when all
     optimal clusters have more than 2*eps*n points.
     """
-    hits = _bad_center_hits(_as_table(instance), clustering.clusters(),
-                            clustering.centers, r_star)
-    return len({c for _, c in hits}) <= 6
+    hits = _bad_center_hits(_as_table(instance), clustering, r_star)
+    return int(hits.any(axis=1).sum()) <= 6

@@ -266,6 +266,15 @@ def cmd_bench(args):
             if type(value) not in (int, float):
                 raise _InputError(f"manifest row {i}: param {key!r} must be "
                                   f"a number, got {value!r}")
+            if key in ("n", "k") and type(value) is not int:
+                raise _InputError(f"manifest row {i}: param {key!r} must be "
+                                  f"an integer, got {value!r}")
+        solver = row["solver"]  # an unknown id stays a row error
+        if (isinstance(solver, str) and solver in SOLVERS
+                and SOLVERS[solver].needs_epsilon
+                and not 0 <= params.get("epsilon", -1) <= 1):
+            raise _InputError(f"manifest row {i}: solver {solver} needs "
+                              "params epsilon in [0, 1]")
     lines = ["family,params,seed,solver,eps_dist,radius_ratio,wall_ms,status"]
     for row in manifest:
         lines.append(_bench_row(row, timing=not args.no_timing,

@@ -133,6 +133,13 @@ def _as_table(instance) -> np.ndarray:
     return np.asarray(instance, dtype=float)
 
 
+def _as_instance(instance) -> Instance:
+    """A raw table is read as an asymmetric instance, unvalidated."""
+    if isinstance(instance, Instance):
+        return instance
+    return Instance(ASYMMETRIC, instance)
+
+
 def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
     """Check the four table invariants and build an Instance.
 
@@ -147,13 +154,16 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
         raise ValueError("table entries must be finite")
     if mode not in (SYMMETRIC, ASYMMETRIC):
         raise ValueError(f"unknown mode {mode!r}")
-    n = d.shape[0]
-    for p in range(n):
-        if d[p, p] != 0.0:
+    # rows in order; within a row the diagonal is checked before the signs
+    diag = d.diagonal() != 0.0
+    negative = d < 0.0
+    bad = np.flatnonzero(diag | negative.any(axis=1))
+    if bad.size:
+        p = int(bad[0])
+        if diag[p]:
             raise NonzeroDiagonal(p, d[p, p])
-        for q in range(n):
-            if d[p, q] < 0.0:
-                raise NegativeDistance(p, q, d[p, q])
+        q = int(negative[p].argmax())
+        raise NegativeDistance(p, q, d[p, q])
     if mode == SYMMETRIC:
         bad = np.argwhere(np.abs(d - d.T) > slack)
         if bad.size:
@@ -207,9 +217,8 @@ def epsilon_distance(a: Clustering, b: Clustering) -> float:
     if a.n != b.n:
         raise ValueError(f"point count mismatch: {a.n} vs {b.n}")
     n, k = a.n, a.k
-    overlap = np.zeros((k, k), dtype=np.int64)
-    for p in range(n):
-        overlap[a.assignment[p], b.assignment[p]] += 1
+    overlap = np.bincount(np.asarray(a.assignment) * k + b.assignment,
+                          minlength=k * k).reshape(k, k)
     rows, cols = linear_sum_assignment(-overlap)
     matched = int(overlap[rows, cols].sum())
     return (n - matched) / n

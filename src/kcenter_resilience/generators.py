@@ -188,15 +188,8 @@ def gen_bad_center_18(alpha) -> PlantedInstance:
 
     d = np.full((n, n), far)
     np.fill_diagonal(d, 0.0)
-    for i in xs:
-        d[c_x, i] = 1.0
-    for j in ys:
-        d[c_y, j] = 1.0
-    for i in zs:
-        d[c_z, i] = 1.0
-    for i in xs + zs:
-        for j in ys + [c_y]:
-            d[i, j] = g
+    d[c_x, xs] = d[c_y, ys] = d[c_z, zs] = 1.0
+    d[np.ix_(xs + zs, ys + [c_y])] = g
     d = floyd_warshall(d)
     d = snap_up(d)
     np.fill_diagonal(d, 0.0)
@@ -222,21 +215,18 @@ def gen_bad_center_18(alpha) -> PlantedInstance:
     report = check_structure(d, truth, r_star=1.0)
     require(report.bad_centers == (c_y,), "exactly c_y must be bad")
     # the two outer centers are forced: nothing else comes close to their clusters
-    for q in range(n):
-        if q != c_x:
-            require(max(d[q, i] for i in xs) > alpha, "c_x must be forced")
-        if q != c_z:
-            require(max(d[q, i] for i in zs) > alpha, "c_z must be forced")
-    # no middle point can serve its own cluster-mates
-    for j in ys:
-        require(max(d[j, jj] for jj in ys if jj != j) > alpha,
-                "no y point may cover the middle cluster")
+    for c, members, name in ((c_x, xs, "c_x"), (c_z, zs, "c_z")):
+        require(np.all(np.delete(d[:, members].max(axis=1), c) > alpha),
+                f"{name} must be forced")
+    # no middle point can serve its own cluster-mates (the zero diagonal
+    # cannot lift a row maximum above alpha > 1)
+    require(np.all(d[np.ix_(ys, ys)].max(axis=1) > alpha),
+            "no y point may cover the middle cluster")
     # outer points undercut the outer centers on the middle cluster even
     # after any alpha-scaling of their own distances
-    for i in xs + zs:
-        for j in ys:
-            require(alpha * d[i, j] < d[c_x, j], "undercut vs c_x failed")
-            require(alpha * d[i, j] < d[c_z, j], "undercut vs c_z failed")
+    undercut = alpha * d[np.ix_(xs + zs, ys)]
+    require(np.all(undercut < d[c_x, ys]), "undercut vs c_x failed")
+    require(np.all(undercut < d[c_z, ys]), "undercut vs c_z failed")
     return PlantedInstance(instance=instance, truth=truth,
                            guarantee=Guarantee(family="bad-center-18",
                                                alpha=alpha, epsilon=1.0 / 18,

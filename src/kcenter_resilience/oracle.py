@@ -13,8 +13,8 @@ from math import comb
 
 import numpy as np
 
-from .core import (Clustering, Instance, StabilityParams, _as_table,
-                   epsilon_distance, voronoi_partition)
+from .core import (Clustering, Instance, StabilityParams, _as_instance,
+                   _as_table, epsilon_distance, voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 
@@ -100,7 +100,7 @@ def build_lemma1_perturbation(instance, r_star: float, alpha: float,
     drops below d.  The result satisfies "d >= r* implies d' >= alpha*r*",
     hence its optimal cost is exactly alpha*r*.
     """
-    inst = instance if isinstance(instance, Instance) else Instance("asymmetric", instance)
+    inst = _as_instance(instance)
     d = inst.dist
     dprime = alpha * d
     bound = alpha * r_star
@@ -115,7 +115,7 @@ def sample_perturbation(instance, alpha: float, seed: int) -> Perturbation:
     """Each off-diagonal entry scaled by an independent uniform [1, alpha] draw."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    inst = instance if isinstance(instance, Instance) else Instance("asymmetric", instance)
+    inst = _as_instance(instance)
     d = inst.dist
     n = d.shape[0]
     rng = np.random.default_rng(seed)
@@ -161,7 +161,7 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     perturbation bounds must hold and the violating clustering must be
     optimal under d' and > epsilon from OPT.
     """
-    inst = instance if isinstance(instance, Instance) else Instance("asymmetric", instance)
+    inst = _as_instance(instance)
     d = inst.dist
     n = d.shape[0]
     opt = brute_force_optimal(d, k, budget=oracle_budget)

@@ -317,6 +317,15 @@ def _two_point_kci(entry):
      [{"family": "planted-sym", "solver": "thm3",
        "params": {"n": "12", "k": 3, "r": 1.0, "alpha": 2.0}}],
      "row 0: param 'n' must be a number, got '12'"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "solver": "thm3"},
+      {"family": "planted-sym", "solver": "alg4-2eps-as",
+       "params": {"n": 12, "k": 3, "r": 1.0, "alpha": 2.0}}],
+     "row 1: solver alg4-2eps-as needs params epsilon in [0, 1]"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "planted-sym", "solver": "thm3",
+       "params": {"n": 12.5, "k": 3, "r": 1.0, "alpha": 2.0}}],
+     "row 0: param 'n' must be an integer, got 12.5"),
     (["solve", "{ps}.kci", "--algo", "ff2", "--k", "3", "--slack", "-1"],
      None, "--slack"),
     (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "nan",
@@ -330,7 +339,8 @@ def _two_point_kci(entry):
         "verify-oracle-budget-too-small",
         "bench-row-not-object", "bench-row-no-family", "bench-row-no-solver",
         "bench-seed-not-int", "bench-params-missing-key",
-        "bench-unknown-family", "bench-param-not-a-number", "negative-slack",
+        "bench-unknown-family", "bench-param-not-a-number",
+        "bench-no-epsilon", "bench-count-not-int", "negative-slack",
         "kci-nan", "kci-inf", "kci-1e400"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     # payload: manifest rows (a list) or one KCI distance entry (a string)

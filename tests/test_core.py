@@ -56,6 +56,22 @@ def test_validate_negative_and_diagonal_and_symmetry():
     assert (exc.value.p, exc.value.q) == (0, 1)
 
 
+@pytest.mark.parametrize("table,error,where", [
+    # rows in order: row 0's negative entry beats row 1's diagonal
+    ([[0, 1, -1], [1, 2, 1], [1, 1, 0]], NegativeDistance, (0, 2)),
+    # within a row the diagonal comes first, even after a negative column
+    ([[0, 1, 1], [-1, 2, 1], [1, 1, 0]], NonzeroDiagonal, (1,)),
+    # a negative diagonal entry is a nonzero diagonal
+    ([[0, 1, 1], [1, 0, 1], [1, 1, -1]], NonzeroDiagonal, (2,)),
+], ids=["row-order", "diagonal-before-sign", "negative-diagonal"])
+def test_validate_first_diagonal_or_sign_violation(table, error, where):
+    with pytest.raises(error) as exc:
+        validate_instance(table, "asymmetric")
+    got = (exc.value.p,) if error is NonzeroDiagonal else (exc.value.p,
+                                                           exc.value.q)
+    assert got == where and all(type(v) is int for v in got)
+
+
 def test_validate_slack_tolerates_small_violations():
     table = [[0, 5, 10], [5, 0, 1], [10, 1, 0]]
     inst = validate_instance(table, "symmetric", slack=4.0)
