@@ -8,7 +8,6 @@ checkers, and seeded generators with planted ground truth.
 from .core import (
     ASYMMETRIC,
     Clustering,
-    EmptyA,
     GRID,
     Instance,
     InstanceViolation,
@@ -16,7 +15,6 @@ from .core import (
     NegativeDistance,
     NonzeroDiagonal,
     StabilityParams,
-    SymmetrizedSet,
     SymmetryViolation,
     SYMMETRIC,
     TriangleViolation,
@@ -43,18 +41,18 @@ from .oracle import (
 )
 from .solvers import (
     AsymmetricInput,
-    ClusterVerifier,
-    NeedsMoreCenters,
     SOLVERS,
     SolveOutcome,
     approx_stability_2eps,
     asymmetric_2pr,
     asymmetric_3eps,
+    equal_size_verifier,
     exact_via_approximation,
     farthest_first,
     hochbaum_shmoys_cover,
     sweep_radius,
     symmetric_3eps,
+    target_cost_verifier,
     weak_proximity_linkage,
 )
 from .analysis import (

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Clustering, _as_table, symmetrized_set, EmptyA
+from .core import Clustering, _as_table, symmetrized_set
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,8 @@ def check_structure(instance, clustering: Clustering,
     cross = lab[:, None] != lab[None, :]  # [p, q]: p, q in distinct clusters
     witnesses = {}
 
-    try:
-        sym = symmetrized_set(d, r_star)
-    except EmptyA:
-        sym = None
-    in_a = np.isin(np.arange(n), sym.members if sym else ())
+    nearest = symmetrized_set(d, r_star)  # None when A is empty
+    in_a = np.arange(n) == (-1 if nearest is None else nearest)
 
     p1 = cross & ~(dc[:, None] < d.T)  # [p, q]: not d(c_i, p) < d(q, p)
     holds = {}
@@ -106,17 +103,16 @@ def check_structure(instance, clustering: Clustering,
     ratio = d[np.ix_(cen, nz)] / dc[nz]  # [j, p]: d(c_j, p) / d(c_i, p)
     factor = ratio[np.arange(k)[:, None] != lab[nz]].min(initial=np.inf)
 
-    respects = sym is not None
-    if sym is not None:
+    respects = nearest is not None
+    if respects:
         outside = cen[~in_a[cen]]
-        attached = np.array(list(sym.nearest_in_A.items()),
-                            dtype=int).reshape(-1, 2)
-        split = attached[lab[attached[:, 0]] != lab[attached[:, 1]]]
+        split = np.flatnonzero(lab != lab[nearest])  # only points outside A
         respects = not (outside.size or split.size)
         if outside.size:
             witnesses["a_respects_opt"] = ("center", int(outside[0]))
         elif split.size:
-            witnesses["a_respects_opt"] = ("attachment", *split[0].tolist())
+            p = int(split[0])
+            witnesses["a_respects_opt"] = ("attachment", p, int(nearest[p]))
 
     bad = np.sort(cen[hits.any(axis=1)])
     return StructureReport(property1=holds["property1"],

@@ -248,11 +248,14 @@ def cmd_bench(args):
         raise _InputError("manifest must be a JSON list of rows")
     for i, row in enumerate(manifest):
         if not (isinstance(row, dict) and isinstance(row.get("family"), str)
-                and "solver" in row and isinstance(row.get("params", {}), dict)
+                and isinstance(row.get("solver"), str)
+                and row["solver"].isprintable() and "," not in row["solver"]
+                and isinstance(row.get("params", {}), dict)
                 and isinstance(row.get("seed", 0), int)):
             raise _InputError(f"manifest row {i} must be an object with "
-                              "family string, solver, optional params object "
-                              "and optional integer seed")
+                              "family string, printable solver string "
+                              "without commas, optional params object and "
+                              "optional integer seed")
     for i, row in enumerate(manifest):  # shapes first, then params
         family, params = row["family"], row.get("params", {})
         if family not in _BENCH_PARAMS:
@@ -263,6 +266,9 @@ def cmd_bench(args):
                 raise _InputError(f"manifest row {i}: {family} params "
                                   f"lack {key!r}")
         for key, value in params.items():
+            if key not in _BENCH_PARAMS[family] + ("epsilon",):
+                raise _InputError(f"manifest row {i}: {family} params "
+                                  f"do not take {key!r}")
             if type(value) not in (int, float):
                 raise _InputError(f"manifest row {i}: param {key!r} must be "
                                   f"a number, got {value!r}")
@@ -270,8 +276,7 @@ def cmd_bench(args):
                 raise _InputError(f"manifest row {i}: param {key!r} must be "
                                   f"an integer, got {value!r}")
         solver = row["solver"]  # an unknown id stays a row error
-        if (isinstance(solver, str) and solver in SOLVERS
-                and SOLVERS[solver].needs_epsilon
+        if (solver in SOLVERS and SOLVERS[solver].needs_epsilon
                 and not 0 <= params.get("epsilon", -1) <= 1):
             raise _InputError(f"manifest row {i}: solver {solver} needs "
                               "params epsilon in [0, 1]")

@@ -63,10 +63,6 @@ class MismatchedK(ValueError):
     pass
 
 
-class EmptyA(ValueError):
-    """No point satisfies the symmetrized-set predicate; r* is malformed."""
-
-
 @dataclass(frozen=True, eq=False)
 class Instance:
     mode: str
@@ -268,30 +264,23 @@ def threshold_components(instance, threshold: float = 0.0):
     return components(mutual_within(_as_table(instance), threshold))
 
 
-@dataclass(frozen=True)
-class SymmetrizedSet:
-    """The subset A of points symmetric up to r*, with attachment data.
+def symmetrized_set(instance, r_star: float):
+    """A = {p | for all q: d(q,p) <= r* implies d(p,q) <= r*}, as an
+    attachment array; None when A is empty.
 
-    ``members`` is A; ``nearest_in_A`` maps each point outside A to
-    A(p) = argmin_{q in A} d(q, p) (incoming distance, smallest index on
-    ties).
+    ``nearest[p]`` is p for p in A, so A is ``nearest == arange(n)``; for p
+    outside A it is A(p) = argmin_{q in A} d(q, p) (incoming distance,
+    smallest index on ties).
     """
-
-    members: tuple
-    nearest_in_A: dict
-
-
-def symmetrized_set(instance, r_star: float) -> SymmetrizedSet:
-    """Compute A = {p | for all q: d(q,p) <= r* implies d(p,q) <= r*}."""
     if r_star < 0:
         raise ValueError("r_star must be >= 0")
     d = _as_table(instance)
     # p fails iff some q has d(q,p) <= r* but d(p,q) > r*
     fails = np.any((d.T <= r_star) & (d > r_star), axis=1)
-    a_idx, fail_idx = np.flatnonzero(~fails), np.flatnonzero(fails)
+    a_idx = np.flatnonzero(~fails)
     if not a_idx.size:
-        raise EmptyA(f"no point satisfies the predicate at r*={r_star}")
+        return None
+    nearest = np.arange(d.shape[0])
     # first occurrence = smallest index
-    nearest = a_idx[d[np.ix_(a_idx, fail_idx)].argmin(axis=0)]
-    return SymmetrizedSet(members=tuple(a_idx.tolist()), nearest_in_A=dict(
-        zip(fail_idx.tolist(), nearest.tolist())))
+    nearest[fails] = a_idx[d[np.ix_(a_idx, fails)].argmin(axis=0)]
+    return nearest

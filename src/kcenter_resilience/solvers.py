@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .core import (Clustering, Instance, _as_table, components,
                    label_groups, mutual_within, symmetrized_set,
-                   threshold_components, voronoi_partition, EmptyA)
+                   threshold_components, voronoi_partition)
 
 
 PATCH_BUDGET = 5_000_000  # asymmetric_3eps's patch enumeration limit
@@ -31,12 +31,6 @@ PATCH_BUDGET = 5_000_000  # asymmetric_3eps's patch enumeration limit
 
 class AsymmetricInput(ValueError):
     pass
-
-
-class NeedsMoreCenters(RuntimeError):
-    def __init__(self, count, k):
-        self.count, self.k = count, k
-        super().__init__(f"cover needs {count} centers, only {k} allowed")
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,9 @@ def farthest_first(instance, k: int):
 def hochbaum_shmoys_cover(instance, r: float, k: int):
     """Greedy cover: pick the smallest-index unmarked point, mark within 2r.
 
-    Returns the chosen centers (cost <= 2r) or raises NeedsMoreCenters if
-    more than k are consumed.
+    Returns the chosen centers in pick order, stopping at the (k+1)-th: at
+    most k centers cover every point within 2r; k + 1 mean r is too small.
+    The picks do not depend on k, which only decides where they stop.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -110,12 +105,10 @@ def hochbaum_shmoys_cover(instance, r: float, k: int):
     n = d.shape[0]
     unmarked = np.ones(n, dtype=bool)
     centers = []
-    while unmarked.any():
+    while unmarked.any() and len(centers) <= k:
         c = int(unmarked.argmax())  # smallest unmarked index
         centers.append(c)
         unmarked &= ~(d[c] <= 2 * r)
-        if len(centers) > k:
-            raise NeedsMoreCenters(len(centers), k)
     return tuple(centers)
 
 
@@ -141,12 +134,11 @@ def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
     clusters.
     """
     d = _as_table(instance)
-    try:
-        sym = symmetrized_set(instance, r_star)
-    except EmptyA:
+    nearest = symmetrized_set(instance, r_star)
+    if nearest is None:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "empty symmetrized set"})
-    a = np.asarray(sym.members)
+    a = np.flatnonzero(nearest == np.arange(d.shape[0]))
     sub = d[np.ix_(a, a)]
     inball = sub <= r_star  # inball[i]: ball of a[i] restricted to A
 
@@ -180,11 +172,9 @@ def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
     owner = np.empty(d.shape[0], dtype=np.intp)  # surviving ball per point
     owner[a] = cover.argmax(axis=0)
-    outside = sym.nearest_in_A
-    owner[list(outside)] = owner[list(outside.values())]
     return SolveOutcome(status="exact-claim",
                         clustering=_clustering_from_groups(
-                            d, label_groups(owner)),
+                            d, label_groups(owner[nearest])),
                         diagnostics=diagnostics)
 
 
@@ -209,33 +199,25 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     """Cover-and-patch algorithm for asymmetric k-center under (3,eps)-PR.
 
     Covers the symmetrized set A in the hop metric of its threshold graph
-    (one hop = one r* edge) with k' centers for k' = k-6 ... k, then brute
-    forces up to 6 replacement centers so that k centers cover all of S
-    within 3r* under the original distances.  The Voronoi partition of the
-    patched centers is epsilon-close to optimal under the promise.
+    (one hop = one r* edge) with k' <= k greedy centers, k' the first of
+    k-6 ... k that the cover fits, then brute forces up to 6 replacement
+    centers so that k centers cover all of S within 3r* under the original
+    distances.  The Voronoi partition of the patched centers is
+    epsilon-close to optimal under the promise.
     """
     d = _as_table(instance)
     n = d.shape[0]
-    try:
-        sym = symmetrized_set(instance, r_star)
-    except EmptyA:
+    nearest = symmetrized_set(instance, r_star)
+    if nearest is None:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "empty symmetrized set"})
-    a = list(sym.members)
+    a = np.flatnonzero(nearest == np.arange(n)).tolist()
     sub = d[np.ix_(a, a)]
     adj = mutual_within(sub, r_star)
     hops = shortest_path(adj.astype(float), method="D", unweighted=True)
 
-    cover_local = None
-    k_prime_used = None
-    for k_prime in range(max(1, k - 6), k + 1):
-        try:
-            cover_local = hochbaum_shmoys_cover(hops, r=1.0, k=k_prime)
-        except NeedsMoreCenters:
-            continue
-        k_prime_used = k_prime
-        break
-    if cover_local is None:
+    cover_local = hochbaum_shmoys_cover(hops, r=1.0, k=k)
+    if len(cover_local) > k:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "no hop cover for any k' <= k"})
     c_set = tuple(a[i] for i in cover_local)
@@ -259,7 +241,8 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
         if d[cand].min(axis=0).max() <= 3 * r_star:
             chosen, x_used = tuple(sorted(cand)), x
             break
-    diagnostics = {"k_prime": k_prime_used, "hop_cover": c_set,
+    # the greedy's picks do not depend on k, so k' is the first that fits
+    diagnostics = {"k_prime": max(len(c_set), k - 6, 1), "hop_cover": c_set,
                    "x": x_used, "patch_work": work,
                    "consistency_factor": 3.0}
     if chosen is None:
@@ -270,29 +253,15 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                         diagnostics=diagnostics)
 
 
-@dataclass(frozen=True)
-class ClusterVerifier:
-    """Oracle f over point sets: f < 0 strictly inside an optimal cluster,
-    f >= 0 on supersets of one."""
+def equal_size_verifier(n: int, k: int):
+    """All optimal clusters have n/k points: f(B) = |B| - n/k."""
+    return lambda b: len(b) - n / k
 
-    kind: str
-    fn: object
 
-    def __call__(self, members):
-        return self.fn(members)
-
-    @classmethod
-    def equal_size(cls, n: int, k: int):
-        """All optimal clusters have n/k points: f(B) = |B| - n/k."""
-        return cls(kind="equal-size", fn=lambda b: len(b) - n / k)
-
-    @classmethod
-    def target_cost(cls, instance, target: float):
-        """All optimal clusters share a 1-center cost: f(B) = cost(B) - target."""
-        d = _as_table(instance)
-
-        return cls(kind="target-cost",
-                   fn=lambda b: _one_center(d, b)[1] - target)
+def target_cost_verifier(instance, target: float):
+    """All optimal clusters share a 1-center cost: f(B) = cost(B) - target."""
+    d = _as_table(instance)
+    return lambda b: _one_center(d, b)[1] - target
 
 
 def _spanning_tree(d):
@@ -317,8 +286,12 @@ def _spanning_tree(d):
 
 
 def weak_proximity_linkage(instance, k: int,
-                           verifier: ClusterVerifier) -> SolveOutcome:
+                           verifier: Callable[[list], float]) -> SolveOutcome:
     """Guarded single linkage for any center-based objective.
+
+    ``verifier`` is any callable f(members) -> float on a list of point
+    indices: f < 0 strictly inside an optimal cluster, f >= 0 on supersets
+    of one (see equal_size_verifier and target_cost_verifier).
 
     Repeatedly runs single linkage on the current components, refusing to
     merge two components that both verify (f >= 0), until every component
@@ -440,11 +413,10 @@ def _approximation(instance, centers):
 
 
 def _hs(instance, k, r_star, epsilon):
-    try:
-        centers = hochbaum_shmoys_cover(instance, r_star, k)
-    except NeedsMoreCenters as e:
+    centers = hochbaum_shmoys_cover(instance, r_star, k)
+    if len(centers) > k:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"needed": e.count})
+                            diagnostics={"needed": len(centers)})
     return _approximation(instance, centers)
 
 
@@ -477,7 +449,7 @@ SOLVERS = {
     "alg2-3eps-asym": Solver(lambda inst, k, r, eps:
                              asymmetric_3eps(inst, k, r), needs_r=True),
     "alg3-linkage": Solver(lambda inst, k, r, eps: weak_proximity_linkage(
-        inst, k, ClusterVerifier.equal_size(_as_table(inst).shape[0], k))),
+        inst, k, equal_size_verifier(_as_table(inst).shape[0], k))),
     "alg4-2eps-as": Solver(lambda inst, k, r, eps:
                            approx_stability_2eps(inst, k, r, eps),
                            needs_r=True, needs_epsilon=True),

@@ -6,7 +6,6 @@ from scipy.sparse.csgraph import floyd_warshall
 from kcenter_resilience import (
     CCCReport,
     Clustering,
-    EmptyA,
     StructureReport,
     brute_force_optimal,
     check_structure,
@@ -21,6 +20,7 @@ from kcenter_resilience.generators import (
     gen_planted_symmetric,
     gen_random_metric,
 )
+from test_solvers import _reference_symmetrized_set
 
 
 def test_planted_symmetric_all_flags_true():
@@ -151,12 +151,8 @@ def _ref_check_structure(d, clustering, r_star):
     centers = clustering.centers
     k = clustering.k
     witnesses = {}
-    try:
-        sym = symmetrized_set(d, r_star)
-        a_members = set(sym.members)
-    except EmptyA:
-        sym = None
-        a_members = set()
+    a, nearest = _reference_symmetrized_set(d, r_star)
+    a_members = set(a)
 
     def prop1_over(groups):
         for i in range(k):
@@ -205,13 +201,13 @@ def _ref_check_structure(d, clustering, r_star):
                 if j != i:
                     factor = min(factor, d[centers[j], p] / dcp)
 
-    respects = sym is not None
-    if sym is not None:
+    respects = bool(a)
+    if a:
         for i in range(k):
             if centers[i] not in a_members:
                 respects = False
                 witnesses.setdefault("a_respects_opt", ("center", centers[i]))
-        for p, ap in sym.nearest_in_A.items():
+        for p, ap in nearest.items():
             if clustering.assignment[p] != clustering.assignment[ap]:
                 respects = False
                 witnesses.setdefault("a_respects_opt", ("attachment", p, ap))
@@ -346,10 +342,7 @@ def test_check_structure_matches_loop_reference():
         assert all(type(c) is int for c in rep.bad_centers)
         assert count_bad_centers_bound_check(d, cl, r) == (
             len(ref.bad_centers) <= 6)
-        try:
-            symmetrized_set(d, r)
-        except EmptyA:
-            empty_a += 1
+        empty_a += symmetrized_set(d, r) is None
     assert len(cases) > 1500
     assert empty_a > 0  # some radius leaves the symmetrized set empty
 

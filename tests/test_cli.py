@@ -140,7 +140,7 @@ def test_verify_epsilon_one_always_ok(tmp_path):
 
 
 def test_verify_weak_instance_exits_3_with_replayable_counterexample(tmp_path):
-    from kcenter_resilience import (Clustering, brute_force_optimal, snap_up,
+    from kcenter_resilience import (brute_force_optimal, snap_up,
                                     validate_instance, voronoi_partition,
                                     epsilon_distance)
     pts = np.array([0.0, 1.0, 2.1, 3.1])
@@ -326,6 +326,17 @@ def _two_point_kci(entry):
      [{"family": "planted-sym", "solver": "thm3",
        "params": {"n": 12.5, "k": 3, "r": 1.0, "alpha": 2.0}}],
      "row 0: param 'n' must be an integer, got 12.5"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "solver": "thm3"},
+      {"family": "bad-center-18", "params": {"alpha": 2.0},
+       "solver": ["thm3", "hs"]}], "manifest row 1 must be"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0},
+       "solver": "thm3,hs"}], "manifest row 0 must be"),
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "solver": "thm3"},
+      {"family": "bad-center-18", "params": {"alpha": 2.0, "x,y": 1},
+       "solver": "thm3"}], "row 1: bad-center-18 params do not take 'x,y'"),
     (["solve", "{ps}.kci", "--algo", "ff2", "--k", "3", "--slack", "-1"],
      None, "--slack"),
     (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "nan",
@@ -340,7 +351,8 @@ def _two_point_kci(entry):
         "bench-row-not-object", "bench-row-no-family", "bench-row-no-solver",
         "bench-seed-not-int", "bench-params-missing-key",
         "bench-unknown-family", "bench-param-not-a-number",
-        "bench-no-epsilon", "bench-count-not-int", "negative-slack",
+        "bench-no-epsilon", "bench-count-not-int", "bench-solver-not-string",
+        "bench-solver-with-comma", "bench-param-unknown-key", "negative-slack",
         "kci-nan", "kci-inf", "kci-1e400"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     # payload: manifest rows (a list) or one KCI distance entry (a string)

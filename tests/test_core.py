@@ -7,7 +7,6 @@ import pytest
 
 from kcenter_resilience import (
     Clustering,
-    EmptyA,
     MismatchedK,
     NegativeDistance,
     NonzeroDiagonal,
@@ -255,21 +254,23 @@ def test_components_matches_bfs_reference(n):
 def test_symmetrized_set_symmetric_is_everything():
     d = np.array([[0, 1], [1, 0]], dtype=float)
     inst = validate_instance(d, "symmetric")
-    assert symmetrized_set(inst, 0.5).members == (0, 1)
+    assert symmetrized_set(inst, 0.5).tolist() == [0, 1]
 
 
 def test_symmetrized_set_excludes_one_way_point():
+    # 2 is within r of 0 and 1 (incoming) but both are 2r away from it;
+    # A(2) is the smaller index of the tie
     r = 1.0
-    d = np.array([[0, r / 2], [2 * r, 0]])
-    sym = symmetrized_set(d, r)
-    assert sym.members == (0,)
-    assert sym.nearest_in_A == {1: 0}
+    d = np.array([[0, r, r / 2], [r, 0, r / 2], [2 * r, 2 * r, 0]])
+    nearest = symmetrized_set(d, r)
+    assert nearest.dtype.kind == "i"
+    assert nearest.tolist() == [0, 1, 0]
+    assert np.flatnonzero(nearest == np.arange(3)).tolist() == [0, 1]
 
 
-def test_symmetrized_set_empty_raises():
+def test_symmetrized_set_empty_is_none():
     d = np.array([[0, 0.5, 9], [9, 0, 0.5], [0.5, 9, 0]])
-    with pytest.raises(EmptyA):
-        symmetrized_set(d, 1.0)
+    assert symmetrized_set(d, 1.0) is None
 
 
 def test_snap_up_grid():

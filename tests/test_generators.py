@@ -7,7 +7,6 @@ import pytest
 from scipy.sparse.csgraph import floyd_warshall
 
 from kcenter_resilience import (
-    InstanceViolation,
     StabilityParams,
     brute_force_optimal,
     check_structure,

@@ -1,7 +1,10 @@
-"""Mutated KCI and truth files: every run ends in an exit code, never a traceback."""
+"""Mutated KCI, truth and manifest files: every run ends in an exit code,
+never a traceback."""
 
 import contextlib
 import io
+import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +67,7 @@ def _check_exit(argv):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert (code == 1) == err.getvalue().startswith("error:")
+    return code
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -85,3 +89,50 @@ def test_verify_mutated_kci_and_truth(workdir, which, data):
     _check_exit(["verify", str(workdir / "v.kci"),
                  str(workdir / "v.truth.json"), "--alpha", "2",
                  "--budget", "5", "--out", str(workdir / "rep.json")])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kci=mutated(KCI))
+def test_oracle_mutated_kci(workdir, kci):
+    path = workdir / "o.kci"
+    path.write_bytes(kci)
+    _check_exit(["oracle", str(path), "--k", "2",
+                 "--out", str(workdir / "o.json")])
+
+
+ROW = {"family": "planted-sym", "solver": "thm5-3eps", "seed": 0,
+       "params": {"n": 6, "k": 2, "r": 1.0, "alpha": 2.0}}
+# a JSON value of any type; numbers stay small so a row that runs is cheap
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 20),
+    st.floats(-2.0, 20.0), st.sampled_from([math.nan, math.inf]),
+    st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+FIELDS = ("family", "solver", "seed", "params", "n", "k", "r", "alpha")
+
+
+@st.composite
+def manifests(draw):
+    row = dict(ROW, params=dict(ROW["params"]))
+    for field in draw(st.lists(st.sampled_from(FIELDS), max_size=2)):
+        target = row if field in ROW else row["params"]
+        if isinstance(target, dict):  # params itself may be swapped
+            target[field] = draw(JSON_VALUES)
+    if isinstance(row["params"], dict) and draw(st.booleans()):
+        key = draw(st.sampled_from(["epsilon", "skew", "x,y"])
+                   | st.text(max_size=3))
+        row["params"][key] = draw(st.integers(0, 3) | st.floats(0, 2))
+    return [row]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(manifest=manifests())
+def test_bench_mutated_manifest(workdir, manifest):
+    path, out = workdir / "m.json", workdir / "bench.csv"
+    path.write_text(json.dumps(manifest))
+    out.unlink(missing_ok=True)
+    code = _check_exit(["bench", "--manifest", str(path), "--no-timing",
+                        "--out", str(out)])
+    if code == 0:
+        assert all(line.count(",") == 7
+                   for line in out.read_text().splitlines())

@@ -1,13 +1,13 @@
 """Recovery algorithms against the oracle and the planted generators."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import floyd_warshall
 
 from kcenter_resilience import (
     AsymmetricInput,
-    ClusterVerifier,
-    NeedsMoreCenters,
     SOLVERS,
     SolveOutcome,
     approx_stability_2eps,
@@ -15,14 +15,16 @@ from kcenter_resilience import (
     asymmetric_3eps,
     brute_force_optimal,
     cost,
-    epsilon_distance,
+    equal_size_verifier,
     exact_via_approximation,
     farthest_first,
     hochbaum_shmoys_cover,
     sweep_radius,
     symmetric_3eps,
     symmetrized_set,
+    target_cost_verifier,
     validate_instance,
+    voronoi_partition,
     weak_proximity_linkage,
 )
 from kcenter_resilience import solvers
@@ -65,8 +67,7 @@ def test_hochbaum_shmoys_edges():
     inst = gen_random_metric(8, "symmetric", 1)
     diam = float(inst.dist.max())
     assert hochbaum_shmoys_cover(inst, diam / 2, 1) == (0,)
-    with pytest.raises(NeedsMoreCenters):
-        hochbaum_shmoys_cover(inst, 0.0, 7)
+    assert len(hochbaum_shmoys_cover(inst, 0.0, 7)) == 8  # k + 1: r too small
     assert len(hochbaum_shmoys_cover(inst, 0.0, 8)) == 8
 
 
@@ -173,16 +174,16 @@ def test_asymmetric_3eps_planted_uses_x_zero():
 
 def test_weak_proximity_linkage_trivial_cases():
     inst = gen_random_metric(4, "symmetric", 0)
-    ver = ClusterVerifier.equal_size(4, 4)
+    ver = equal_size_verifier(4, 4)
     out = weak_proximity_linkage(inst, 4, ver)
     assert out.clustering.k == 4
-    out1 = weak_proximity_linkage(inst, 1, ClusterVerifier.equal_size(4, 1))
+    out1 = weak_proximity_linkage(inst, 1, equal_size_verifier(4, 1))
     assert out1.clustering.canonical_partition() == ((0, 1, 2, 3),)
 
 
 def test_weak_proximity_linkage_planted_and_oracle():
     planted = gen_planted_symmetric(12, 3, 1.0, 2.0, 4)
-    ver = ClusterVerifier.equal_size(12, 3)
+    ver = equal_size_verifier(12, 3)
     out = weak_proximity_linkage(planted.instance, 3, ver)
     assert out.status == "exact-claim"
     assert out.clustering.canonical_partition() == \
@@ -200,7 +201,7 @@ def test_weak_proximity_linkage_target_cost_verifier():
     for a in (0, 2, 4):
         d[a, a + 1] = d[a + 1, a] = 1.0
     inst = validate_instance(d, "symmetric")
-    ver = ClusterVerifier.target_cost(inst, 1.0)
+    ver = target_cost_verifier(inst, 1.0)
     out = weak_proximity_linkage(inst, 3, ver)
     assert out.clustering.canonical_partition() == \
         ((0, 1), (2, 3), (4, 5))
@@ -209,8 +210,7 @@ def test_weak_proximity_linkage_target_cost_verifier():
 def test_weak_proximity_linkage_verifier_stuck():
     inst = gen_random_metric(6, "symmetric", 3)
     # f >= 0 everywhere: no component may ever be grown
-    always_ok = ClusterVerifier(kind="degenerate", fn=lambda b: 0.0)
-    out = weak_proximity_linkage(inst, 2, always_ok)
+    out = weak_proximity_linkage(inst, 2, lambda b: 0.0)
     assert out.status == "not-resilient" and out.clustering is None
     assert out.diagnostics["reason"] == \
         "all components verify but more than k remain"
@@ -220,8 +220,7 @@ def test_weak_proximity_linkage_verifier_stuck():
 def test_weak_proximity_linkage_single_component_stuck():
     inst = gen_random_metric(6, "symmetric", 3)
     # f < 0 everywhere: merging never stops short of one component
-    never_ok = ClusterVerifier(kind="degenerate", fn=lambda b: -1.0)
-    out = weak_proximity_linkage(inst, 2, never_ok)
+    out = weak_proximity_linkage(inst, 2, lambda b: -1.0)
     assert out.status == "not-resilient"
     assert out.diagnostics["reason"] == "a single component still has f < 0"
     assert out.diagnostics["committed_edges"] == ()
@@ -461,13 +460,13 @@ ASYM_TABLES = (
 
 def _verifiers(d, n, k):
     off = np.sort(d[~np.eye(n, dtype=bool)])
-    return [ClusterVerifier.equal_size(n, k),
-            ClusterVerifier.target_cost(d, float(off[len(off) // 10])),
-            ClusterVerifier.target_cost(d, float(off[len(off) // 3])),
-            ClusterVerifier(kind="always-0", fn=lambda b: 0.0),
-            ClusterVerifier(kind="always-minus-1", fn=lambda b: -1.0),
-            ClusterVerifier(kind="sum-mod-3", fn=lambda b: sum(b) % 3 - 1),
-            ClusterVerifier(kind="odd-size", fn=lambda b: -(len(b) % 2))]
+    return [equal_size_verifier(n, k),
+            target_cost_verifier(d, float(off[len(off) // 10])),
+            target_cost_verifier(d, float(off[len(off) // 3])),
+            lambda b: 0.0,
+            lambda b: -1.0,
+            lambda b: sum(b) % 3 - 1,
+            lambda b: -(len(b) % 2)]  # f < 0 on odd sizes
 
 
 @pytest.mark.parametrize("asymmetric", [False, True], ids=["sym", "asym"])
@@ -480,8 +479,8 @@ def test_weak_proximity_linkage_matches_reference(asymmetric):
         for k in (1, 2, 3):
             for ver in _verifiers(d, n, k):
                 seen = [[], []]
-                recorders = [ClusterVerifier(ver.kind, lambda b, s=s: (
-                    s.append(list(b)), ver(b))[1]) for s in seen]
+                recorders = [lambda b, s=s: (s.append(list(b)), ver(b))[1]
+                             for s in seen]
                 got = weak_proximity_linkage(d, k, recorders[0])
                 want = _reference_linkage(d, k, recorders[1])
                 calls += 1
@@ -497,16 +496,112 @@ def test_asymmetric_2pr_matches_reference(asymmetric):
         n = d.shape[0]
         for r in sorted(set([0.0] + d[~np.eye(n, dtype=bool)].tolist())):
             a, nearest = _reference_symmetrized_set(d, r)
+            got = symmetrized_set(d, r)
             if a:
-                sym = symmetrized_set(d, r)
-                mismatches += (sym.members != tuple(a)
-                               or list(sym.nearest_in_A.items())
-                               != list(nearest.items()))
+                want = np.arange(n)
+                want[list(nearest)] = list(nearest.values())
+                mismatches += got is None or not np.array_equal(got, want)
+            else:
+                mismatches += got is not None
             for k in (1, 2, 3):
                 calls += 1
                 mismatches += (_outcome_key(asymmetric_2pr(d, k, r))
                                != _outcome_key(_reference_2pr(d, k, r)))
     assert calls > 1000 and mismatches == 0
+
+
+class _CoverTooLarge(Exception):
+    pass
+
+
+def _reference_cover(d, r, k):
+    """Greedy 2r cover that raises once it needs more than k centers."""
+    unmarked = list(range(d.shape[0]))
+    centers = []
+    while unmarked:
+        c = unmarked[0]
+        centers.append(c)
+        unmarked = [q for q in unmarked if not d[c, q] <= 2 * r]
+        if len(centers) > k:
+            raise _CoverTooLarge
+    return tuple(centers)
+
+
+def _reference_3eps(d, k, r):
+    """Cover-and-patch, trying the hop cover for each k' = k-6 ... k."""
+    n = d.shape[0]
+    a, _ = _reference_symmetrized_set(d, r)
+    if not a:
+        return SolveOutcome(status="not-resilient",
+                            diagnostics={"reason": "empty symmetrized set"})
+    sub = d[np.ix_(a, a)]
+    hops = np.where((sub <= r) & (sub.T <= r), 1.0, np.inf)  # r* edges
+    np.fill_diagonal(hops, 0.0)
+    for m in range(len(a)):  # Floyd-Warshall
+        hops = np.minimum(hops, hops[:, [m]] + hops[[m], :])
+    for k_prime in range(max(1, k - 6), k + 1):
+        try:
+            cover_local = _reference_cover(hops, 1.0, k_prime)
+        except _CoverTooLarge:
+            continue
+        break
+    else:
+        return SolveOutcome(status="not-resilient", diagnostics={
+            "reason": "no hop cover for any k' <= k"})
+    c_set = tuple(a[i] for i in cover_local)
+    patches = ((x, list(kept) + list(extra))
+               for x in range(0, min(6, k) + 1)
+               for kept in itertools.combinations(c_set, k - x)
+               for extra in itertools.combinations(
+                   [p for p in range(n) if p not in kept], x))
+    chosen = x_used = None
+    reason = "no 3r* cover with x <= 6"
+    work = 0
+    for x, cand in patches:
+        if work == solvers.PATCH_BUDGET:
+            reason = f"patch enumeration exceeded budget {solvers.PATCH_BUDGET}"
+            break
+        work += 1
+        if d[cand].min(axis=0).max() <= 3 * r:
+            chosen, x_used = tuple(sorted(cand)), x
+            break
+    diagnostics = {"k_prime": k_prime, "hop_cover": c_set, "x": x_used,
+                   "patch_work": work, "consistency_factor": 3.0}
+    if chosen is None:
+        return SolveOutcome(status="not-resilient",
+                            diagnostics={**diagnostics, "reason": reason})
+    return SolveOutcome(status="eps-close-claim",
+                        clustering=voronoi_partition(d, chosen),
+                        diagnostics=diagnostics)
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["sym", "asym"])
+def test_asymmetric_3eps_matches_k_prime_loop(monkeypatch, asymmetric):
+    monkeypatch.setattr(solvers, "PATCH_BUDGET", 100)  # bounds large k
+    covers = []
+    original = solvers.hochbaum_shmoys_cover
+
+    def counted(*args, **kwargs):
+        covers.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "hochbaum_shmoys_cover", counted)
+    cases = mismatches = searched = k_minus_6 = 0
+    for d in ASYM_TABLES if asymmetric else SYM_TABLES:
+        n = d.shape[0]
+        for r in sorted(set([0.0] + d[~np.eye(n, dtype=bool)].tolist())):
+            for k in range(1, min(n, 10) + 1):
+                got = asymmetric_3eps(d, k, r)
+                want = _reference_3eps(d, k, r)
+                cases += 1
+                mismatches += _outcome_key(got) != _outcome_key(want)
+                searched += got.diagnostics.get("reason") != \
+                    "empty symmetrized set"
+                k_minus_6 += (got.diagnostics.get("k_prime") == k - 6
+                              > len(got.diagnostics.get("hop_cover", ())))
+    assert cases > 1000 and mismatches == 0
+    assert len(covers) == searched  # one cover call per call past A
+    assert k_minus_6 > 0  # the k - 6 bound, not the cover size, set k'
 
 
 def test_weak_proximity_linkage_rescans_after_each_merge():
@@ -523,8 +618,7 @@ def test_weak_proximity_linkage_rescans_after_each_merge():
                   [7, 13, 19, 17, 12, 26, 5, 0]])
     # distances 101..128: any table with entries in [a, 2a] is a metric
     inst = validate_instance(np.where(w > 0, 100.0 + w, 0.0), "symmetric")
-    odd_size = ClusterVerifier(kind="odd-size", fn=lambda b: -(len(b) % 2))
-    out = weak_proximity_linkage(inst, 2, odd_size)
+    out = weak_proximity_linkage(inst, 2, lambda b: -(len(b) % 2))
     assert out.status == "exact-claim"
     assert out.diagnostics["committed_edges"] == \
         ((1, 3), (0, 7), (0, 4), (3, 5), (0, 3), (2, 6))

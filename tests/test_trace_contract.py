@@ -77,7 +77,7 @@ def test_linkage_counter_reads_a_stuck_outcome():
     # the counter reads committed_edges from every result, failures included;
     # f = |B| - 2: pairs verify, so more than k = 3 components remain
     inst = gen_planted_symmetric(12, 3, 1.0, 2.0, 2).instance
-    args = (inst, 3, solvers.ClusterVerifier.equal_size(12, 6))
+    args = (inst, 3, solvers.equal_size_verifier(12, 6))
     out = solvers.weak_proximity_linkage(*args)
     assert out.status == "not-resilient"
     counter = tracing.COUNTERS["solvers.weak_proximity_linkage"]
