@@ -20,6 +20,10 @@ ASYMMETRIC = "asymmetric"
 # Generators emit distances on this grid so exact float comparison is safe.
 GRID = 2.0 ** -20
 
+# Most cells one vectorised scan holds at once: validate_instance's triangle
+# blocks and brute_force_optimal's subset chunks stay under it.
+SCAN_CELLS = 1 << 16
+
 
 def snap_up(values):
     """Round distances up to the next multiple of the coarse grid.
@@ -88,8 +92,8 @@ class StabilityParams:
     epsilon: float
 
     def __post_init__(self):
-        if not self.alpha >= 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        if not 1 <= self.alpha < np.inf:  # alpha * 0 must stay 0
+            raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
         if not 0 <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [0,1], got {self.epsilon}")
 
@@ -142,6 +146,10 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
     Raises the subclass of InstanceViolation naming the first violating
     pair/triple in row-major scan order.  ``slack`` loosens symmetry and
     triangle comparisons for externally supplied data (default exact).
+
+    The triangle check takes O(n^3) time in blocks of p rows, each at most
+    ``SCAN_CELLS`` cells (one row when n^2 is larger), so memory stays
+    O(n^2) beside the table: any n that fits in memory can be read.
     """
     d = np.asarray(raw_table, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -165,12 +173,15 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
         if bad.size:
             p, q = bad[0]
             raise SymmetryViolation(int(p), int(q))
-    # viol[p, s, q] <=> d(p,q) > d(p,s) + d(s,q); argwhere scans row-major
-    viol = d[:, None, :] > (d[:, :, None] + d[None, :, :]) + slack
-    bad = np.argwhere(viol)
-    if bad.size:
-        p, s, q = bad[0]
-        raise TriangleViolation(int(p), int(s), int(q))
+    n = d.shape[0]
+    rows = max(1, SCAN_CELLS // max(1, n * n))
+    for start in range(0, n, rows):
+        blk = d[start:start + rows]
+        # viol[p, s, q] <=> d(p,q) > d(p,s) + d(s,q); argwhere scans row-major
+        viol = blk[:, None, :] > (blk[:, :, None] + d[None, :, :]) + slack
+        if viol.any():
+            p, s, q = np.argwhere(viol)[0]
+            raise TriangleViolation(start + int(p), int(s), int(q))
     return Instance(mode=mode, dist=d)
 
 

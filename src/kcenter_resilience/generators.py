@@ -21,6 +21,7 @@ from .oracle import brute_force_optimal
 
 
 SKEW_ATTEMPTS = 50  # gen_planted_asymmetric's draws before giving up
+PAD_MAX_POINTS = 2_000  # gen_eps_padding's largest padded table
 
 
 class InfeasibleParams(ValueError):
@@ -257,12 +258,21 @@ def gen_eps_padding(base: Instance, k, alpha, epsilon) -> PlantedInstance:
     base keeps a radius-r k-solution iff the padded instance keeps a
     radius-r (k + N)-solution for r < D.  The planted truth is the base
     oracle optimum plus pad singletons.
+
+    The padded table holds at most PAD_MAX_POINTS points (a 32 MB table):
+    a larger n + ceil(n/epsilon) raises InfeasibleParams before anything
+    is allocated, and the base oracle runs before the table is built.
     """
     if not base.is_symmetric:
         raise InfeasibleParams("base must be symmetric")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InfeasibleParams("epsilon must be > 0")
     n = base.n
+    if n / epsilon > PAD_MAX_POINTS - n:  # n + ceil(n/epsilon) too large
+        raise InfeasibleParams(f"n + ceil(n/epsilon) exceeds {PAD_MAX_POINTS}"
+                               f" points (n={n}, epsilon={epsilon})")
+    opt = brute_force_optimal(base.dist, k)
+    base_cl = opt.clustering(base.dist)
     diameter = float(base.dist.max())
     pad_dist = alpha * (diameter + 1.0)
     n_pad = math.ceil(n / epsilon)
@@ -271,8 +281,6 @@ def gen_eps_padding(base: Instance, k, alpha, epsilon) -> PlantedInstance:
     d[:n, :n] = base.dist
     np.fill_diagonal(d, 0.0)
     instance = validate_instance(d, SYMMETRIC)
-    opt = brute_force_optimal(base.dist, k)
-    base_cl = opt.clustering(base.dist)
     k_prime = k + n_pad
     centers = tuple(base_cl.centers) + tuple(range(n, total))
     assignment = tuple(base_cl.assignment) + tuple(range(k, k_prime))

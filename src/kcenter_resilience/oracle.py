@@ -13,8 +13,9 @@ from math import comb
 
 import numpy as np
 
-from .core import (Clustering, Instance, StabilityParams, _as_instance,
-                   _as_table, epsilon_distance, voronoi_partition)
+from .core import (SCAN_CELLS, Clustering, Instance, StabilityParams,
+                   _as_instance, _as_table, epsilon_distance,
+                   voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 
@@ -63,12 +64,23 @@ class OracleResult:
         return voronoi_partition(table, self.optimal_center_sets[0])
 
 
+def _voronoi_labels(d, subsets):
+    """Voronoi labels under each row of ``subsets`` (ascending center sets):
+    the position of the nearest center, the smallest on ties, and each
+    center its own, as ``voronoi_partition`` assigns them."""
+    lab = d[subsets].argmin(axis=1)
+    lab[np.arange(len(subsets))[:, None], subsets] = np.arange(subsets.shape[1])
+    return lab
+
+
 def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> OracleResult:
     """Enumerate every k-subset of centers and return the exact optimum.
 
     Works on any square nonnegative table, including non-metric
     perturbations.  Subsets are enumerated lexicographically; all
-    minimizers are retained.
+    minimizers are retained.  They are scored in chunks of at most
+    ``SCAN_CELLS`` // (k n) subsets, so memory is O(SCAN_CELLS) beside the
+    table and the minimizers, whatever C(n, k) is.
     """
     d = _as_table(table)
     n = d.shape[0]
@@ -77,19 +89,36 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> O
     total = comb(n, k)
     if total > budget:
         raise BudgetExceeded(f"C({n},{k}) = {total} exceeds budget {budget}")
+    chunk = max(1, SCAN_CELLS // (k * n))
+    subsets = itertools.combinations(range(n), k)
     best = np.inf
     minimizers = []
-    for subset in itertools.combinations(range(n), k):
-        c = d[list(subset)].min(axis=0).max()
-        if c < best:
-            best = c
-            minimizers = [subset]
-        elif c == best:
-            minimizers.append(subset)
-    partitions = {voronoi_partition(d, s).canonical_partition() for s in minimizers}
+    for start in range(0, total, chunk):
+        m = min(chunk, total - start)
+        idx = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(subsets, m)), dtype=np.intp, count=m * k)
+        idx = idx.reshape(m, k)
+        scores = d[idx].min(axis=1).max(axis=1)
+        low = np.fmin.reduce(scores)  # a NaN score never ties or wins
+        if low < best:
+            best = low
+            minimizers = [idx[scores == low]]
+        elif low == best:
+            minimizers.append(idx[scores == low])
+    if not minimizers:  # every score is NaN
+        return OracleResult(optimal_radius=float(best), optimal_center_sets=(),
+                            partition_unique=False)
+    mins = np.concatenate(minimizers)
+    # home[p] is p's center under the first optimal set; another set gives
+    # the same partition iff each p shares its label with home[p] (its k
+    # labels then match the first set's one to one)
+    home = mins[0][_voronoi_labels(d, mins[:1])[0]]
+    unique = all(np.array_equal(lab, lab[:, home]) for lab in (
+        _voronoi_labels(d, mins[s:s + chunk])
+        for s in range(0, len(mins), chunk)))
     return OracleResult(optimal_radius=float(best),
-                        optimal_center_sets=tuple(minimizers),
-                        partition_unique=len(partitions) == 1)
+                        optimal_center_sets=tuple(map(tuple, mins.tolist())),
+                        partition_unique=unique)
 
 
 def build_lemma1_perturbation(instance, r_star: float, alpha: float,

@@ -19,7 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .core import (Clustering, Instance, _as_table, components,
                    label_groups, mutual_within, symmetrized_set,
@@ -213,10 +212,12 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                             diagnostics={"reason": "empty symmetrized set"})
     a = np.flatnonzero(nearest == np.arange(n)).tolist()
     sub = d[np.ix_(a, a)]
-    adj = mutual_within(sub, r_star)
-    hops = shortest_path(adj.astype(float), method="D", unweighted=True)
+    # one hop = one r* edge; the cover at r=1 only asks "at most 2 hops?",
+    # which is a nonzero entry of (adj + I)^2 (0/1 sums: exact in float)
+    step = (mutual_within(sub, r_star) | np.eye(len(a), dtype=bool)).astype(float)
+    within2 = np.where(step @ step > 0, 2.0, np.inf)
 
-    cover_local = hochbaum_shmoys_cover(hops, r=1.0, k=k)
+    cover_local = hochbaum_shmoys_cover(within2, r=1.0, k=k)
     if len(cover_local) > k:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "no hop cover for any k' <= k"})

@@ -288,6 +288,9 @@ def _two_point_kci(entry):
      "alpha"),
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "nan"], None,
      "alpha"),
+    # was an OverflowError in the random phase, after NaN diagonals
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "inf"], None,
+     "alpha must be finite"),
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
       "--epsilon", "2"], None, "epsilon"),
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2", "--r", "-1"],
@@ -345,23 +348,33 @@ def _two_point_kci(entry):
      "bad.kci: line 4: non-finite"),
     (["verify", "{kci}", "{ps}.truth.json", "--alpha", "2"], "1e400",
      "bad.kci: line 4: non-finite"),
+    # was a 25.6 PiB allocation
+    (["generate", "eps-padding", "--base", "{ps}.kci", "--epsilon", "1e-6"],
+     None, "exceeds 2000 points"),
+    # was refused only after building and validating the padded table
+    (["generate", "eps-padding", "--base", "{kci}", "--k", "5"], 60,
+     "C(60,5) = 5461512 exceeds budget"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
-        "verify-alpha-nan", "verify-epsilon-above-1", "verify-negative-r",
+        "verify-alpha-nan", "verify-alpha-inf", "verify-epsilon-above-1", "verify-negative-r",
         "verify-oracle-budget-too-small",
         "bench-row-not-object", "bench-row-no-family", "bench-row-no-solver",
         "bench-seed-not-int", "bench-params-missing-key",
         "bench-unknown-family", "bench-param-not-a-number",
         "bench-no-epsilon", "bench-count-not-int", "bench-solver-not-string",
         "bench-solver-with-comma", "bench-param-unknown-key", "negative-slack",
-        "kci-nan", "kci-inf", "kci-1e400"])
+        "kci-nan", "kci-inf", "kci-1e400", "eps-padding-tiny-epsilon",
+        "eps-padding-base-over-budget"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
-    # payload: manifest rows (a list) or one KCI distance entry (a string)
+    # payload: manifest rows (a list), one KCI distance entry (a string) or
+    # the point count of a random symmetric KCI file (an int)
     prefix = gen_planted_files(tmp_path)
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps(payload))
     kci = tmp_path / "bad.kci"
     if isinstance(payload, str):
         kci.write_text(_two_point_kci(payload))
+    elif isinstance(payload, int):
+        kci.write_text(emit_instance(gen_random_metric(payload, "symmetric", 0)))
     capsys.readouterr()
     argv = [a.format(ps=prefix, manifest=manifest, kci=kci) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1

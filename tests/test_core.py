@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kcenter_resilience import (
+    GRID,
     Clustering,
+    InstanceViolation,
     MismatchedK,
     NegativeDistance,
     NonzeroDiagonal,
@@ -21,6 +23,15 @@ from kcenter_resilience import (
     threshold_components,
     validate_instance,
     voronoi_partition,
+)
+from kcenter_resilience import core
+from kcenter_resilience.generators import (
+    gen_bad_center_18,
+    gen_from_dominating_set,
+    gen_planted_asymmetric,
+    gen_planted_symmetric,
+    gen_random_metric,
+    named_graph,
 )
 
 
@@ -75,6 +86,105 @@ def test_validate_slack_tolerates_small_violations():
     table = [[0, 5, 10], [5, 0, 1], [10, 1, 0]]
     inst = validate_instance(table, "symmetric", slack=4.0)
     assert inst.n == 3
+
+
+def _reference_validate(raw_table, mode, slack=0.0):
+    """The whole-cube validation the row-blocked scan replaced: one n^3
+    sum and one n^3 mask, first violation by argwhere."""
+    d = np.asarray(raw_table, dtype=float)
+    diag = d.diagonal() != 0.0
+    negative = d < 0.0
+    bad = np.flatnonzero(diag | negative.any(axis=1))
+    if bad.size:
+        p = int(bad[0])
+        if diag[p]:
+            raise NonzeroDiagonal(p, d[p, p])
+        q = int(negative[p].argmax())
+        raise NegativeDistance(p, q, d[p, q])
+    if mode == "symmetric":
+        bad = np.argwhere(np.abs(d - d.T) > slack)
+        if bad.size:
+            p, q = bad[0]
+            raise SymmetryViolation(int(p), int(q))
+    viol = d[:, None, :] > (d[:, :, None] + d[None, :, :]) + slack
+    bad = np.argwhere(viol)
+    if bad.size:
+        p, s, q = bad[0]
+        raise TriangleViolation(int(p), int(s), int(q))
+
+
+def _validation_key(validate, d, mode, slack):
+    try:
+        validate(d, mode, slack=slack)
+        return ("ok",)
+    except InstanceViolation as e:
+        return (type(e).__name__, repr(vars(e)), str(e))
+
+
+def _validation_cases():
+    """(table, mode, slack): generator output, L1 grids with coincident
+    points (zero off-diagonal distances), raw random tables, and each valid
+    table again with one entry scaled or zeroed at a random (p, q)."""
+    pts = [np.random.default_rng(s).integers(0, 4, size=(20, 2))
+           for s in range(3)]
+    grids = [np.abs(x[:, None] - x[None]).sum(axis=2).astype(float)
+             for x in pts]
+    valid = ([(gen_planted_symmetric(n, 3, 1.0, 2.0, s).instance.dist, "symmetric")
+              for n in (9, 30) for s in (0, 1)]
+             + [(gen_planted_asymmetric(n, 3, 1.0, 2.0, 1.2, s).instance.dist,
+                 "asymmetric") for n in (9, 24) for s in (0, 1)]
+             + [(gen_random_metric(n, mode, s).dist, mode)
+                for n in (6, 20) for s in (0, 1)
+                for mode in ("symmetric", "asymmetric")]
+             + [(gen_bad_center_18(2.0).instance.dist, "asymmetric"),
+                (gen_from_dominating_set(*named_graph("cycle6")).dist,
+                 "symmetric")]
+             + [(g, "symmetric") for g in grids])
+    rng = np.random.default_rng(0)
+    cases = []
+    for d, mode in valid:
+        cases += [(d, mode, 0.0), (d, "asymmetric", 0.0)]
+        n = d.shape[0]
+        for factor in (3.0, 0.25, 0.0) * 3:
+            p, q = rng.choice(n, size=2, replace=False)
+            bad = d.copy()
+            bad[p, q] *= factor
+            if mode == "symmetric":
+                bad[q, p] = bad[p, q]
+            for slack in (0.0, GRID, 0.1, 1.0):
+                cases.append((bad, mode, slack))
+    # d(0,2) = (d(0,1) + d(1,2)) + slack, which holds only when the check
+    # adds the two legs first and the slack last
+    abs_ = rng.uniform(0.0, 1.0, size=(200, 3))
+    for a, b, slack in abs_[(abs_[:, 0] + abs_[:, 1]) + abs_[:, 2]
+                            > abs_[:, 0] + (abs_[:, 1] + abs_[:, 2])][:5]:
+        c = (a + b) + slack
+        cases.append((np.array([[0, a, c], [a, 0, b], [c, b, 0]]),
+                      "symmetric", slack))
+    for s in range(6):
+        raw = rng.integers(1, 6, size=(11, 11)) / 2.0
+        np.fill_diagonal(raw, 0.0)
+        cases += [(raw, "asymmetric", 0.0),
+                  (np.minimum(raw, raw.T), "symmetric", 0.0)]
+    return cases
+
+
+def test_validate_matches_whole_cube_reference(monkeypatch):
+    cases = _validation_cases()
+    mismatches = triangles = offset_rows = 0
+    for d, mode, slack in cases:
+        want = _validation_key(_reference_validate, d, mode, slack)
+        n = d.shape[0]
+        # default blocks, one row per block, three rows per block
+        for cap in (core.SCAN_CELLS, 1, 3 * n * n):
+            monkeypatch.setattr(core, "SCAN_CELLS", cap)
+            mismatches += _validation_key(validate_instance, d, mode,
+                                          slack) != want
+        monkeypatch.undo()
+        triangles += want[0] == "TriangleViolation"
+        offset_rows += want[0] == "TriangleViolation" and "'p': 0," not in want[1]
+    assert len(cases) > 500 and mismatches == 0
+    assert triangles > 100 and offset_rows > 50  # first hit past row 0
 
 
 def test_cost_examples():

@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse.csgraph import floyd_warshall
 
 from kcenter_resilience import (
+    BudgetExceeded,
     StabilityParams,
     brute_force_optimal,
     check_structure,
@@ -15,6 +16,7 @@ from kcenter_resilience import (
     validate_instance,
     voronoi_partition,
 )
+from kcenter_resilience import generators
 from kcenter_resilience.generators import (
     InfeasibleParams,
     gen_bad_center_18,
@@ -153,6 +155,20 @@ def test_eps_padding_epsilon_one():
     base = gen_random_metric(4, "symmetric", 2)
     planted = gen_eps_padding(base, k=2, alpha=1.5, epsilon=1.0)
     assert planted.guarantee.extras["n_pad"] == 4
+
+
+def test_eps_padding_refuses_before_building_the_table(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("the padded table was built")
+
+    small, large = (gen_random_metric(n, "symmetric", 0) for n in (12, 60))
+    monkeypatch.setattr(generators, "validate_instance", no_call)
+    with pytest.raises(InfeasibleParams, match="exceeds 2000 points"):
+        gen_eps_padding(small, k=3, alpha=2.0, epsilon=1e-6)
+    with pytest.raises(InfeasibleParams, match="exceeds 2000 points"):
+        gen_eps_padding(small, k=3, alpha=2.0, epsilon=12 / 1989)  # 2001
+    with pytest.raises(BudgetExceeded):  # C(60, 5) subsets
+        gen_eps_padding(large, k=5, alpha=2.0, epsilon=0.5)
 
 
 def test_random_metric_valid_both_modes():

@@ -100,6 +100,17 @@ def test_oracle_mutated_kci(workdir, kci):
                  "--out", str(workdir / "o.json")])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kci=mutated(KCI), k=st.integers(0, 7),
+       epsilon=st.sampled_from([0.5, 1.0, 1e-6, 0.0, math.nan]))
+def test_generate_eps_padding_mutated_base(workdir, kci, k, epsilon):
+    path = workdir / "base.kci"
+    path.write_bytes(kci)
+    _check_exit(["generate", "eps-padding", "--base", str(path),
+                 "--k", str(k), "--epsilon", str(epsilon),
+                 "--out-prefix", str(workdir / "pad")])
+
+
 ROW = {"family": "planted-sym", "solver": "thm5-3eps", "seed": 0,
        "params": {"n": 6, "k": 2, "r": 1.0, "alpha": 2.0}}
 # a JSON value of any type; numbers stay small so a row that runs is cheap

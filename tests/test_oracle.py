@@ -1,11 +1,14 @@
 """Brute-force oracle, capped perturbations, and the resilience falsifier."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from kcenter_resilience import (
     BudgetExceeded,
     CapTooTight,
+    OracleResult,
     StabilityParams,
     brute_force_optimal,
     build_lemma1_perturbation,
@@ -17,7 +20,12 @@ from kcenter_resilience import (
     validate_instance,
     voronoi_partition,
 )
-from kcenter_resilience.generators import gen_planted_symmetric, gen_random_metric
+from kcenter_resilience import oracle
+from kcenter_resilience.generators import (
+    gen_planted_asymmetric,
+    gen_planted_symmetric,
+    gen_random_metric,
+)
 
 
 def test_oracle_k_equals_n():
@@ -56,6 +64,82 @@ def test_oracle_budget_exceeded():
     inst = gen_random_metric(30, "symmetric", 0)
     with pytest.raises(BudgetExceeded):
         brute_force_optimal(inst.dist, 10, budget=1000)
+
+
+def _reference_oracle(d, k):
+    """The per-subset loop the chunked scan replaced, one Voronoi partition
+    per minimizer."""
+    best = np.inf
+    minimizers = []
+    for subset in itertools.combinations(range(d.shape[0]), k):
+        c = d[list(subset)].min(axis=0).max()
+        if c < best:
+            best = c
+            minimizers = [subset]
+        elif c == best:
+            minimizers.append(subset)
+    partitions = {voronoi_partition(d, s).canonical_partition()
+                  for s in minimizers}
+    return OracleResult(optimal_radius=float(best),
+                        optimal_center_sets=tuple(minimizers),
+                        partition_unique=len(partitions) == 1)
+
+
+def _grid(n, seed, directed):
+    """L1 distances on a 3 x 3 integer grid: ties everywhere, and zeros
+    where two points coincide.  Directed: steps up cost 2, down 3."""
+    pts = np.random.default_rng(seed).integers(0, 3, size=(n, 2))
+    step = pts[None, :, :] - pts[:, None, :]
+    if directed:
+        step = 2 * np.clip(step, 0, None) + 3 * np.clip(-step, 0, None)
+    return np.abs(step).sum(axis=2).astype(float)
+
+
+def _oracle_cases():
+    """(table, k): planted tables, their sampled and capped perturbations,
+    tie-heavy grids and an all-zero table, at k = 1 and k = n among others."""
+    planted = ([gen_planted_symmetric(n, 3, 1.0, 2.0, s) for n in (9, 12)
+                for s in (0, 1)]
+               + [gen_planted_asymmetric(n, 3, 1.0, 2.0, 1.2, s)
+                  for n in (9, 12) for s in (0, 1)])
+    cases = []
+    for p in planted:
+        d, n = p.instance.dist, p.instance.n
+        cases += [(d, k) for k in (1, 2, 3, 4, n - 1, n)]
+        pairs = [(q, t) for t in p.truth.clusters()[0] for q in range(n)
+                 if q != t and d[q, t] <= 2.0 * p.truth.radius]
+        perts = [sample_perturbation(p.instance, 2.0, s) for s in range(3)]
+        perts.append(build_lemma1_perturbation(p.instance, p.truth.radius,
+                                               2.0, pairs[:4]))
+        cases += [(pert.dprime, k) for pert in perts for k in (2, 3)]
+    tables = [_grid(n, s, directed) for n in (6, 8) for s in (0, 1)
+              for directed in (False, True)]
+    tables.append(np.zeros((6, 6)))
+    # NaN scores neither win nor tie; all-NaN leaves no optimal set
+    tables += [np.where(tables[0] == 1.0, np.nan, tables[0]),
+               np.full((4, 4), np.nan)]
+    cases += [(d, k) for d in tables for k in range(1, d.shape[0] + 1)]
+    return cases
+
+
+def test_oracle_matches_loop_reference(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("brute_force_optimal called voronoi_partition")
+
+    monkeypatch.setattr(oracle, "voronoi_partition", no_call)
+    cases = _oracle_cases()
+    mismatches = ties = 0
+    for d, k in cases:
+        want = _reference_oracle(d, k)
+        # default chunks, one subset per chunk, five subsets per chunk
+        for cap in (oracle.SCAN_CELLS, 1, 5 * k * d.shape[0]):
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "SCAN_CELLS", cap)
+                got = brute_force_optimal(d, k)
+            mismatches += repr(got) != repr(want)
+        ties += not want.partition_unique
+    assert len(cases) > 150 and mismatches == 0
+    assert ties > 20  # tie-heavy tables with more than one optimal partition
 
 
 def test_capped_perturbation_alpha_one_is_identity():
