@@ -14,6 +14,7 @@ checkers are the way to confirm it on concrete instances.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -186,7 +187,8 @@ def symmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     _require_symmetric(instance)
     d = _as_table(instance)
     comps = threshold_components(d, threshold=r_star)
-    diagnostics = {"component_count": len(comps), "consistency_factor": 1.0}
+    diagnostics = {"component_count": len(comps), "consistency_factor": 1.0,
+                   "monotone": True}
     if len(comps) != k:
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
     return SolveOutcome(status="exact-claim",
@@ -364,7 +366,8 @@ def approx_stability_2eps(instance, k: int, r_star: float,
     within = d <= 2 * r_star  # within[p] = membership mask of B_{2r*}(p)
     counts = within.astype(np.int64) @ within.T.astype(np.int64)
     comps = components(counts > epsilon * n)
-    diagnostics = {"component_count": len(comps), "consistency_factor": 2.0}
+    diagnostics = {"component_count": len(comps), "consistency_factor": 2.0,
+                   "monotone": True}
     if len(comps) != k:
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
     return SolveOutcome(status="exact-claim",
@@ -375,21 +378,37 @@ def approx_stability_2eps(instance, k: int, r_star: float,
 def sweep_radius(instance, k: int, solver):
     """Guess-and-check wrapper for r*-parameterized solvers.
 
-    Tries every distinct off-diagonal distance (plus 0) in ascending order
-    as the candidate radius and returns the first successful,
-    self-consistent outcome together with the chosen radius.  The optimal
-    radius is always among the candidates because it is attained by some
-    center-point pair.  When none works it returns a not-resilient outcome
-    whose diagnostics["sweep_log"] holds each candidate's (r, status), and
-    None for the radius.
+    Returns the solver's outcome at the first candidate radius (0 and the
+    distinct off-diagonal distances, ascending) where it succeeds and is
+    self-consistent (each cluster has a member within factor * r of all
+    its members, factor its diagnostics["consistency_factor"]), with that
+    radius.  r* is a candidate: some center-point pair attains it.  When
+    none works it returns a not-resilient outcome and None, whose
+    diagnostics["sweep_log"] holds one (r, status) per candidate: the
+    solver's status (not-resilient) where it failed, inconsistent where it
+    succeeded without self-consistency.
+
+    Outcomes with diagnostics["monotone"] promise that ok means
+    diagnostics["component_count"] == k and that the count never rises
+    with r.  While it is k no merge happens, so the partition is fixed and
+    self-consistency is monotone in r: the sweep bisects for the first
+    candidate with count <= k, then for the first whose factor * r covers
+    that partition's costs, and checks the solver's outcome there.  Its
+    failure log is what a call at every candidate gives: not-resilient
+    below and above the candidates with count k, inconsistent among them.
+    Any other solver is called at each candidate in turn.
     """
     d = _as_table(instance)
     n = d.shape[0]
     off = d[~np.eye(n, dtype=bool)]
-    candidates = sorted(set([0.0] + off.tolist()))
+    # + 0.0 turns -0.0 into 0.0; tolist keeps each r a Python float
+    candidates = (np.unique(np.append(off, 0.0)) + 0.0).tolist()
+    first = solver(instance, k, candidates[0])
+    if first.diagnostics.get("monotone"):
+        return _bisection_sweep(instance, d, k, solver, candidates, first)
     log = []
-    for r in candidates:
-        outcome = solver(instance, k, r)
+    for i, r in enumerate(candidates):
+        outcome = solver(instance, k, r) if i else first
         if not outcome.ok:
             log.append((r, outcome.status))
             continue
@@ -397,13 +416,50 @@ def sweep_radius(instance, k: int, solver):
         if _self_consistent(d, outcome.clustering, r * factor):
             return outcome, r
         log.append((r, "inconsistent"))
+    return _no_radius(log)
+
+
+def _bisection_sweep(instance, d, k, solver, candidates, first):
+    """sweep_radius for a monotone solver: O(log m) calls on m candidates."""
+    m = len(candidates)
+    seen = {0: first}  # candidate index -> outcome; no index is solved twice
+
+    def at(i):
+        if i not in seen:
+            seen[i] = solver(instance, k, candidates[i])
+        return seen[i]
+
+    def first_index(lo, pred):  # first i in [lo, m) with pred(i), else m
+        return bisect.bisect_left(range(m), True, lo=lo, key=pred)
+
+    lo = first_index(0, lambda i: at(i).diagnostics["component_count"] <= k)
+    hi = lo
+    if lo < m and at(lo).ok:
+        factor = at(lo).diagnostics["consistency_factor"]
+        costs = _cluster_costs(d, at(lo).clustering)
+        j = first_index(lo, lambda i: all(c <= candidates[i] * factor
+                                          for c in costs))
+        if j < m and at(j).ok and _self_consistent(
+                d, at(j).clustering, candidates[j] * factor):
+            return at(j), candidates[j]
+        hi = first_index(lo, lambda i: at(i).diagnostics["component_count"] < k)
+    return _no_radius([(r, "inconsistent" if lo <= i < hi else "not-resilient")
+                       for i, r in enumerate(candidates)])
+
+
+def _no_radius(log):
     return SolveOutcome(status="not-resilient", diagnostics={
         "reason": "no candidate radius works", "sweep_log": tuple(log)}), None
 
 
+def _cluster_costs(d, clustering):
+    """The 1-center cost of each nonempty cluster."""
+    return [_one_center(d, g)[1] for g in clustering.clusters() if g]
+
+
 def _self_consistent(d, clustering, r):
     """Every cluster has some member within r of all its members."""
-    return all(_one_center(d, g)[1] <= r for g in clustering.clusters() if g)
+    return all(cost <= r for cost in _cluster_costs(d, clustering))
 
 
 def _approximation(instance, centers):

@@ -100,6 +100,14 @@ def test_solve_sweep_without_working_radius_prints_reason(tmp_path, capsys):
     assert run(["solve", str(path), "--algo", "thm5-3eps", "--k", "2"]) == 2
     assert capsys.readouterr().out == \
         "status not-resilient (no candidate radius works)\n"
+    # the bisection sees no candidate with 2 components in 3 calls on 4
+    tried = []
+    out, chosen = solvers.sweep_radius(
+        parse_instance(path.read_text()), 2,
+        lambda inst, k, r: tried.append(r) or solvers.symmetric_3eps(inst, k, r))
+    assert chosen is None and len(tried) == 3
+    assert out.diagnostics["sweep_log"] == tuple(
+        (r, "not-resilient") for r in (0.0, 1.0, 2.0, 3.0))
 
 
 def test_solve_patch_budget_prints_reason(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Recovery algorithms against the oracle and the planted generators."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -290,6 +291,57 @@ def test_sweep_radius_no_candidate_works():
         (r, "not-resilient") for r in tried)
     assert [r for r, _ in out.diagnostics["sweep_log"]] == \
         sorted(set([0.0] + inst.dist[inst.dist > 0].tolist()))
+
+
+def test_sweep_radius_logs_negative_zero_as_zero():
+    # points 0, 1 and 2 coincide at distance -0.0
+    d = gen_random_metric(6, "symmetric", 7).dist.copy()
+    d[:3] = d[0]
+    d[:, :3] = d[:, [0]]
+    d[:3, :3] = -0.0
+    np.fill_diagonal(d, 0.0)
+    out, chosen = sweep_radius(validate_instance(d, "symmetric"), 4,
+                               lambda i, k, r: SolveOutcome("not-resilient"))
+    assert [repr(r) for r, _ in out.diagnostics["sweep_log"]] == \
+        [repr(r) for r in sorted(set([0.0] + d.ravel().tolist()))]
+    assert repr(out.diagnostics["sweep_log"][0][0]) == "0.0"
+
+
+def test_sweep_radius_logs_inconsistent_radii():
+    # points 0..4 and 6 on a line, k=2: at r=1 the chain 0..4 is one
+    # component of cost 2 > r; from r=2 on there is one component
+    pts = np.array([0.0, 1, 2, 3, 4, 6])
+    inst = validate_instance(np.abs(pts[:, None] - pts), "symmetric")
+    tried = []
+    out, chosen = sweep_radius(inst, 2, lambda i, k, r: (
+        tried.append(r) or symmetric_3eps(i, k, r)))
+    assert chosen is None
+    assert out.diagnostics["sweep_log"] == (
+        (0.0, "not-resilient"), (1.0, "inconsistent"), (2.0, "not-resilient"),
+        (3.0, "not-resilient"), (4.0, "not-resilient"), (5.0, "not-resilient"),
+        (6.0, "not-resilient"))
+    # the first candidate, a bisection for the start of the count-k range
+    # (m = 7), the call at the first r covering the partition's cost (2.0,
+    # past the range) and a bisection for the range's end
+    assert len(tried) == len(set(tried)) <= 2 * math.ceil(math.log2(7)) + 3
+
+
+def test_monotone_sweep_calls_logarithmically():
+    planted = gen_planted_symmetric(60, 5, 1.0, 2.0, 3)
+    candidates = np.unique(planted.instance.dist).tolist()
+    bound = math.ceil(math.log2(len(candidates))) + 3
+    for solver_id, eps in (("thm5-3eps", None), ("alg4-2eps-as", 0.05)):
+        solve, tried = SOLVERS[solver_id].solve, []
+        out, chosen = sweep_radius(planted.instance, 5, lambda i, k, r: (
+            tried.append(r) or solve(i, k, r, eps)))
+        assert out.ok and chosen in tried
+        assert len(tried) == len(set(tried)) <= bound
+    # a solver without the promise is still called at every candidate
+    hs, tried = SOLVERS["hs"].solve, []
+    out, chosen = sweep_radius(planted.instance, 5, lambda i, k, r: (
+        tried.append(r) or hs(i, k, r, None)))
+    assert out.ok and tried == candidates[:len(tried)] and tried[-1] == chosen
+    assert len(tried) > bound
 
 
 @pytest.mark.parametrize(
@@ -622,3 +674,48 @@ def test_weak_proximity_linkage_rescans_after_each_merge():
     assert out.status == "exact-claim"
     assert out.diagnostics["committed_edges"] == \
         ((1, 3), (0, 7), (0, 4), (3, 5), (0, 3), (2, 6))
+
+
+def _linear_sweep(instance, k, solver):
+    """The sweep that calls the solver at every candidate in turn."""
+    d = solvers._as_table(instance)
+    log = []
+    for r in sorted(set([0.0] + d[~np.eye(d.shape[0], dtype=bool)].tolist())):
+        outcome = solver(instance, k, r)
+        if not outcome.ok:
+            log.append((r, outcome.status))
+            continue
+        factor = outcome.diagnostics.get("consistency_factor", 1.0)
+        if solvers._self_consistent(d, outcome.clustering, r * factor):
+            return outcome, r
+        log.append((r, "inconsistent"))
+    return SolveOutcome(status="not-resilient", diagnostics={
+        "reason": "no candidate radius works", "sweep_log": tuple(log)}), None
+
+
+MONOTONE_SWEEPS = [("thm5-3eps", None)] + [
+    ("alg4-2eps-as", eps) for eps in (0.0, 0.05, 0.2, 1.0)]
+
+
+def test_bisection_sweep_matches_linear_sweep():
+    # every k on one table of each kind and size (n <= 12), and planted
+    # n=60 tables at k=5 where the linear sweep stops early (at eps 0.2 and
+    # 1 it fails after 1,765 calls, over a second each)
+    cases = [(d, k, MONOTONE_SWEEPS) for d in SYM_TABLES[::2]
+             for k in range(1, d.shape[0] + 1)]
+    cases += [(gen_planted_symmetric(60, 5, 1.0, 2.0, s).instance, 5,
+               MONOTONE_SWEEPS[:3]) for s in (0, 1, 2)]
+    calls = mismatches = inconsistent = 0
+    for inst, k, sweeps in cases:
+        for solver_id, eps in sweeps:
+            solve = SOLVERS[solver_id].solve
+            got, r_got = sweep_radius(inst, k,
+                                      lambda i, kk, r: solve(i, kk, r, eps))
+            want, r_want = _linear_sweep(inst, k,
+                                         lambda i, kk, r: solve(i, kk, r, eps))
+            calls += 1
+            mismatches += (repr(r_got) != repr(r_want)
+                           or _outcome_key(got) != _outcome_key(want))
+            inconsistent += "'inconsistent'" in repr(want.diagnostics)
+    assert calls == 53 * 5 + 3 * 3 and mismatches == 0
+    assert inconsistent > 0
