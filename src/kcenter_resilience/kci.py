@@ -26,7 +26,7 @@ class KciFormatError(ValueError):
 def emit_instance(instance: Instance) -> str:
     lines = [f"kci 1", f"mode {instance.mode}", f"n {instance.n}"]
     for row in instance.dist:
-        lines.append(" ".join(repr(float(x)) for x in row))
+        lines.append(" ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -58,7 +58,7 @@ def parse_instance(text: str, slack: float = 0.0) -> Instance:
         if len(parts) != n:
             raise KciFormatError(4 + i, f"expected {n} entries, got {len(parts)}")
         try:
-            rows.append([float(x) for x in parts])
+            rows.append(list(map(float, parts)))
         except ValueError:
             raise KciFormatError(4 + i, "non-numeric distance entry")
     table = np.asarray(rows)

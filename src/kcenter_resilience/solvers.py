@@ -137,7 +137,8 @@ def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
     nearest = symmetrized_set(instance, r_star)
     if nearest is None:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "empty symmetrized set"})
+                            diagnostics={"reason": "empty symmetrized set",
+                                         "consistency_factor": 1.0})
     a = np.flatnonzero(nearest == np.arange(d.shape[0]))
     sub = d[np.ix_(a, a)]
     inball = sub <= r_star  # inball[i]: ball of a[i] restricted to A
@@ -211,7 +212,8 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     nearest = symmetrized_set(instance, r_star)
     if nearest is None:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "empty symmetrized set"})
+                            diagnostics={"reason": "empty symmetrized set",
+                                         "consistency_factor": 3.0})
     a = np.flatnonzero(nearest == np.arange(n)).tolist()
     sub = d[np.ix_(a, a)]
     # one hop = one r* edge; the cover at r=1 only asks "at most 2 hops?",
@@ -222,7 +224,8 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     cover_local = hochbaum_shmoys_cover(within2, r=1.0, k=k)
     if len(cover_local) > k:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "no hop cover for any k' <= k"})
+                            diagnostics={"reason": "no hop cover for any k' <= k",
+                                         "consistency_factor": 3.0})
     c_set = tuple(a[i] for i in cover_local)
 
     def patches():  # (x, centers): k - x kept from c_set, x others added
@@ -363,8 +366,11 @@ def approx_stability_2eps(instance, k: int, r_star: float,
     _require_symmetric(instance)
     d = _as_table(instance)
     n = d.shape[0]
-    within = d <= 2 * r_star  # within[p] = membership mask of B_{2r*}(p)
-    counts = within.astype(np.int64) @ within.T.astype(np.int64)
+    # within[p] = membership mask of B_{2r*}(p); einsum's float64 loop
+    # counts exactly (counts <= n) and, unlike a BLAS product, wakes no
+    # threads: on a busy 2-vCPU host that wake-up took ~8 ms at n = 80
+    within = (d <= 2 * r_star).astype(float)
+    counts = np.einsum("ij,kj->ik", within, within)
     comps = components(counts > epsilon * n)
     diagnostics = {"component_count": len(comps), "consistency_factor": 2.0,
                    "monotone": True}
@@ -396,7 +402,14 @@ def sweep_radius(instance, k: int, solver):
     that partition's costs, and checks the solver's outcome there.  Its
     failure log is what a call at every candidate gives: not-resilient
     below and above the candidates with count k, inconsistent among them.
-    Any other solver is called at each candidate in turn.
+
+    Any other solver is called at the first candidate and then in turn
+    from the first r with r * factor >= _opt_lower_bound(d, k), factor the
+    first outcome's: an ok self-consistent outcome is a k-center solution
+    of cost <= r * factor, so OPT <= r * factor and no skipped candidate
+    could be returned.  Skipped candidates are logged below-bound.  This
+    needs all of a solver's outcomes to carry one factor; when the first
+    carries none, no candidate is skipped.
     """
     d = _as_table(instance)
     n = d.shape[0]
@@ -406,8 +419,14 @@ def sweep_radius(instance, k: int, solver):
     first = solver(instance, k, candidates[0])
     if first.diagnostics.get("monotone"):
         return _bisection_sweep(instance, d, k, solver, candidates, first)
+    factor = first.diagnostics.get("consistency_factor")
+    start = 1 if factor is None else max(1, bisect.bisect_left(
+        candidates, _opt_lower_bound(d, k), key=lambda r: r * factor))
     log = []
     for i, r in enumerate(candidates):
+        if 0 < i < start:
+            log.append((r, "below-bound"))
+            continue
         outcome = solver(instance, k, r) if i else first
         if not outcome.ok:
             log.append((r, outcome.status))
@@ -447,6 +466,29 @@ def _bisection_sweep(instance, d, k, solver, candidates, first):
                        for i, r in enumerate(candidates)])
 
 
+def _opt_lower_bound(d, k):
+    """A lower bound on the optimal k-center radius of any square table.
+
+    Farthest-first from point 0 under the pair-cover value
+    c2(p, q) = min_c max(d[c, p], d[c, q]), k + 1 picks (smallest index on
+    ties); returns the smallest c2 between two picks, 0.0 when k >= n.  Two
+    of any k + 1 points share an optimal center c, and c2 of that pair is
+    at most max(d[c, p], d[c, q]) <= OPT: neither symmetry nor the
+    triangle inequality is used.
+    """
+    n = d.shape[0]
+    if k >= n:
+        return 0.0
+    gap = np.full(n, np.inf)  # c2 to the nearest pick so far
+    pick, bound = 0, np.inf
+    for _ in range(k):
+        gap = np.minimum(gap, np.maximum(d[:, [pick]], d).min(axis=0))
+        gap[pick] = -np.inf  # a pick is never picked again
+        pick = int(gap.argmax())
+        bound = min(bound, gap[pick])
+    return float(bound)
+
+
 def _no_radius(log):
     return SolveOutcome(status="not-resilient", diagnostics={
         "reason": "no candidate radius works", "sweep_log": tuple(log)}), None
@@ -473,7 +515,8 @@ def _hs(instance, k, r_star, epsilon):
     centers = hochbaum_shmoys_cover(instance, r_star, k)
     if len(centers) > k:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"needed": len(centers)})
+                            diagnostics={"needed": len(centers),
+                                         "consistency_factor": 2.0})
     return _approximation(instance, centers)
 
 

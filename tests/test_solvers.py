@@ -1,5 +1,6 @@
 """Recovery algorithms against the oracle and the planted generators."""
 
+import bisect
 import itertools
 import math
 
@@ -29,7 +30,7 @@ from kcenter_resilience import (
     weak_proximity_linkage,
 )
 from kcenter_resilience import solvers
-from kcenter_resilience.core import label_groups
+from kcenter_resilience.core import components, label_groups
 from kcenter_resilience.generators import (
     gen_planted_asymmetric,
     gen_planted_symmetric,
@@ -336,12 +337,17 @@ def test_monotone_sweep_calls_logarithmically():
             tried.append(r) or solve(i, k, r, eps)))
         assert out.ok and chosen in tried
         assert len(tried) == len(set(tried)) <= bound
-    # a solver without the promise is still called at every candidate
+    # a solver without the promise is called at the first candidate, then
+    # at every candidate from the first whose 2r reaches the lower bound
     hs, tried = SOLVERS["hs"].solve, []
     out, chosen = sweep_radius(planted.instance, 5, lambda i, k, r: (
         tried.append(r) or hs(i, k, r, None)))
-    assert out.ok and tried == candidates[:len(tried)] and tried[-1] == chosen
-    assert len(tried) > bound
+    start = bisect.bisect_left(
+        candidates, solvers._opt_lower_bound(planted.instance.dist, 5),
+        key=lambda r: r * 2.0)
+    assert out.ok and start > 1
+    assert tried == [candidates[0]] + candidates[
+        start:candidates.index(chosen) + 1]
 
 
 @pytest.mark.parametrize(
@@ -445,7 +451,8 @@ def _reference_2pr(d, k, r):
     a, nearest = _reference_symmetrized_set(d, r)
     if not a:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "empty symmetrized set"})
+                            diagnostics={"reason": "empty symmetrized set",
+                                         "consistency_factor": 1.0})
     balls = {c: {q for q in a if d[c, q] <= r} for c in a}
     leak = [c for c in a
             if any(d[q, p] < d[c, p] for p in balls[c]
@@ -585,7 +592,8 @@ def _reference_3eps(d, k, r):
     a, _ = _reference_symmetrized_set(d, r)
     if not a:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "empty symmetrized set"})
+                            diagnostics={"reason": "empty symmetrized set",
+                                         "consistency_factor": 3.0})
     sub = d[np.ix_(a, a)]
     hops = np.where((sub <= r) & (sub.T <= r), 1.0, np.inf)  # r* edges
     np.fill_diagonal(hops, 0.0)
@@ -599,7 +607,7 @@ def _reference_3eps(d, k, r):
         break
     else:
         return SolveOutcome(status="not-resilient", diagnostics={
-            "reason": "no hop cover for any k' <= k"})
+            "reason": "no hop cover for any k' <= k", "consistency_factor": 3.0})
     c_set = tuple(a[i] for i in cover_local)
     patches = ((x, list(kept) + list(extra))
                for x in range(0, min(6, k) + 1)
@@ -719,3 +727,125 @@ def test_bisection_sweep_matches_linear_sweep():
             inconsistent += "'inconsistent'" in repr(want.diagnostics)
     assert calls == 53 * 5 + 3 * 3 and mismatches == 0
     assert inconsistent > 0
+
+
+# the non-monotone r*-parameterized solvers and their consistency factors
+BOUNDED_SWEEPS = {"alg1-2pr": 1.0, "alg2-3eps-asym": 3.0, "hs": 2.0}
+
+
+def _random_table(n, seed):
+    """A raw table with zero diagonal and entries in [0, 1): no symmetry,
+    no triangle inequality."""
+    d = np.random.default_rng(seed).random((n, n))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def test_opt_lower_bound_never_exceeds_optimum():
+    tables = [gen_random_metric(n, mode, s).dist for n in (3, 6, 8, 10)
+              for mode in ("symmetric", "asymmetric") for s in (0, 1, 2)]
+    tables += [_random_table(n, s) for n in (2, 5, 7, 10) for s in (0, 1)]
+    tables += SYM_TABLES + ASYM_TABLES
+    cases = positive = 0
+    for d in tables:
+        n = d.shape[0]
+        for k in range(1, n + 1):
+            bound = solvers._opt_lower_bound(d, k)
+            assert bound <= brute_force_optimal(d, k).optimal_radius
+            assert (bound == 0.0) if k == n else bound >= 0.0
+            cases += 1
+            positive += bound > 0
+    assert cases > 400 and positive > cases // 2
+
+
+def test_solver_outcomes_share_one_consistency_factor():
+    # every outcome at every candidate radius: the bounded sweep reads the
+    # factor off the first outcome and applies it to the rest
+    instances = [gen_random_metric(7, mode, seed)
+                 for mode in ("symmetric", "asymmetric") for seed in (0, 1)]
+    instances += [gen_planted_symmetric(9, 3, 1.0, 2.0, 2).instance,
+                  gen_planted_asymmetric(9, 3, 1.0, 2.0, 1.2, 2).instance]
+    swept = [sid for sid in sorted(SOLVERS) if SOLVERS[sid].needs_r]
+    assert set(BOUNDED_SWEEPS) < set(swept)
+    for solver_id in swept:
+        solve, factors, statuses = SOLVERS[solver_id].solve, set(), set()
+        for inst in instances:
+            if not inst.is_symmetric and solver_id in ("thm5-3eps",
+                                                       "alg4-2eps-as"):
+                continue
+            d = inst.dist
+            for r in sorted(set([0.0] + d[~np.eye(inst.n, dtype=bool)]
+                                .tolist())):
+                for k in (1, 2, 3):
+                    out = solve(inst, k, r, 0.1)
+                    factors.add(out.diagnostics.get("consistency_factor"))
+                    statuses.add(out.ok)
+        assert len(factors) == 1 and None not in factors, (solver_id, factors)
+        assert statuses == {True, False}
+        if solver_id in BOUNDED_SWEEPS:
+            assert factors == {BOUNDED_SWEEPS[solver_id]}
+
+
+def test_approx_stability_2eps_matches_integer_counts():
+    # the float64 product counts ball intersections exactly (counts <= n)
+    checked = 0
+    for d in SYM_TABLES:
+        n = d.shape[0]
+        off = np.unique(d[~np.eye(n, dtype=bool)])
+        for r in off[::max(1, len(off) // 6)].tolist():
+            within = (d <= 2 * r).astype(np.int64)
+            for eps in (0.0, 0.1, 0.3):
+                comps = components(within @ within.T > eps * n)
+                out = approx_stability_2eps(d, len(comps), r, eps)
+                assert out.status == "exact-claim"
+                assert sorted(map(sorted, out.clustering.clusters())) == \
+                    sorted(map(sorted, comps))
+                checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("solver_id", sorted(BOUNDED_SWEEPS))
+def test_bounded_sweep_matches_linear_sweep(monkeypatch, solver_id):
+    # every k on the small tables (the patch budget bounds alg2-3eps-asym
+    # at large k), planted n=20-44, and a non-metric table accepted under
+    # slack; a failed sweep logs below-bound where it skipped the solver
+    monkeypatch.setattr(solvers, "PATCH_BUDGET", 100)
+    factor = BOUNDED_SWEEPS[solver_id]
+    rng = np.random.default_rng(5)
+    loose = rng.uniform(1.0, 2.5, size=(12, 12))
+    np.fill_diagonal(loose, 0.0)
+    cases = [(validate_instance(d, "symmetric"), k)
+             for d in SYM_TABLES for k in range(1, d.shape[0] + 1)]
+    cases += [(validate_instance(d, "asymmetric"), k)
+              for d in ASYM_TABLES for k in range(1, d.shape[0] + 1)]
+    cases += [(gen_planted_asymmetric(n, 4, 1.0, 2.0, 1.2, n).instance, 4)
+              for n in (20, 32, 44)]
+    cases += [(gen_planted_symmetric(n, 4, 1.0, 2.0, n).instance, 4)
+              for n in (20, 32)]
+    cases += [(validate_instance(loose, "asymmetric", slack=0.5), k)
+              for k in (2, 3, 4)]
+    solve = SOLVERS[solver_id].solve
+    found = skipped = skipped_failures = 0
+    for inst, k in cases:
+        got, r_got = sweep_radius(inst, k, lambda i, kk, r: solve(i, kk, r, None))
+        want, r_want = _linear_sweep(inst, k,
+                                     lambda i, kk, r: solve(i, kk, r, None))
+        candidates = (np.unique(inst.dist) + 0.0).tolist()
+        start = max(1, bisect.bisect_left(
+            candidates, solvers._opt_lower_bound(inst.dist, k),
+            key=lambda r: r * factor))
+        skipped += start > 1
+        assert repr(r_got) == repr(r_want), (inst.n, k)
+        if r_want is not None:
+            assert _outcome_key(got) == _outcome_key(want)
+            found += 1
+            continue
+        log, want_log = got.diagnostics["sweep_log"], want.diagnostics["sweep_log"]
+        assert got.diagnostics["reason"] == want.diagnostics["reason"]
+        assert log[0] == want_log[0] and log[start:] == want_log[start:]
+        assert log[1:start] == tuple((r, "below-bound")
+                                     for r in candidates[1:start])
+        skipped_failures += start > 1
+    assert found > 0 and skipped > 0
+    # hs and alg2-3eps-asym succeed at a large enough r on every table
+    assert skipped_failures > 0 or solver_id != "alg1-2pr"
