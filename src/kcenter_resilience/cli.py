@@ -367,6 +367,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("budget", "oracle_budget"):
+            if getattr(args, flag, 0) < 0:
+                raise _InputError(f"--{flag.replace('_', '-')} must be >= 0")
         return args.fn(args)
     except (_InputError, BudgetExceeded) as e:  # a budget flag below C(n, k)
         print(f"error: {e}", file=sys.stderr)

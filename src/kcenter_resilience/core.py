@@ -194,22 +194,27 @@ def cost(instance, centers: Iterable[int]) -> float:
     return float(d[centers].min(axis=0).max())
 
 
-def voronoi_partition(instance, centers: Sequence[int]) -> Clustering:
-    """Assign each point to its closest center (distance center -> point).
+def voronoi_labels(d, subsets):
+    """Voronoi labels under each row of ``subsets`` (ascending center sets):
+    the position of each point's closest center (distance center -> point),
+    the smallest center index on ties, except that a center always gets its
+    own position, also when two centers coincide."""
+    lab = d[subsets].argmin(axis=1)  # first occurrence = smallest index
+    lab[np.arange(len(subsets))[:, None], subsets] = np.arange(subsets.shape[1])
+    return lab
 
-    Ties go to the center with the smallest point index, except that a
-    center always belongs to its own cluster, so no cluster is empty.
-    """
+
+def voronoi_partition(instance, centers: Sequence[int]) -> Clustering:
+    """Assign each point to its closest center under ``voronoi_labels``'
+    tie rule, so no cluster is empty."""
     d = _as_table(instance)
     centers = tuple(int(c) for c in centers)
     if len(set(centers)) != len(centers):
         raise ValueError("centers must be distinct")
     order = np.argsort(centers, kind="stable")  # smallest center index first
-    ordered = np.asarray(centers)[order]
-    pos = d[ordered].argmin(axis=0)  # first occurrence = smallest center index
-    pos[ordered] = np.arange(len(centers))  # also when two centers coincide
+    pos = voronoi_labels(d, np.asarray(centers)[order][None])[0]
     return Clustering(k=len(centers), centers=centers,
-                      assignment=tuple(int(order[j]) for j in pos),
+                      assignment=tuple(order[pos].tolist()),
                       radius=cost(d, centers))
 
 

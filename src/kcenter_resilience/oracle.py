@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .core import (SCAN_CELLS, Clustering, Instance, StabilityParams,
-                   _as_instance, _as_table, epsilon_distance,
+                   _as_instance, _as_table, epsilon_distance, voronoi_labels,
                    voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -57,20 +57,18 @@ class Perturbation:
 class OracleResult:
     optimal_radius: float
     optimal_center_sets: tuple  # every k-subset attaining the optimum
-    partition_unique: bool      # all optimal sets induce the same partition
+    # the index in optimal_center_sets of the first set inducing each
+    # distinct partition, in set order; () when no set attains a finite score
+    partitions: tuple
+
+    @property
+    def partition_unique(self) -> bool:
+        """All optimal sets induce the same partition."""
+        return len(self.partitions) == 1
 
     def clustering(self, table) -> Clustering:
         """Voronoi partition of the lexicographically first optimal set."""
         return voronoi_partition(table, self.optimal_center_sets[0])
-
-
-def _voronoi_labels(d, subsets):
-    """Voronoi labels under each row of ``subsets`` (ascending center sets):
-    the position of the nearest center, the smallest on ties, and each
-    center its own, as ``voronoi_partition`` assigns them."""
-    lab = d[subsets].argmin(axis=1)
-    lab[np.arange(len(subsets))[:, None], subsets] = np.arange(subsets.shape[1])
-    return lab
 
 
 def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> OracleResult:
@@ -92,7 +90,7 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> O
     chunk = max(1, SCAN_CELLS // (k * n))
     subsets = itertools.combinations(range(n), k)
     best = np.inf
-    minimizers = []
+    minimizers = [np.empty((0, k), dtype=np.intp)]  # kept if every score is NaN
     for start in range(0, total, chunk):
         m = min(chunk, total - start)
         idx = np.fromiter(itertools.chain.from_iterable(
@@ -105,20 +103,19 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> O
             minimizers = [idx[scores == low]]
         elif low == best:
             minimizers.append(idx[scores == low])
-    if not minimizers:  # every score is NaN
-        return OracleResult(optimal_radius=float(best), optimal_center_sets=(),
-                            partition_unique=False)
     mins = np.concatenate(minimizers)
-    # home[p] is p's center under the first optimal set; another set gives
-    # the same partition iff each p shares its label with home[p] (its k
-    # labels then match the first set's one to one)
-    home = mins[0][_voronoi_labels(d, mins[:1])[0]]
-    unique = all(np.array_equal(lab, lab[:, home]) for lab in (
-        _voronoi_labels(d, mins[s:s + chunk])
-        for s in range(0, len(mins), chunk)))
+    # each point labelled by the smallest member of its cluster names the
+    # partition; the first set with each such row holds its index
+    first = {}
+    for start in range(0, len(mins), chunk):
+        lab = voronoi_labels(d, mins[start:start + chunk])
+        smallest = (lab[:, None, :] == np.arange(k)[:, None]).argmax(axis=2)
+        for i, row in enumerate(np.take_along_axis(smallest, lab, axis=1),
+                                start):
+            first.setdefault(row.tobytes(), i)
     return OracleResult(optimal_radius=float(best),
                         optimal_center_sets=tuple(map(tuple, mins.tolist())),
-                        partition_unique=unique)
+                        partitions=tuple(first.values()))
 
 
 def build_lemma1_perturbation(instance, r_star: float, alpha: float,
@@ -165,10 +162,14 @@ class FalsifierResult:
 
 
 def _check_perturbation(d, k, opt_part, epsilon, oracle_budget):
-    """Return the first d'-optimal clustering farther than epsilon from OPT."""
+    """Return the first d'-optimal clustering farther than epsilon from OPT.
+
+    epsilon_distance is label-free, so one clustering per distinct
+    partition decides; the first set inducing it is the first such set.
+    """
     res = brute_force_optimal(d.dprime, k, budget=oracle_budget)
-    for centers in res.optimal_center_sets:
-        cl = voronoi_partition(d.dprime, centers)
+    for i in res.partitions:
+        cl = voronoi_partition(d.dprime, res.optimal_center_sets[i])
         eps = epsilon_distance(cl, opt_part)
         if eps > epsilon:
             return cl, eps
@@ -180,27 +181,40 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
                        oracle_budget: int = DEFAULT_SUBSET_BUDGET) -> FalsifierResult:
     """Search for an alpha-perturbation whose optimum is > epsilon from OPT.
 
-    Tries the capped-pair perturbations used in all the impossibility
-    arguments first (cap distances from each candidate point q to each
-    optimal cluster), then falls back to seeded uniform random
-    perturbations, up to ``budget`` perturbations total.  Finite search can
-    only falsify; "none-found" is not a certificate of resilience.
+    Tries up to ``budget`` >= 0 perturbations from one stream: first the
+    capped-pair perturbations used in all the impossibility arguments (cap
+    distances from each point q to each optimal cluster, skipping a q with
+    no pair to cap), then seeded uniform random perturbations.  The status
+    is
 
-    Every counterexample is re-validated before it is returned: the
-    perturbation bounds must hold and the violating clustering must be
-    optimal under d' and > epsilon from OPT.
+    - "falsified": a tried perturbation has a d'-optimal clustering more
+      than epsilon from OPT; the first such one is returned;
+    - "budget-exceeded": none did and a capped perturbation is untried;
+    - "none-found": none did and every capped perturbation was tried.
+
+    Finite search can only falsify; "none-found" is not a certificate of
+    resilience.  Every counterexample is re-validated before it is
+    returned: the perturbation bounds must hold and the violating
+    clustering must be optimal under d' and > epsilon from OPT.
     """
     inst = _as_instance(instance)
     d = inst.dist
-    n = d.shape[0]
     opt = brute_force_optimal(d, k, budget=oracle_budget)
     r_star = opt.optimal_radius
     opt_part = opt.clustering(d)
     alpha, epsilon = params.alpha, params.epsilon
     bound = alpha * r_star
+    capped = filter(None, ([(q, t) for t in ci if t != q and d[q, t] <= bound]
+                           for ci in opt_part.clusters() for q in range(inst.n)))
+    stream = itertools.chain(
+        (build_lemma1_perturbation(inst, r_star, alpha, pairs)
+         for pairs in capped),
+        (sample_perturbation(inst, alpha, seed + i) for i in itertools.count()))
     tried = 0
-
-    def validated(pert, cl, eps):
+    for tried, pert in enumerate(itertools.islice(stream, budget), 1):
+        cl, eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget)
+        if cl is None:
+            continue
         assert pert.bounds_ok(), "counterexample violates perturbation bounds"
         re_cl, re_eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget)
         assert re_cl is not None and re_eps > epsilon, "counterexample did not re-validate"
@@ -208,33 +222,8 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
                                violating_clustering=cl, opt_clustering=opt_part,
                                eps_dist=eps, tried=tried,
                                opt_unique=opt.partition_unique)
-
-    # Targeted phase: cap (q, t) for t in C_i, for every point q and cluster.
-    clusters = opt_part.clusters()
-    for ci in clusters:
-        for q in range(n):
-            if tried >= budget:
-                return FalsifierResult(status="budget-exceeded", tried=tried,
-                                       opt_clustering=opt_part,
-                                       opt_unique=opt.partition_unique)
-            pairs = [(q, t) for t in ci if t != q and d[q, t] <= bound]
-            if not pairs:
-                continue
-            pert = build_lemma1_perturbation(inst, r_star, alpha, pairs)
-            tried += 1
-            cl, eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget)
-            if cl is not None:
-                return validated(pert, cl, eps)
-
-    # Random phase with whatever budget remains.
-    i = 0
-    while tried < budget:
-        pert = sample_perturbation(inst, alpha, seed + i)
-        i += 1
-        tried += 1
-        cl, eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget)
-        if cl is not None:
-            return validated(pert, cl, eps)
-    return FalsifierResult(status="none-found", tried=tried,
-                           opt_clustering=opt_part,
+    # islice stops without pulling past the budget, so the next pair list
+    # is the first untried capped perturbation, if any is left
+    status = "none-found" if next(capped, None) is None else "budget-exceeded"
+    return FalsifierResult(status=status, tried=tried, opt_clustering=opt_part,
                            opt_unique=opt.partition_unique)

@@ -305,6 +305,17 @@ def _two_point_kci(entry):
      None, "--r"),
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
       "--oracle-budget", "10"], None, "budget 10"),
+    # were budget-exceeded with exit 0, a blank ratio column with exit 0,
+    # and "exceeds budget -3"
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
+      "--budget", "-5"], None, "--budget must be >= 0"),
+    (["bench", "--manifest", "{manifest}", "--oracle-budget", "-1"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "solver": "thm3"}],
+     "--oracle-budget must be >= 0"),
+    (["oracle", "{ps}.kci", "--k", "3", "--budget", "-3"], None,
+     "--budget must be >= 0"),
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
+      "--oracle-budget", "-1"], None, "--oracle-budget must be >= 0"),
     (["bench", "--manifest", "{manifest}"], [1], "row 0"),
     (["bench", "--manifest", "{manifest}"],
      [{"family": "bad-center-18", "solver": "thm3"},
@@ -364,7 +375,9 @@ def _two_point_kci(entry):
      "C(60,5) = 5461512 exceeds budget"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-alpha-inf", "verify-epsilon-above-1", "verify-negative-r",
-        "verify-oracle-budget-too-small",
+        "verify-oracle-budget-too-small", "verify-negative-budget",
+        "bench-negative-oracle-budget", "oracle-negative-budget",
+        "verify-negative-oracle-budget",
         "bench-row-not-object", "bench-row-no-family", "bench-row-no-solver",
         "bench-seed-not-int", "bench-params-missing-key",
         "bench-unknown-family", "bench-param-not-a-number",

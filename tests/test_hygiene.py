@@ -1,4 +1,5 @@
-"""Source hygiene: every module in src/ and tests/ uses each name it imports."""
+"""Source hygiene: every module in src/ and tests/ uses each name it
+imports, and every private module-level name in src/ has a use in src/."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,53 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(ROOT)}: {name}" for path in modules
               for name in _unused_imports(path.read_text())]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """Module-level functions, classes and constants named ``_x`` (not
+    dunders)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _references(tree):
+    """Names read, attributes read and names imported."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
+def _unused_privates(sources):
+    trees = [ast.parse(source) for source in sources]
+    refs = set().union(*map(_references, trees))
+    return [name for tree in trees for name in _private_definitions(tree)
+            if name not in refs]
+
+
+def test_unused_privates_detected():
+    a = ("_LIMIT = 3\n_unused: int = 0\n__version__ = '1'\n"
+         "def _helper():\n    return _LIMIT\n"
+         "class _Dead:\n    pass\n"
+         "def _recurse(x):\n    return x\n")
+    b = "from a import _helper\nprint(_helper(), obj._recurse)\n"
+    assert _unused_privates([a, b]) == ["_unused", "_Dead"]
+
+
+def test_no_unused_private_names_in_src():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 5
+    assert _unused_privates(path.read_text() for path in modules) == []

@@ -1,5 +1,6 @@
 """Brute-force oracle, capped perturbations, and the resilience falsifier."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from kcenter_resilience import (
     BudgetExceeded,
     CapTooTight,
+    FalsifierResult,
     OracleResult,
     StabilityParams,
     brute_force_optimal,
     build_lemma1_perturbation,
     cost,
+    epsilon_distance,
     falsify_resilience,
     farthest_first,
     sample_perturbation,
@@ -68,7 +71,7 @@ def test_oracle_budget_exceeded():
 
 def _reference_oracle(d, k):
     """The per-subset loop the chunked scan replaced, one Voronoi partition
-    per minimizer."""
+    per minimizer; each distinct partition names its first minimizer."""
     best = np.inf
     minimizers = []
     for subset in itertools.combinations(range(d.shape[0]), k):
@@ -78,11 +81,12 @@ def _reference_oracle(d, k):
             minimizers = [subset]
         elif c == best:
             minimizers.append(subset)
-    partitions = {voronoi_partition(d, s).canonical_partition()
-                  for s in minimizers}
+    first = {}
+    for i, s in enumerate(minimizers):
+        first.setdefault(voronoi_partition(d, s).canonical_partition(), i)
     return OracleResult(optimal_radius=float(best),
                         optimal_center_sets=tuple(minimizers),
-                        partition_unique=len(partitions) == 1)
+                        partitions=tuple(first.values()))
 
 
 def _grid(n, seed, directed):
@@ -229,3 +233,141 @@ def test_falsifier_budget_exceeded_distinct():
     res = falsify_resilience(planted.instance, 2, StabilityParams(2.0, 0.0),
                              budget=3)
     assert res.status == "budget-exceeded"
+
+
+def _capped_count(inst, k, alpha):
+    """T: the targets (optimal cluster, point q) with a pair to cap."""
+    d = inst.dist
+    opt = brute_force_optimal(d, k)
+    bound = alpha * opt.optimal_radius
+    return sum(any(t != q and d[q, t] <= bound for t in ci)
+               for ci in opt.clustering(d).clusters() for q in range(inst.n))
+
+
+@pytest.mark.parametrize("make,k,alpha", [
+    (lambda: gen_random_metric(9, "symmetric", 0), 3, 1.0),
+    (lambda: gen_planted_symmetric(10, 2, 1.0, 2.0, 3).instance, 2, 2.0),
+], ids=["last-targets-pairless", "last-target-has-pairs"])
+def test_falsifier_budget_exceeded_only_with_capped_left(monkeypatch, make,
+                                                         k, alpha):
+    # the capped perturbations built must be the ones tried
+    inst, build, built = make(), oracle.build_lemma1_perturbation, []
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "build_lemma1_perturbation", counted)
+    T = _capped_count(inst, k, alpha)
+    assert T > 1
+    for budget, status in ((T - 1, "budget-exceeded"), (T, "none-found")):
+        built.clear()
+        res = falsify_resilience(inst, k, StabilityParams(alpha, 0.0),
+                                 budget=budget)
+        assert (res.status, res.tried, len(built)) == (status, budget, budget)
+
+
+def _reference_check_perturbation(d, k, opt_part, epsilon, oracle_budget):
+    """The per-set check: one Voronoi partition per d'-optimal set."""
+    res = brute_force_optimal(d.dprime, k, budget=oracle_budget)
+    for centers in res.optimal_center_sets:
+        cl = voronoi_partition(d.dprime, centers)
+        eps = epsilon_distance(cl, opt_part)
+        if eps > epsilon:
+            return cl, eps
+    return None, None
+
+
+def _reference_falsify(instance, k, params, budget=200, seed=0,
+                       oracle_budget=oracle.DEFAULT_SUBSET_BUDGET):
+    """The two-phase falsifier the single stream replaced: a targeted scan
+    that reports budget-exceeded whenever it meets the budget before its
+    last target, pair-less targets included, then a random phase."""
+    inst = instance
+    d = inst.dist
+    n = d.shape[0]
+    opt = brute_force_optimal(d, k, budget=oracle_budget)
+    r_star = opt.optimal_radius
+    opt_part = opt.clustering(d)
+    alpha, epsilon = params.alpha, params.epsilon
+    bound = alpha * r_star
+    tried = 0
+
+    def validated(pert, cl, eps):
+        assert pert.bounds_ok()
+        re_cl, re_eps = _reference_check_perturbation(pert, k, opt_part,
+                                                      epsilon, oracle_budget)
+        assert re_cl is not None and re_eps > epsilon
+        return FalsifierResult(status="falsified", perturbation=pert,
+                               violating_clustering=cl, opt_clustering=opt_part,
+                               eps_dist=eps, tried=tried,
+                               opt_unique=opt.partition_unique)
+
+    for ci in opt_part.clusters():
+        for q in range(n):
+            if tried >= budget:
+                return FalsifierResult(status="budget-exceeded", tried=tried,
+                                       opt_clustering=opt_part,
+                                       opt_unique=opt.partition_unique)
+            pairs = [(q, t) for t in ci if t != q and d[q, t] <= bound]
+            if not pairs:
+                continue
+            pert = build_lemma1_perturbation(inst, r_star, alpha, pairs)
+            tried += 1
+            cl, eps = _reference_check_perturbation(pert, k, opt_part, epsilon,
+                                                    oracle_budget)
+            if cl is not None:
+                return validated(pert, cl, eps)
+    i = 0
+    while tried < budget:
+        pert = sample_perturbation(inst, alpha, seed + i)
+        i += 1
+        tried += 1
+        cl, eps = _reference_check_perturbation(pert, k, opt_part, epsilon,
+                                                oracle_budget)
+        if cl is not None:
+            return validated(pert, cl, eps)
+    return FalsifierResult(status="none-found", tried=tried,
+                           opt_clustering=opt_part,
+                           opt_unique=opt.partition_unique)
+
+
+def _falsifier_fields(res):
+    dprime = None if res.perturbation is None else res.perturbation.dprime
+    return (res.status, None if dprime is None else dprime.tobytes(),
+            res.violating_clustering, res.opt_clustering, res.eps_dist,
+            res.tried, res.opt_unique)
+
+
+def _falsifier_cases():
+    """(instance, k, params, seed): random metrics of both modes and
+    planted-sym tables; alpha 1.2 finds counterexamples in the random phase."""
+    cases = [(gen_random_metric(9, mode, s), k, StabilityParams(a, e), s)
+             for mode in ("symmetric", "asymmetric") for s in (0, 1)
+             for k in (2, 3) for a in (1.0, 1.2, 1.5, 2.0) for e in (0.0, 0.2)]
+    cases += [(gen_planted_symmetric(n, 3, 1.0, 2.0, 0).instance, 3,
+               StabilityParams(a, 0.0), 0)
+              for n in (12, 14, 16) for a in (1.5, 2.0)]
+    return cases
+
+
+def test_falsifier_matches_two_phase_reference():
+    statuses, random_hits, relabelled = set(), 0, 0
+    for inst, k, params, seed in _falsifier_cases():
+        T = _capped_count(inst, k, params.alpha)
+        for budget in sorted({T - 1, T, T + 1, 30, 200}):
+            want = _reference_falsify(inst, k, params, budget, seed)
+            got = falsify_resilience(inst, k, params, budget, seed)
+            statuses.add(got.status)
+            random_hits += got.status == "falsified" and got.tried > T
+            if want.status != got.status:
+                # the reference met its budget on a pair-less target after
+                # trying every capped perturbation
+                assert (want.status, got.status) == ("budget-exceeded",
+                                                     "none-found")
+                assert budget >= T
+                want = dataclasses.replace(want, status="none-found")
+                relabelled += 1
+            assert _falsifier_fields(got) == _falsifier_fields(want)
+    assert statuses == {"falsified", "none-found", "budget-exceeded"}
+    assert random_hits > 0 and relabelled > 0
