@@ -211,7 +211,7 @@ def _bench_instance(family, params, seed):
 def _bench_row(row, timing, oracle_budget):
     family = row["family"]
     params = row.get("params", {})
-    seed = int(row.get("seed", 0))
+    seed = row.get("seed", 0)
     solver_id = row["solver"]
     params_str = ";".join(f"{key}={params[key]}" for key in sorted(params))
     eps_str = ratio_str = ""
@@ -251,7 +251,7 @@ def cmd_bench(args):
                 and isinstance(row.get("solver"), str)
                 and row["solver"].isprintable() and "," not in row["solver"]
                 and isinstance(row.get("params", {}), dict)
-                and isinstance(row.get("seed", 0), int)):
+                and type(row.get("seed", 0)) is int):
             raise _InputError(f"manifest row {i} must be an object with "
                               "family string, printable solver string "
                               "without commas, optional params object and "

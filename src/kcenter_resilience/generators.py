@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import floyd_warshall
 
-from .core import (ASYMMETRIC, SYMMETRIC, Clustering, Instance, cost,
-                   snap_up, validate_instance, voronoi_partition)
+from .core import (ASYMMETRIC, SYMMETRIC, Clustering, Instance, snap_up,
+                   validate_instance, voronoi_partition)
 from .analysis import check_structure
 from .oracle import brute_force_optimal
 
@@ -55,37 +55,29 @@ class PlantedInstance:
     guarantee: Guarantee
 
 
-def _cluster_sizes(n, k):
-    base, extra = divmod(n, k)
-    return [base + (1 if i < extra else 0) for i in range(k)]
-
-
 def _planted_coords(n, k, r, separation, rng):
-    """Cluster-block coordinates: centers on a line, members in 0.9r disks."""
-    sizes = _cluster_sizes(n, k)
+    """Cluster-block coordinates: centers on a line, members in 0.9r disks;
+    the first n % k blocks hold one point more."""
     coords = []
     centers_idx = []
-    idx = 0
-    for i, size in enumerate(sizes):
+    base, extra = divmod(n, k)
+    for i in range(k):
         cx, cy = i * separation, 0.0
-        centers_idx.append(idx)
+        centers_idx.append(len(coords))
         coords.append((cx, cy))
-        idx += 1
-        for _ in range(size - 1):
+        for _ in range(base + (1 if i < extra else 0) - 1):
             rad = 0.9 * r * math.sqrt(rng.uniform())
             ang = rng.uniform(0.0, 2.0 * math.pi)
             coords.append((cx + rad * math.cos(ang), cy + rad * math.sin(ang)))
-            idx += 1
-    return np.asarray(coords), centers_idx, sizes
+    return np.asarray(coords), centers_idx
 
 
-def _truth_from_blocks(d, centers_idx, sizes):
-    assignment = []
-    for i, size in enumerate(sizes):
-        assignment.extend([i] * size)
-    radius = cost(d, centers_idx)
-    return Clustering(k=len(sizes), centers=tuple(centers_idx),
-                      assignment=tuple(assignment), radius=radius)
+def _euclidean(coords):
+    """Grid-snapped Euclidean distance table of 2-d points."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    d = snap_up(np.sqrt((diff ** 2).sum(axis=-1)))
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def _min_cross_distance(d, assignment):
@@ -94,7 +86,25 @@ def _min_cross_distance(d, assignment):
     return float(d[mask].min()) if mask.any() else math.inf
 
 
-def gen_planted_symmetric(n, k, r, alpha, seed, _sep_scale=1.0) -> PlantedInstance:
+def _planted(n, k, r, alpha, seed, scale):
+    """Unvalidated planted table, its truth and the truth's smallest cross
+    distance.  The truth is the Voronoi partition of the block centers: a
+    member nearer another block's center would leave a cross pair within
+    0.9r + GRID, which the separation check below rejects."""
+    if not (n >= k >= 1 and 0 < r < math.inf and 1 <= alpha < math.inf):
+        raise InfeasibleParams(f"bad params n={n} k={k} r={r} alpha={alpha}")
+    rng = np.random.default_rng(seed)
+    separation = (2 * alpha * r + 2 * r) * 1.25 * scale
+    coords, centers_idx = _planted_coords(n, k, r, separation, rng)
+    d = _euclidean(coords)
+    truth = voronoi_partition(d, centers_idx)
+    min_cross = _min_cross_distance(d, truth.assignment)
+    if truth.radius > r or (k > 1 and not min_cross > 2 * alpha * r * scale):
+        raise InfeasibleParams("separation guarantee failed at construction")
+    return d, truth, min_cross
+
+
+def gen_planted_symmetric(n, k, r, alpha, seed) -> PlantedInstance:
     """Planted Euclidean clusters with cross separation > 2*alpha*r.
 
     Mixing two planted clusters then costs more than alpha*r while the
@@ -102,20 +112,9 @@ def gen_planted_symmetric(n, k, r, alpha, seed, _sep_scale=1.0) -> PlantedInstan
     optimum under every alpha-perturbation: the instance is alpha-PR by
     construction.  The guarantee is re-checked before returning.
     """
-    if not (n >= k >= 1) or r <= 0 or alpha < 1:
-        raise InfeasibleParams(f"bad params n={n} k={k} r={r} alpha={alpha}")
-    rng = np.random.default_rng(seed)
-    separation = (2 * alpha * r + 2 * r) * 1.25 * _sep_scale
-    coords, centers_idx, sizes = _planted_coords(n, k, r, separation, rng)
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = snap_up(np.sqrt((diff ** 2).sum(axis=-1)))
-    np.fill_diagonal(d, 0.0)
-    instance = validate_instance(d, SYMMETRIC)
-    truth = _truth_from_blocks(d, centers_idx, sizes)
-    min_cross = _min_cross_distance(d, truth.assignment)
-    if truth.radius > r or (k > 1 and not min_cross > 2 * alpha * r * _sep_scale):
-        raise InfeasibleParams("separation guarantee failed at construction")
-    return PlantedInstance(instance=instance, truth=truth,
+    d, truth, min_cross = _planted(n, k, r, alpha, seed, 1.0)
+    return PlantedInstance(instance=validate_instance(d, SYMMETRIC),
+                           truth=truth,
                            guarantee=Guarantee(family="planted-sym", seed=seed,
                                                alpha=alpha, r=r,
                                                separation=min_cross))
@@ -125,45 +124,44 @@ def gen_planted_asymmetric(n, k, r, alpha, skew, seed) -> PlantedInstance:
     """Directionally skewed planted instance satisfying the ball-pruning
     algorithm's structural conditions.
 
-    Starts from a symmetric planted instance with the margin inflated by
+    Starts from a symmetric planted table with the margin inflated by
     ``skew``, multiplies each ordered pair by an independent factor in
     [1, skew], restores the directed triangle inequality by shortest-path
-    closure, then re-checks validity and the structural conditions.
-    Up to SKEW_ATTEMPTS fresh factor draws are tried until all checks pass.
+    closure, then re-checks validity, that the Voronoi partition of the
+    planted centers is still the planted one, and the structural
+    conditions.  Up to SKEW_ATTEMPTS fresh factor draws are tried until
+    all checks pass.  With skew 1 this is gen_planted_symmetric.
     """
-    if skew < 1:
-        raise InfeasibleParams(f"skew must be >= 1, got {skew}")
-    base = gen_planted_symmetric(n, k, r, alpha, seed, _sep_scale=skew)
+    if not 1 <= skew < math.inf:
+        raise InfeasibleParams(f"skew must be in [1, inf), got {skew}")
     if skew == 1:
-        return base
-    truth = base.truth
+        return gen_planted_symmetric(n, k, r, alpha, seed)
+    table, planted, _ = _planted(n, k, r, alpha, seed, skew)
     rng = np.random.default_rng(seed)
     for _ in range(SKEW_ATTEMPTS):
         u = rng.uniform(1.0, skew, size=(n, n))
         np.fill_diagonal(u, 1.0)
         # snap before the closure: grid values are closed under addition,
         # so the closed table satisfies the triangle inequality exactly
-        skewed = snap_up(base.instance.dist * u)
+        skewed = snap_up(table * u)
         np.fill_diagonal(skewed, 0.0)
         d = floyd_warshall(skewed)
         try:
             instance = validate_instance(d, ASYMMETRIC)
         except ValueError:
             continue
-        new_truth = Clustering(k=k, centers=truth.centers,
-                               assignment=truth.assignment,
-                               radius=cost(d, truth.centers))
-        report = check_structure(d, new_truth, r_star=new_truth.radius)
-        vor = voronoi_partition(d, truth.centers)
+        truth = voronoi_partition(d, planted.centers)
+        if truth.assignment != planted.assignment:
+            continue
+        report = check_structure(d, truth, r_star=truth.radius)
         if (report.property1 and report.property1_full_scope
-                and report.property2 and report.a_respects_opt
-                and vor.assignment == new_truth.assignment):
+                and report.property2 and report.a_respects_opt):
             return PlantedInstance(
-                instance=instance, truth=new_truth,
+                instance=instance, truth=truth,
                 guarantee=Guarantee(family="planted-asym", seed=seed,
                                     alpha=alpha, skew=skew, r=r,
                                     separation=_min_cross_distance(
-                                        d, new_truth.assignment)))
+                                        d, truth.assignment)))
     raise RejectionBudgetExceeded(
         f"no valid skewed instance in {SKEW_ATTEMPTS} attempts (seed {seed})")
 
@@ -177,8 +175,8 @@ def gen_bad_center_18(alpha) -> PlantedInstance:
     construction relies on is asserted at build time against the checkers
     and the brute-force oracle.
     """
-    if not alpha > 1:
-        raise InfeasibleParams(f"alpha must be > 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise InfeasibleParams(f"alpha must be in (1, inf), got {alpha}")
     n, k = 18, 3
     c_x, c_y, c_z = 0, 6, 12
     xs = list(range(1, 6))
@@ -197,10 +195,7 @@ def gen_bad_center_18(alpha) -> PlantedInstance:
     instance = validate_instance(d, ASYMMETRIC)
 
     centers = (c_x, c_y, c_z)
-    sizes = [6, 6, 6]
-    assignment = tuple([0] * 6 + [1] * 6 + [2] * 6)
-    truth = Clustering(k=k, centers=centers, assignment=assignment,
-                       radius=cost(d, centers))
+    truth = voronoi_partition(d, centers)
 
     def require(check, msg):
         if not check:
@@ -211,7 +206,7 @@ def gen_bad_center_18(alpha) -> PlantedInstance:
     require(oracle.optimal_radius == 1.0, "oracle radius must be 1")
     require(tuple(sorted(centers)) in oracle.optimal_center_sets,
             "planted centers must be oracle-optimal")
-    require(voronoi_partition(d, centers).assignment == assignment,
+    require(truth.assignment == tuple([0] * 6 + [1] * 6 + [2] * 6),
             "planted partition must be the Voronoi tiling of its centers")
     report = check_structure(d, truth, r_star=1.0)
     require(report.bad_centers == (c_y,), "exactly c_y must be bad")
@@ -256,8 +251,10 @@ def gen_eps_padding(base: Instance, k, alpha, epsilon) -> PlantedInstance:
     Each pad point sits at distance alpha*(D+1) from everything (D = base
     diameter), so every good solution keeps the pads as singletons and the
     base keeps a radius-r k-solution iff the padded instance keeps a
-    radius-r (k + N)-solution for r < D.  The planted truth is the base
-    oracle optimum plus pad singletons.
+    radius-r (k + N)-solution for r < D.  The planted truth is the Voronoi
+    partition of the base oracle optimum's centers plus the pads: the base
+    optimum plus pad singletons, as alpha >= 1 puts every pad farther from
+    each base point than the diameter.
 
     The padded table holds at most PAD_MAX_POINTS points (a 32 MB table):
     a larger n + ceil(n/epsilon) raises InfeasibleParams before anything
@@ -267,6 +264,8 @@ def gen_eps_padding(base: Instance, k, alpha, epsilon) -> PlantedInstance:
         raise InfeasibleParams("base must be symmetric")
     if not epsilon > 0:
         raise InfeasibleParams("epsilon must be > 0")
+    if not 1 <= alpha < math.inf:
+        raise InfeasibleParams(f"alpha must be in [1, inf), got {alpha}")
     n = base.n
     if n / epsilon > PAD_MAX_POINTS - n:  # n + ceil(n/epsilon) too large
         raise InfeasibleParams(f"n + ceil(n/epsilon) exceeds {PAD_MAX_POINTS}"
@@ -282,10 +281,8 @@ def gen_eps_padding(base: Instance, k, alpha, epsilon) -> PlantedInstance:
     np.fill_diagonal(d, 0.0)
     instance = validate_instance(d, SYMMETRIC)
     k_prime = k + n_pad
-    centers = tuple(base_cl.centers) + tuple(range(n, total))
-    assignment = tuple(base_cl.assignment) + tuple(range(k, k_prime))
-    truth = Clustering(k=k_prime, centers=centers, assignment=assignment,
-                       radius=cost(d, centers))
+    truth = voronoi_partition(d, tuple(base_cl.centers)
+                              + tuple(range(n, total)))
     return PlantedInstance(instance=instance, truth=truth,
                            guarantee=Guarantee(family="eps-padding",
                                                alpha=alpha, epsilon=epsilon,
@@ -306,11 +303,8 @@ def gen_random_metric(n, mode, seed) -> Instance:
         raise InfeasibleParams("n must be >= 1")
     rng = np.random.default_rng(seed)
     if mode == SYMMETRIC:
-        coords = rng.uniform(0.0, 1.0, size=(n, 2))
-        diff = coords[:, None, :] - coords[None, :, :]
-        d = snap_up(np.sqrt((diff ** 2).sum(axis=-1)))
-        np.fill_diagonal(d, 0.0)
-        return validate_instance(d, SYMMETRIC)
+        return validate_instance(
+            _euclidean(rng.uniform(0.0, 1.0, size=(n, 2))), SYMMETRIC)
     if mode == ASYMMETRIC:
         d = snap_up(rng.uniform(0.5, 2.0, size=(n, n)))
         np.fill_diagonal(d, 0.0)

@@ -65,6 +65,9 @@ def parse_instance(text: str, slack: float = 0.0) -> Instance:
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise KciFormatError(4 + int(bad[0]), "non-finite distance entry")
+    for i in range(3 + n, len(lines)):
+        if lines[i].strip():
+            raise KciFormatError(i + 1, f"text after the {n} distance rows")
     return validate_instance(table, mode, slack=slack)
 
 

@@ -70,6 +70,18 @@ def _clustering_from_groups(d, groups):
                       assignment=tuple(assignment), radius=max(costs))
 
 
+def _components_outcome(d, comps, k, factor):
+    """Exact when the components number k, else not-resilient.  The one
+    writer of "monotone": the sweep's ok iff component_count == k."""
+    diagnostics = {"component_count": len(comps), "consistency_factor": factor,
+                   "monotone": True}
+    if len(comps) != k:
+        return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
+    return SolveOutcome(status="exact-claim",
+                        clustering=_clustering_from_groups(d, comps),
+                        diagnostics=diagnostics)
+
+
 def farthest_first(instance, k: int):
     """Gonzalez farthest-first traversal; 2-approximation on symmetric metrics.
 
@@ -187,14 +199,8 @@ def symmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     """
     _require_symmetric(instance)
     d = _as_table(instance)
-    comps = threshold_components(d, threshold=r_star)
-    diagnostics = {"component_count": len(comps), "consistency_factor": 1.0,
-                   "monotone": True}
-    if len(comps) != k:
-        return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
-    return SolveOutcome(status="exact-claim",
-                        clustering=_clustering_from_groups(d, comps),
-                        diagnostics=diagnostics)
+    return _components_outcome(d, threshold_components(d, threshold=r_star),
+                               k, 1.0)
 
 
 def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
@@ -371,14 +377,7 @@ def approx_stability_2eps(instance, k: int, r_star: float,
     # threads: on a busy 2-vCPU host that wake-up took ~8 ms at n = 80
     within = (d <= 2 * r_star).astype(float)
     counts = np.einsum("ij,kj->ik", within, within)
-    comps = components(counts > epsilon * n)
-    diagnostics = {"component_count": len(comps), "consistency_factor": 2.0,
-                   "monotone": True}
-    if len(comps) != k:
-        return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
-    return SolveOutcome(status="exact-claim",
-                        clustering=_clustering_from_groups(d, comps),
-                        diagnostics=diagnostics)
+    return _components_outcome(d, components(counts > epsilon * n), k, 2.0)
 
 
 def sweep_radius(instance, k: int, solver):

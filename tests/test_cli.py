@@ -44,6 +44,11 @@ def test_kci_parse_errors_name_the_line():
     with pytest.raises(KciFormatError) as exc:
         parse_instance("kci 1\nmode symmetric\nn 2\n0.0 1.0\n1.0\n")
     assert exc.value.line_no == 5
+    two = "kci 1\nmode symmetric\nn 2\n0 5\n5 0\n"
+    with pytest.raises(KciFormatError) as exc:  # was read as the 2 rows
+        parse_instance(two + " \n0 5 6\ngarbage here\n")
+    assert exc.value.line_no == 7
+    assert parse_instance(two + "\n \t\n").n == 2
 
 
 def test_generate_is_byte_identical_across_runs(tmp_path):
@@ -228,6 +233,23 @@ def test_bench_deterministic_and_error_rows(tmp_path):
     assert lines[3].startswith("planted-sym") and "error:" in lines[3]
 
 
+def test_bench_non_finite_param_row_is_infeasible(tmp_path):
+    # 1e400 reads as inf; the rows were error:OverflowError and a generation
+    # that failed only on the non-finite table
+    mpath = tmp_path / "m.json"
+    mpath.write_text(
+        '[{"family": "bad-center-18", "params": {"alpha": 1e400},'
+        ' "solver": "thm3"},'
+        ' {"family": "planted-sym", "solver": "thm3",'
+        ' "params": {"n": 12, "k": 3, "r": 1.0, "alpha": 1e400}}]')
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--manifest", str(mpath), "--out", str(out),
+                "--no-timing"]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == \
+        ["error:InfeasibleParams"] * 2
+
+
 def test_bench_oracle_infeasible_row_blank_ratio(tmp_path):
     manifest = [{"family": "planted-sym",
                  "params": {"n": 60, "k": 3, "r": 1.0, "alpha": 2.0},
@@ -373,6 +395,27 @@ def _two_point_kci(entry):
     # was refused only after building and validating the padded table
     (["generate", "eps-padding", "--base", "{kci}", "--k", "5"], 60,
      "C(60,5) = 5461512 exceeds budget"),
+    # were an OverflowError traceback, and a numpy RuntimeWarning before
+    # "table entries must be finite"
+    (["generate", "bad-center-18", "--alpha", "inf"], None,
+     "alpha must be in (1, inf), got inf"),
+    (["generate", "planted-sym", "--r", "inf"], None, "r=inf"),
+    (["generate", "planted-sym", "--alpha", "inf"], None, "alpha=inf"),
+    (["generate", "planted-sym", "--r", "nan"], None, "r=nan"),
+    (["generate", "planted-asym", "--skew", "inf"], None,
+     "skew must be in [1, inf), got inf"),
+    (["generate", "planted-asym", "--skew", "nan"], None,
+     "skew must be in [1, inf), got nan"),
+    (["generate", "eps-padding", "--base", "{ps}.kci", "--alpha", "inf"],
+     None, "alpha must be in [1, inf), got inf"),
+    # was solved from the first two rows with exit 0
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\nn 2\n0 5\n5 0\n0 5 6\ngarbage here\n",
+     "bad.kci: line 6: text after the 2 distance rows"),
+    # was run as seed 1
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "seed": True,
+       "solver": "thm3"}], "manifest row 0 must be"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-alpha-inf", "verify-epsilon-above-1", "verify-negative-r",
         "verify-oracle-budget-too-small", "verify-negative-budget",
@@ -384,15 +427,22 @@ def _two_point_kci(entry):
         "bench-no-epsilon", "bench-count-not-int", "bench-solver-not-string",
         "bench-solver-with-comma", "bench-param-unknown-key", "negative-slack",
         "kci-nan", "kci-inf", "kci-1e400", "eps-padding-tiny-epsilon",
-        "eps-padding-base-over-budget"])
+        "eps-padding-base-over-budget", "bad-center-18-alpha-inf",
+        "planted-sym-r-inf", "planted-sym-alpha-inf", "planted-sym-r-nan",
+        "planted-asym-skew-inf", "planted-asym-skew-nan",
+        "eps-padding-alpha-inf", "kci-trailing-text", "bench-seed-bool"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
-    # payload: manifest rows (a list), one KCI distance entry (a string) or
-    # the point count of a random symmetric KCI file (an int)
+    # payload: manifest rows (a list), one KCI distance entry (a string),
+    # a whole KCI file (bytes) or the point count of a random symmetric KCI
+    # file (an int)
     prefix = gen_planted_files(tmp_path)
     manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps(payload))
     kci = tmp_path / "bad.kci"
-    if isinstance(payload, str):
+    if isinstance(payload, list):
+        manifest.write_text(json.dumps(payload))
+    elif isinstance(payload, bytes):
+        kci.write_bytes(payload)
+    elif isinstance(payload, str):
         kci.write_text(_two_point_kci(payload))
     elif isinstance(payload, int):
         kci.write_text(emit_instance(gen_random_metric(payload, "symmetric", 0)))
