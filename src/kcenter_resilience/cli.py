@@ -1,9 +1,10 @@
 """Command line entry point: solve, oracle, verify, generate, bench.
 
-Exit codes: 0 success, 1 input error, 2 a solver's resilience promise
-visibly failed (status not-resilient, with the outcome's reason if it has
-one), 3 the falsifier found a counterexample.  One command per invocation; output files are written via
-temp-and-rename so a crash never leaves a partial file.
+Exit codes: 0 success, 1 input error (argparse usage errors too: one
+`error:` line on stderr), 2 a solver's resilience promise visibly failed
+(status not-resilient, with the outcome's reason if it has one), 3 the
+falsifier found a counterexample.  One command per invocation; output files
+are written via temp-and-rename so a crash never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from . import kci
 from .analysis import check_structure, find_cluster_capturing_centers
 from .core import (Instance, InstanceViolation, StabilityParams,
                    epsilon_distance)
-from .generators import (ConstructionCheckFailed, InfeasibleParams,
-                         RejectionBudgetExceeded, gen_bad_center_18,
-                         gen_eps_padding, gen_from_dominating_set,
-                         gen_planted_asymmetric, gen_planted_symmetric,
-                         gen_random_metric, named_graph)
+from .generators import (ConstructionCheckFailed, RejectionBudgetExceeded,
+                         gen_bad_center_18, gen_eps_padding,
+                         gen_from_dominating_set, gen_planted_asymmetric,
+                         gen_planted_symmetric, gen_random_metric, named_graph)
 from .oracle import (DEFAULT_SUBSET_BUDGET, BudgetExceeded,
                      brute_force_optimal, falsify_resilience)
 from .solvers import SOLVERS, AsymmetricInput, sweep_radius
@@ -37,9 +37,21 @@ class _InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave through _InputError, not argparse's exit 2."""
+
+    def error(self, message):
+        raise _InputError(f"{self.prog}: {message}")
+
+
+def _non_negative(text):
+    """argparse type of --r and --slack: a float >= 0 (nan is not)."""
+    if float(text) >= 0:
+        return float(text)
+    raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+
+
 def _read_instance(path, slack=0.0):
-    if not slack >= 0:
-        raise _InputError(f"--slack must be >= 0, got {slack!r}")
     try:
         with open(path) as fh:
             text = fh.read()
@@ -64,19 +76,10 @@ def _check_k(k, n):
         raise _InputError(f"--k must be in 1..{n}, got {k}")
 
 
-def _check_r(r):
-    if r is not None and not r >= 0:
-        raise _InputError(f"--r must be >= 0, got {r!r}")
-
-
 def cmd_solve(args):
     instance = _read_instance(args.input, slack=args.slack)
-    if args.algo not in SOLVERS:
-        raise _InputError(f"unknown solver {args.algo!r}; "
-                          f"known: {', '.join(sorted(SOLVERS))}")
     solver = SOLVERS[args.algo]
     _check_k(args.k, instance.n)
-    _check_r(args.r)
     if solver.needs_epsilon and not (args.epsilon is not None
                                      and 0 <= args.epsilon <= 1):
         raise _InputError(f"solver {args.algo} needs --epsilon in [0, 1]")
@@ -121,7 +124,6 @@ def cmd_verify(args):
     truth = _read_clustering(args.truth)
     if truth.n != instance.n:
         raise _InputError(f"truth has {truth.n} points, instance {instance.n}")
-    _check_r(args.r)
     r_star = args.r if args.r is not None else truth.radius
     try:
         params = StabilityParams(alpha=args.alpha, epsilon=args.epsilon)
@@ -178,16 +180,14 @@ def cmd_generate(args):
                 raise _InputError("--base is required for eps-padding")
             _emit_planted(gen_eps_padding(_read_instance(args.base), args.k,
                                           args.alpha, args.epsilon), prefix)
-        elif args.family in ("dom-set", "random"):
+        else:
             instance = (gen_from_dominating_set(*named_graph(args.graph))
                         if args.family == "dom-set"
                         else gen_random_metric(args.n, args.mode, args.seed))
             kci.write_atomic(prefix + ".kci", kci.emit_instance(instance))
             print(f"wrote {prefix}.kci")
-        else:
-            raise _InputError(f"unknown family {args.family!r}")
-    except (InfeasibleParams, RejectionBudgetExceeded,
-            ConstructionCheckFailed, ValueError) as e:
+    except (RejectionBudgetExceeded, ConstructionCheckFailed,
+            ValueError) as e:  # InfeasibleParams is a ValueError
         raise _InputError(f"generation failed: {e}")
     return EXIT_OK
 
@@ -293,19 +293,20 @@ def cmd_bench(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kcenter-pr",
         description="k-center clustering under perturbation resilience")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     p = sub.add_parser("solve", help="run a recovery algorithm on a KCI file")
     p.add_argument("input")
-    p.add_argument("--algo", required=True)
+    p.add_argument("--algo", required=True, choices=sorted(SOLVERS))
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=float, default=None,
+    p.add_argument("--r", type=_non_negative, default=None,
                    help="optimal radius; swept over all distances if absent")
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--slack", type=float, default=0.0)
+    p.add_argument("--slack", type=_non_negative, default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)
 
@@ -313,7 +314,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    p.add_argument("--slack", type=float, default=0.0)
+    p.add_argument("--slack", type=_non_negative, default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_oracle)
 
@@ -323,18 +324,17 @@ def build_parser():
     p.add_argument("truth")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=None,
+    p.add_argument("--r", type=_non_negative, default=None,
                    help="optimal radius; defaults to the truth radius")
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle-budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    p.add_argument("--slack", type=float, default=0.0)
+    p.add_argument("--slack", type=_non_negative, default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("generate", help="seeded instances with planted truth")
-    p.add_argument("family", choices=["planted-sym", "planted-asym",
-                                      "bad-center-18", "dom-set",
+    p.add_argument("family", choices=[*_BENCH_PARAMS, "dom-set",
                                       "eps-padding", "random"])
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--k", type=int, default=3)
@@ -364,15 +364,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        for flag in ("budget", "oracle_budget"):
+        args = build_parser().parse_args(argv)
+        for flag in ("budget", "oracle_budget", "seed"):
             if getattr(args, flag, 0) < 0:
                 raise _InputError(f"--{flag.replace('_', '-')} must be >= 0")
         return args.fn(args)
     except (_InputError, BudgetExceeded) as e:  # a budget flag below C(n, k)
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e}".replace("\n", r"\n"), file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -21,7 +21,7 @@ from .oracle import brute_force_optimal
 
 
 SKEW_ATTEMPTS = 50  # gen_planted_asymmetric's draws before giving up
-PAD_MAX_POINTS = 2_000  # gen_eps_padding's largest padded table
+MAX_POINTS = 2_000  # the largest table any generator builds (32 MB)
 
 
 class InfeasibleParams(ValueError):
@@ -72,10 +72,18 @@ def _planted_coords(n, k, r, separation, rng):
     return np.asarray(coords), centers_idx
 
 
+def _require_points(n):
+    """Refuse a table of more than MAX_POINTS points before it is built."""
+    if n > MAX_POINTS:
+        raise InfeasibleParams(f"n={n} exceeds {MAX_POINTS} points")
+
+
 def _euclidean(coords):
-    """Grid-snapped Euclidean distance table of 2-d points."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = snap_up(np.sqrt((diff ** 2).sum(axis=-1)))
+    """Grid-snapped Euclidean distance table of 2-d points.  Coordinates too
+    far apart give inf or nan entries silently; callers refuse those."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = coords[:, None, :] - coords[None, :, :]
+        d = snap_up(np.sqrt((diff ** 2).sum(axis=-1)))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -93,6 +101,7 @@ def _planted(n, k, r, alpha, seed, scale):
     0.9r + GRID, which the separation check below rejects."""
     if not (n >= k >= 1 and 0 < r < math.inf and 1 <= alpha < math.inf):
         raise InfeasibleParams(f"bad params n={n} k={k} r={r} alpha={alpha}")
+    _require_points(n)
     rng = np.random.default_rng(seed)
     separation = (2 * alpha * r + 2 * r) * 1.25 * scale
     coords, centers_idx = _planted_coords(n, k, r, separation, rng)
@@ -236,6 +245,7 @@ def gen_from_dominating_set(n_vertices, edges) -> Instance:
     size k; with only distances 1 and 2 the triangle inequality is
     automatic.
     """
+    _require_points(n_vertices)
     d = np.full((n_vertices, n_vertices), 2.0)
     np.fill_diagonal(d, 0.0)
     for u, v in edges:
@@ -256,19 +266,20 @@ def gen_eps_padding(base: Instance, k, alpha, epsilon) -> PlantedInstance:
     optimum plus pad singletons, as alpha >= 1 puts every pad farther from
     each base point than the diameter.
 
-    The padded table holds at most PAD_MAX_POINTS points (a 32 MB table):
-    a larger n + ceil(n/epsilon) raises InfeasibleParams before anything
-    is allocated, and the base oracle runs before the table is built.
+    epsilon must lie in (0, 1], so there are at least n pads.  The padded
+    table holds at most MAX_POINTS points: a larger n + ceil(n/epsilon)
+    raises InfeasibleParams before anything is allocated, and the base
+    oracle runs before the table is built.
     """
     if not base.is_symmetric:
         raise InfeasibleParams("base must be symmetric")
-    if not epsilon > 0:
-        raise InfeasibleParams("epsilon must be > 0")
+    if not 0 < epsilon <= 1:
+        raise InfeasibleParams(f"epsilon must be in (0, 1], got {epsilon}")
     if not 1 <= alpha < math.inf:
         raise InfeasibleParams(f"alpha must be in [1, inf), got {alpha}")
     n = base.n
-    if n / epsilon > PAD_MAX_POINTS - n:  # n + ceil(n/epsilon) too large
-        raise InfeasibleParams(f"n + ceil(n/epsilon) exceeds {PAD_MAX_POINTS}"
+    if n / epsilon > MAX_POINTS - n:  # n + ceil(n/epsilon) too large
+        raise InfeasibleParams(f"n + ceil(n/epsilon) exceeds {MAX_POINTS}"
                                f" points (n={n}, epsilon={epsilon})")
     opt = brute_force_optimal(base.dist, k)
     base_cl = opt.clustering(base.dist)
@@ -301,6 +312,7 @@ def gen_random_metric(n, mode, seed) -> Instance:
     """
     if n < 1:
         raise InfeasibleParams("n must be >= 1")
+    _require_points(n)
     rng = np.random.default_rng(seed)
     if mode == SYMMETRIC:
         return validate_instance(
@@ -321,6 +333,7 @@ def named_graph(name):
             n = int(name[len(prefix):])
             if n < 1:
                 break
+            _require_points(n)  # before the edge list
             if prefix == "star":
                 return n, [(0, i) for i in range(1, n)]
             if prefix == "path":

@@ -235,19 +235,37 @@ def test_bench_deterministic_and_error_rows(tmp_path):
 
 def test_bench_non_finite_param_row_is_infeasible(tmp_path):
     # 1e400 reads as inf; the rows were error:OverflowError and a generation
-    # that failed only on the non-finite table
+    # that failed only on the non-finite table; the third, over the point
+    # cap, was error:_ArrayMemoryError
     mpath = tmp_path / "m.json"
     mpath.write_text(
         '[{"family": "bad-center-18", "params": {"alpha": 1e400},'
         ' "solver": "thm3"},'
         ' {"family": "planted-sym", "solver": "thm3",'
-        ' "params": {"n": 12, "k": 3, "r": 1.0, "alpha": 1e400}}]')
+        ' "params": {"n": 12, "k": 3, "r": 1.0, "alpha": 1e400}},'
+        ' {"family": "planted-sym", "solver": "thm3",'
+        ' "params": {"n": 10000000, "k": 3, "r": 1.0, "alpha": 2.0}}]')
     out = tmp_path / "b.csv"
     assert run(["bench", "--manifest", str(mpath), "--out", str(out),
                 "--no-timing"]) == 0
     rows = out.read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == \
-        ["error:InfeasibleParams"] * 2
+        ["error:InfeasibleParams"] * 3
+
+
+def test_no_command_exits_1_with_one_line(capsys):
+    assert run([]) == 1  # was argparse's exit 2 after a usage dump
+    assert capsys.readouterr().err == \
+        "error: kcenter-pr: the following arguments are required: command\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"]])
+def test_help_exits_0_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: kcenter-pr") and err == ""
 
 
 def test_bench_oracle_infeasible_row_blank_ratio(tmp_path):
@@ -338,6 +356,9 @@ def _two_point_kci(entry):
      "--budget must be >= 0"),
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
       "--oracle-budget", "-1"], None, "--oracle-budget must be >= 0"),
+    # was a numpy ValueError traceback once the random phase began
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
+      "--budget", "200", "--seed", "-1"], None, "--seed must be >= 0"),
     (["bench", "--manifest", "{manifest}"], [1], "row 0"),
     (["bench", "--manifest", "{manifest}"],
      [{"family": "bad-center-18", "solver": "thm3"},
@@ -416,11 +437,43 @@ def _two_point_kci(entry):
     (["bench", "--manifest", "{manifest}"],
      [{"family": "bad-center-18", "params": {"alpha": 2.0}, "seed": True,
        "solver": "thm3"}], "manifest row 0 must be"),
+    # usage errors were argparse's exit 2 after a usage dump
+    (["solve", "{ps}.kci", "--algo", "ff2", "--k", "notint"], None,
+     "kcenter-pr solve: argument --k: invalid int value: 'notint'"),
+    (["solve", "{ps}.kci", "--algo", "nosuch", "--k", "3"], None,
+     "argument --algo: invalid choice: 'nosuch'"),
+    (["solve", "{ps}.kci", "--k", "3"], None,
+     "the following arguments are required: --algo"),
+    (["generate", "nosuch"], None,
+     "argument family: invalid choice: 'nosuch'"),
+    (["nosuch"], None, "kcenter-pr: argument command: invalid choice"),
+    # argparse echoes an unrecognized argument as is, newline and all
+    (["solve", "{ps}.kci", "--algo", "ff2", "--k", "3", "a\nb"], None,
+     r"unrecognized arguments: a\nb"),
+    # were a numpy _ArrayMemoryError traceback
+    (["generate", "random", "--n", "10000000"], None,
+     "n=10000000 exceeds 2000 points"),
+    (["generate", "planted-sym", "--n", "10000000"], None,
+     "n=10000000 exceeds 2000 points"),
+    (["generate", "planted-asym", "--n", "10000000"], None,
+     "n=10000000 exceeds 2000 points"),
+    (["generate", "dom-set", "--graph", "star10000000"], None,
+     "n=10000000 exceeds 2000 points"),
+    # were exit 0 with no pads (inf) or fewer pads than points (2)
+    (["generate", "eps-padding", "--base", "{ps}.kci", "--epsilon", "inf"],
+     None, "epsilon must be in (0, 1], got inf"),
+    (["generate", "eps-padding", "--base", "{ps}.kci", "--epsilon", "2"],
+     None, "epsilon must be in (0, 1], got 2.0"),
+    # printed a numpy RuntimeWarning before the error line
+    (["generate", "planted-sym", "--r", "1e300"], None,
+     "separation guarantee failed"),
+    (["generate", "planted-sym", "--alpha", "1e308"], None,
+     "separation guarantee failed"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-alpha-inf", "verify-epsilon-above-1", "verify-negative-r",
         "verify-oracle-budget-too-small", "verify-negative-budget",
         "bench-negative-oracle-budget", "oracle-negative-budget",
-        "verify-negative-oracle-budget",
+        "verify-negative-oracle-budget", "verify-negative-seed",
         "bench-row-not-object", "bench-row-no-family", "bench-row-no-solver",
         "bench-seed-not-int", "bench-params-missing-key",
         "bench-unknown-family", "bench-param-not-a-number",
@@ -430,7 +483,13 @@ def _two_point_kci(entry):
         "eps-padding-base-over-budget", "bad-center-18-alpha-inf",
         "planted-sym-r-inf", "planted-sym-alpha-inf", "planted-sym-r-nan",
         "planted-asym-skew-inf", "planted-asym-skew-nan",
-        "eps-padding-alpha-inf", "kci-trailing-text", "bench-seed-bool"])
+        "eps-padding-alpha-inf", "kci-trailing-text", "bench-seed-bool",
+        "usage-k-not-int", "usage-unknown-algo", "usage-missing-algo",
+        "usage-unknown-family", "usage-unknown-command",
+        "usage-newline-argument", "random-over-cap",
+        "planted-sym-over-cap", "planted-asym-over-cap", "dom-set-over-cap",
+        "eps-padding-epsilon-inf", "eps-padding-epsilon-2",
+        "planted-sym-r-1e300", "planted-sym-alpha-1e308"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     # payload: manifest rows (a list), one KCI distance entry (a string),
     # a whole KCI file (bytes) or the point count of a random symmetric KCI

@@ -27,6 +27,7 @@ from kcenter_resilience import (
 from kcenter_resilience import generators, kci
 from kcenter_resilience.generators import (
     Guarantee,
+    MAX_POINTS,
     InfeasibleParams,
     PlantedInstance,
     RejectionBudgetExceeded,
@@ -209,6 +210,7 @@ def test_generators_deterministic():
 def test_named_graph_families():
     assert named_graph("cycle4") == (4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert named_graph("complete3") == (3, [(0, 1), (0, 2), (1, 2)])
+    assert named_graph(f"empty{MAX_POINTS}") == (MAX_POINTS, [])
     with pytest.raises(ValueError):
         named_graph("blob7")
 
@@ -435,16 +437,36 @@ _BASE3 = gen_random_metric(3, "symmetric", 0)
     (lambda: gen_bad_center_18(math.nan), "alpha"),
     (lambda: gen_eps_padding(_BASE3, 1, math.inf, 0.5), "alpha"),
     (lambda: gen_eps_padding(_BASE3, 1, 0.5, 0.5), "alpha"),
+    (lambda: gen_eps_padding(_BASE3, 1, 2.0, math.inf),
+     r"epsilon must be in \(0, 1\], got inf"),
+    (lambda: gen_eps_padding(_BASE3, 1, 2.0, 2.0),
+     r"epsilon must be in \(0, 1\], got 2.0"),
+    (lambda: gen_planted_symmetric(2001, 2, 1.0, 2.0, 0),
+     "n=2001 exceeds 2000 points"),
+    (lambda: gen_planted_asymmetric(2001, 2, 1.0, 2.0, 1.2, 0),
+     "n=2001 exceeds 2000 points"),
+    (lambda: gen_random_metric(2001, "symmetric", 0),
+     "n=2001 exceeds 2000 points"),
+    (lambda: gen_random_metric(2001, "asymmetric", 0),
+     "n=2001 exceeds 2000 points"),
+    (lambda: gen_from_dominating_set(2001, []), "n=2001 exceeds 2000 points"),
+    (lambda: named_graph("complete10000000"),
+     "n=10000000 exceeds 2000 points"),
 ], ids=["sym-r-inf", "sym-r-nan", "sym-alpha-inf", "asym-alpha-nan",
         "asym-skew-inf", "asym-skew-nan", "bc18-alpha-inf", "bc18-alpha-nan",
-        "pad-alpha-inf", "pad-alpha-below-1"])
+        "pad-alpha-inf", "pad-alpha-below-1", "pad-epsilon-inf",
+        "pad-epsilon-2", "sym-over-cap", "asym-over-cap", "random-sym-over-cap",
+        "random-asym-over-cap", "dom-set-over-cap", "named-graph-over-cap"])
 def test_non_finite_generator_params_raise_before_any_table(
         monkeypatch, make, needle):
     def no_call(*args):
         raise AssertionError("a table was built")
 
+    monkeypatch.setattr(generators, "np", types.SimpleNamespace())  # no array
+    monkeypatch.setattr(generators, "_planted_coords", no_call)
     monkeypatch.setattr(generators, "_euclidean", no_call)
     monkeypatch.setattr(generators, "floyd_warshall", no_call)
     monkeypatch.setattr(generators, "brute_force_optimal", no_call)
     with pytest.raises(InfeasibleParams, match=needle):
         make()
+

@@ -1,5 +1,5 @@
-"""Mutated KCI, truth and manifest files: every run ends in an exit code,
-never a traceback."""
+"""Mutated KCI, truth and manifest files and mutated argv: every run ends in
+an exit code, never a traceback."""
 
 import contextlib
 import io
@@ -147,3 +147,44 @@ def test_bench_mutated_manifest(workdir, manifest):
     if code == 0:
         assert all(line.count(",") == 7
                    for line in out.read_text().splitlines())
+
+
+# valid commands on the 6-point planted files, with paths relative to the
+# directory each run works in; verify's budget reaches the random phase
+COMMANDS = (
+    ("solve", "in.kci", "--algo", "thm5-3eps", "--k", "2", "--r", "1",
+     "--slack", "0", "--out", "out.json"),
+    ("solve", "in.kci", "--algo", "alg4-2eps-as", "--k", "2",
+     "--epsilon", "0.1", "--out", "out.json"),
+    ("oracle", "in.kci", "--k", "2", "--budget", "100", "--out", "o.json"),
+    ("verify", "in.kci", "in.truth.json", "--alpha", "2", "--epsilon", "0",
+     "--r", "1", "--budget", "8", "--seed", "0", "--oracle-budget", "100",
+     "--out", "rep.json"),
+    ("generate", "planted-sym", "--n", "6", "--k", "2", "--r", "1",
+     "--alpha", "2", "--seed", "0", "--out-prefix", "gen"),
+    ("generate", "eps-padding", "--base", "in.kci", "--k", "2",
+     "--alpha", "2", "--epsilon", "0.5", "--out-prefix", "pad"),
+    ("bench", "--manifest", "m.json", "--no-timing", "--oracle-budget", "100",
+     "--out", "bench.csv"),
+)
+# what replaces one token; None drops it
+TOKENS = (None, "", "-1", "0", "nan", "inf", "x", "1e400", "--bogus")
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[
+    "solve-r", "solve-sweep", "oracle", "verify", "generate-planted-sym",
+    "generate-eps-padding", "bench"])
+def test_argv_with_one_token_replaced_or_dropped(tmp_path, monkeypatch, argv):
+    (tmp_path / "in.kci").write_bytes(KCI)
+    (tmp_path / "in.truth.json").write_bytes(TRUTH)
+    (tmp_path / "m.json").write_text(json.dumps([ROW]))
+    monkeypatch.chdir(tmp_path)  # a mutated output path stays in tmp_path
+    assert _check_exit(list(argv)) == 0
+    for i in range(len(argv)):
+        for token in TOKENS:
+            mutated = list(argv)
+            mutated[i:i + 1] = [] if token is None else [token]
+            try:
+                _check_exit(mutated)
+            except BaseException as e:  # argparse's SystemExit too
+                raise AssertionError(f"argv {mutated}") from e

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -71,6 +72,39 @@ def test_solver_entry_looks_up_its_layer_function_by_name(
                      "--r", repr(planted.truth.radius), "--epsilon", "0.05",
                      "--out", str(tmp_path / "out.json")]) == 0
     assert calls
+
+
+# bench family -> the generator `generate` and `bench` must reach in cli
+GENERATOR_OF = {
+    "planted-sym": "gen_planted_symmetric",
+    "planted-asym": "gen_planted_asymmetric",
+    "bad-center-18": "gen_bad_center_18",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATOR_OF))
+def test_generate_and_bench_look_up_their_generator_by_name(
+        tmp_path, monkeypatch, family):
+    # a family table holding the function objects would bypass the patch
+    name = GENERATOR_OF[family]
+    original = getattr(cli, name)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorder)
+    params = {"n": 12, "k": 3, "r": 1.0, "alpha": 2.0, "skew": 1.2}
+    assert cli.main(["generate", family, "--out-prefix",
+                     str(tmp_path / "g")]) == 0
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{
+        "family": family, "solver": "hs",
+        "params": {key: params[key] for key in cli._BENCH_PARAMS[family]}}]))
+    assert cli.main(["bench", "--manifest", str(manifest), "--no-timing",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+    assert calls == [name, name]
 
 
 def test_linkage_counter_reads_a_stuck_outcome():
