@@ -223,7 +223,8 @@ def _bench_row(row, timing, oracle_budget):
         outcome = SOLVERS[solver_id].solve(instance, truth.k, truth.radius,
                                            params.get("epsilon"))
         if outcome.ok:
-            eps_str = repr(epsilon_distance(outcome.clustering, truth))
+            if outcome.clustering.k == truth.k:  # epsilon_distance needs one k
+                eps_str = repr(epsilon_distance(outcome.clustering, truth))
             if comb(instance.n, truth.k) <= oracle_budget:
                 opt = brute_force_optimal(instance.dist, truth.k)
                 ratio_str = repr(outcome.clustering.radius / opt.optimal_radius
@@ -251,11 +252,12 @@ def cmd_bench(args):
                 and isinstance(row.get("solver"), str)
                 and row["solver"].isprintable() and "," not in row["solver"]
                 and isinstance(row.get("params", {}), dict)
-                and type(row.get("seed", 0)) is int):
+                and type(row.get("seed", 0)) is int
+                and row.get("seed", 0) >= 0):
             raise _InputError(f"manifest row {i} must be an object with "
                               "family string, printable solver string "
                               "without commas, optional params object and "
-                              "optional integer seed")
+                              "optional non-negative integer seed")
     for i, row in enumerate(manifest):  # shapes first, then params
         family, params = row["family"], row.get("params", {})
         if family not in _BENCH_PARAMS:

@@ -82,6 +82,19 @@ def _components_outcome(d, comps, k, factor):
                         diagnostics=diagnostics)
 
 
+def _traverse(row, count):
+    """Farthest-first from point 0 under row(p), p's value to each point:
+    count picks, each farthest from the picks so far (smallest index on
+    ties), and each pick's gap, that least value (inf for point 0)."""
+    picks, gaps, gap = [0], [np.inf], np.inf
+    while len(picks) < count:
+        gap = np.minimum(gap, row(picks[-1]))
+        gap[picks[-1]] = -np.inf  # a pick is never picked again
+        picks.append(int(gap.argmax()))
+        gaps.append(float(gap[picks[-1]]))
+    return picks, gaps
+
+
 def farthest_first(instance, k: int):
     """Gonzalez farthest-first traversal; 2-approximation on symmetric metrics.
 
@@ -90,17 +103,20 @@ def farthest_first(instance, k: int):
     """
     _require_symmetric(instance)
     d = _as_table(instance)
-    n = d.shape[0]
-    if not 1 <= k <= n:
+    if not 1 <= k <= d.shape[0]:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
-    centers = [0]
-    mind = d[0].copy()
-    mind[0] = -1.0  # below every distance: a center is never picked again
-    while len(centers) < k:
-        nxt = int(mind.argmax())
-        centers.append(nxt)
-        mind[nxt] = -1.0
-        mind = np.minimum(mind, d[nxt])
+    return tuple(_traverse(lambda p: d[p], k)[0])
+
+
+def _greedy_cover(n, covered_by, k):
+    """Pick the smallest uncovered point c, then mark covered_by(c), a mask
+    over the n points; stop when all are covered or at the (k+1)-th pick."""
+    uncovered = np.ones(n, dtype=bool)
+    centers = []
+    while uncovered.any() and len(centers) <= k:
+        c = int(uncovered.argmax())  # smallest uncovered index
+        centers.append(c)
+        uncovered &= ~covered_by(c)
     return tuple(centers)
 
 
@@ -114,14 +130,7 @@ def hochbaum_shmoys_cover(instance, r: float, k: int):
     if r < 0:
         raise ValueError("r must be >= 0")
     d = _as_table(instance)
-    n = d.shape[0]
-    unmarked = np.ones(n, dtype=bool)
-    centers = []
-    while unmarked.any() and len(centers) <= k:
-        c = int(unmarked.argmax())  # smallest unmarked index
-        centers.append(c)
-        unmarked &= ~(d[c] <= 2 * r)
-    return tuple(centers)
+    return _greedy_cover(d.shape[0], lambda c: d[c] <= 2 * r, k)
 
 
 def exact_via_approximation(instance, k: int, alpha: float) -> SolveOutcome:
@@ -222,12 +231,10 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                                          "consistency_factor": 3.0})
     a = np.flatnonzero(nearest == np.arange(n)).tolist()
     sub = d[np.ix_(a, a)]
-    # one hop = one r* edge; the cover at r=1 only asks "at most 2 hops?",
-    # which is a nonzero entry of (adj + I)^2 (0/1 sums: exact in float)
-    step = (mutual_within(sub, r_star) | np.eye(len(a), dtype=bool)).astype(float)
-    within2 = np.where(step @ step > 0, 2.0, np.inf)
-
-    cover_local = hochbaum_shmoys_cover(within2, r=1.0, k=k)
+    # one hop = one r* edge; a center covers the points within 2 hops
+    step = mutual_within(sub, r_star) | np.eye(len(a), dtype=bool)
+    cover_local = _greedy_cover(
+        len(a), lambda c: step[step[c]].any(axis=0), k)
     if len(cover_local) > k:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "no hop cover for any k' <= k",
@@ -386,9 +393,10 @@ def sweep_radius(instance, k: int, solver):
     Returns the solver's outcome at the first candidate radius (0 and the
     distinct off-diagonal distances, ascending) where it succeeds and is
     self-consistent (each cluster has a member within factor * r of all
-    its members, factor its diagnostics["consistency_factor"]), with that
-    radius.  r* is a candidate: some center-point pair attains it.  When
-    none works it returns a not-resilient outcome and None, whose
+    its members), with that radius.  factor is read once, from the first
+    outcome's diagnostics["consistency_factor"], for every check below.
+    r* is a candidate: some center-point pair attains it.  When none works
+    it returns a not-resilient outcome and None, whose
     diagnostics["sweep_log"] holds one (r, status) per candidate: the
     solver's status (not-resilient) where it failed, inconsistent where it
     succeeded without self-consistency.
@@ -398,17 +406,17 @@ def sweep_radius(instance, k: int, solver):
     with r.  While it is k no merge happens, so the partition is fixed and
     self-consistency is monotone in r: the sweep bisects for the first
     candidate with count <= k, then for the first whose factor * r covers
-    that partition's costs, and checks the solver's outcome there.  Its
+    that partition's cost, and checks the solver's outcome there.  Its
     failure log is what a call at every candidate gives: not-resilient
     below and above the candidates with count k, inconsistent among them.
 
     Any other solver is called at the first candidate and then in turn
-    from the first r with r * factor >= _opt_lower_bound(d, k), factor the
-    first outcome's: an ok self-consistent outcome is a k-center solution
-    of cost <= r * factor, so OPT <= r * factor and no skipped candidate
-    could be returned.  Skipped candidates are logged below-bound.  This
-    needs all of a solver's outcomes to carry one factor; when the first
-    carries none, no candidate is skipped.
+    from the first r with r * factor >= _opt_lower_bound(d, k): an ok
+    self-consistent outcome is a k-center solution of cost <= r * factor,
+    so OPT <= r * factor and no skipped candidate could be returned.
+    Skipped candidates are logged below-bound.  This needs all of a
+    solver's outcomes to carry one factor; when the first carries none,
+    no candidate is skipped and the checks use factor 1.
     """
     d = _as_table(instance)
     n = d.shape[0]
@@ -416,11 +424,13 @@ def sweep_radius(instance, k: int, solver):
     # + 0.0 turns -0.0 into 0.0; tolist keeps each r a Python float
     candidates = (np.unique(np.append(off, 0.0)) + 0.0).tolist()
     first = solver(instance, k, candidates[0])
-    if first.diagnostics.get("monotone"):
-        return _bisection_sweep(instance, d, k, solver, candidates, first)
     factor = first.diagnostics.get("consistency_factor")
+    if first.diagnostics.get("monotone"):
+        return _bisection_sweep(instance, d, k, solver, candidates, first,
+                                factor)
     start = 1 if factor is None else max(1, bisect.bisect_left(
         candidates, _opt_lower_bound(d, k), key=lambda r: r * factor))
+    factor = 1.0 if factor is None else factor
     log = []
     for i, r in enumerate(candidates):
         if 0 < i < start:
@@ -429,15 +439,14 @@ def sweep_radius(instance, k: int, solver):
         outcome = solver(instance, k, r) if i else first
         if not outcome.ok:
             log.append((r, outcome.status))
-            continue
-        factor = outcome.diagnostics.get("consistency_factor", 1.0)
-        if _self_consistent(d, outcome.clustering, r * factor):
+        elif _consistency_cost(d, outcome.clustering) <= r * factor:
             return outcome, r
-        log.append((r, "inconsistent"))
+        else:
+            log.append((r, "inconsistent"))
     return _no_radius(log)
 
 
-def _bisection_sweep(instance, d, k, solver, candidates, first):
+def _bisection_sweep(instance, d, k, solver, candidates, first, factor):
     """sweep_radius for a monotone solver: O(log m) calls on m candidates."""
     m = len(candidates)
     seen = {0: first}  # candidate index -> outcome; no index is solved twice
@@ -453,12 +462,11 @@ def _bisection_sweep(instance, d, k, solver, candidates, first):
     lo = first_index(0, lambda i: at(i).diagnostics["component_count"] <= k)
     hi = lo
     if lo < m and at(lo).ok:
-        factor = at(lo).diagnostics["consistency_factor"]
-        costs = _cluster_costs(d, at(lo).clustering)
-        j = first_index(lo, lambda i: all(c <= candidates[i] * factor
-                                          for c in costs))
-        if j < m and at(j).ok and _self_consistent(
-                d, at(j).clustering, candidates[j] * factor):
+        j = bisect.bisect_left(candidates,
+                               _consistency_cost(d, at(lo).clustering),
+                               lo=lo, key=lambda r: r * factor)
+        if j < m and at(j).ok and (_consistency_cost(d, at(j).clustering)
+                                   <= candidates[j] * factor):
             return at(j), candidates[j]
         hi = first_index(lo, lambda i: at(i).diagnostics["component_count"] < k)
     return _no_radius([(r, "inconsistent" if lo <= i < hi else "not-resilient")
@@ -469,23 +477,16 @@ def _opt_lower_bound(d, k):
     """A lower bound on the optimal k-center radius of any square table.
 
     Farthest-first from point 0 under the pair-cover value
-    c2(p, q) = min_c max(d[c, p], d[c, q]), k + 1 picks (smallest index on
-    ties); returns the smallest c2 between two picks, 0.0 when k >= n.  Two
+    c2(p, q) = min_c max(d[c, p], d[c, q]), k + 1 picks; returns the
+    smallest c2 between two picks (inf for k = 0), 0.0 when k >= n.  Two
     of any k + 1 points share an optimal center c, and c2 of that pair is
     at most max(d[c, p], d[c, q]) <= OPT: neither symmetry nor the
     triangle inequality is used.
     """
-    n = d.shape[0]
-    if k >= n:
+    if k >= d.shape[0]:
         return 0.0
-    gap = np.full(n, np.inf)  # c2 to the nearest pick so far
-    pick, bound = 0, np.inf
-    for _ in range(k):
-        gap = np.minimum(gap, np.maximum(d[:, [pick]], d).min(axis=0))
-        gap[pick] = -np.inf  # a pick is never picked again
-        pick = int(gap.argmax())
-        bound = min(bound, gap[pick])
-    return float(bound)
+    return min(_traverse(lambda p: np.maximum(d[:, [p]], d).min(axis=0),
+                         k + 1)[1])
 
 
 def _no_radius(log):
@@ -493,14 +494,9 @@ def _no_radius(log):
         "reason": "no candidate radius works", "sweep_log": tuple(log)}), None
 
 
-def _cluster_costs(d, clustering):
-    """The 1-center cost of each nonempty cluster."""
-    return [_one_center(d, g)[1] for g in clustering.clusters() if g]
-
-
-def _self_consistent(d, clustering, r):
-    """Every cluster has some member within r of all its members."""
-    return all(cost <= r for cost in _cluster_costs(d, clustering))
+def _consistency_cost(d, clustering):
+    """The largest 1-center cost over the nonempty clusters."""
+    return max(_one_center(d, g)[1] for g in clustering.clusters() if g)
 
 
 def _approximation(instance, centers):

@@ -253,6 +253,20 @@ def test_bench_non_finite_param_row_is_infeasible(tmp_path):
         ["error:InfeasibleParams"] * 3
 
 
+def test_bench_fewer_centers_than_truth_row_keeps_its_status(tmp_path):
+    # hs covers bad-center-18 at k=3, r=1 with 2 centers (radius 1.5, OPT
+    # 1): no epsilon distance to the 3-cluster truth, which read
+    # error:MismatchedK
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps([{"family": "bad-center-18", "solver": "hs",
+                                  "params": {"alpha": 2.0}}]))
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--manifest", str(mpath), "--out", str(out),
+                "--no-timing"]) == 0
+    assert out.read_text().splitlines()[1] == \
+        "bad-center-18,alpha=2.0,0,hs,,1.5,,approximation-only"
+
+
 def test_no_command_exits_1_with_one_line(capsys):
     assert run([]) == 1  # was argparse's exit 2 after a usage dump
     assert capsys.readouterr().err == \
@@ -437,6 +451,11 @@ def _two_point_kci(entry):
     (["bench", "--manifest", "{manifest}"],
      [{"family": "bad-center-18", "params": {"alpha": 2.0}, "seed": True,
        "solver": "thm3"}], "manifest row 0 must be"),
+    # was exit 0 with an error:ValueError row, though this family takes no
+    # seed
+    (["bench", "--manifest", "{manifest}"],
+     [{"family": "bad-center-18", "params": {"alpha": 2.0}, "seed": -1,
+       "solver": "thm3"}], "manifest row 0 must be"),
     # usage errors were argparse's exit 2 after a usage dump
     (["solve", "{ps}.kci", "--algo", "ff2", "--k", "notint"], None,
      "kcenter-pr solve: argument --k: invalid int value: 'notint'"),
@@ -484,6 +503,7 @@ def _two_point_kci(entry):
         "planted-sym-r-inf", "planted-sym-alpha-inf", "planted-sym-r-nan",
         "planted-asym-skew-inf", "planted-asym-skew-nan",
         "eps-padding-alpha-inf", "kci-trailing-text", "bench-seed-bool",
+        "bench-seed-negative",
         "usage-k-not-int", "usage-unknown-algo", "usage-missing-algo",
         "usage-unknown-family", "usage-unknown-command",
         "usage-newline-argument", "random-over-cap",

@@ -639,13 +639,13 @@ def _reference_3eps(d, k, r):
 def test_asymmetric_3eps_matches_k_prime_loop(monkeypatch, asymmetric):
     monkeypatch.setattr(solvers, "PATCH_BUDGET", 100)  # bounds large k
     covers = []
-    original = solvers.hochbaum_shmoys_cover
+    original = solvers._greedy_cover
 
     def counted(*args, **kwargs):
         covers.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "hochbaum_shmoys_cover", counted)
+    monkeypatch.setattr(solvers, "_greedy_cover", counted)
     cases = mismatches = searched = k_minus_6 = 0
     for d in ASYM_TABLES if asymmetric else SYM_TABLES:
         n = d.shape[0]
@@ -694,7 +694,8 @@ def _linear_sweep(instance, k, solver):
             log.append((r, outcome.status))
             continue
         factor = outcome.diagnostics.get("consistency_factor", 1.0)
-        if solvers._self_consistent(d, outcome.clustering, r * factor):
+        if all(solvers._one_center(d, g)[1] <= r * factor
+               for g in outcome.clustering.clusters() if g):
             return outcome, r
         log.append((r, "inconsistent"))
     return SolveOutcome(status="not-resilient", diagnostics={
@@ -849,3 +850,76 @@ def test_bounded_sweep_matches_linear_sweep(monkeypatch, solver_id):
     assert found > 0 and skipped > 0
     # hs and alg2-3eps-asym succeed at a large enough r on every table
     assert skipped_failures > 0 or solver_id != "alg1-2pr"
+
+
+def _reference_farthest_first(d, k):
+    """Farthest-first with its own loop, as before the shared traversal."""
+    centers = [0]
+    mind = d[0].copy()
+    mind[0] = -1.0  # below every distance: a center is never picked again
+    while len(centers) < k:
+        nxt = int(mind.argmax())
+        centers.append(nxt)
+        mind[nxt] = -1.0
+        mind = np.minimum(mind, d[nxt])
+    return tuple(centers)
+
+
+def _reference_opt_lower_bound(d, k):
+    """The pair-cover bound with its own farthest-first loop."""
+    n = d.shape[0]
+    if k >= n:
+        return 0.0
+    gap = np.full(n, np.inf)  # c2 to the nearest pick so far
+    pick, bound = 0, np.inf
+    for _ in range(k):
+        gap = np.minimum(gap, np.maximum(d[:, [pick]], d).min(axis=0))
+        gap[pick] = -np.inf  # a pick is never picked again
+        pick = int(gap.argmax())
+        bound = min(bound, gap[pick])
+    return float(bound)
+
+
+def _reference_hochbaum_shmoys(d, r, k):
+    """The 2r greedy cover with its own loop, as before the shared cover."""
+    unmarked = np.ones(d.shape[0], dtype=bool)
+    centers = []
+    while unmarked.any() and len(centers) <= k:
+        c = int(unmarked.argmax())  # smallest unmarked index
+        centers.append(c)
+        unmarked &= ~(d[c] <= 2 * r)
+    return tuple(centers)
+
+
+def _negative_zero_table():
+    """Points 0, 1 and 2 coincide at distance -0.0."""
+    d = gen_random_metric(6, "symmetric", 7).dist.copy()
+    d[:3] = d[0]
+    d[:, :3] = d[:, [0]]
+    d[:3, :3] = -0.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def test_shared_greedy_loops_match_their_own_loops():
+    # raw tables: no symmetry check, so farthest-first also runs on
+    # asymmetric ones; HS at every candidate r, at k = 0 and the largest k
+    tables = SYM_TABLES + ASYM_TABLES + [_negative_zero_table()]
+    tables += [_random_table(n, s) for n in (2, 5, 7, 10) for s in (0, 1)]
+    tables += [gen_planted_symmetric(n, k, 1.0, 2.0, 1).instance.dist
+               for n, k in ((60, 5), (300, 8))]
+    bounds = covers = 0
+    for d in tables:
+        n = d.shape[0]
+        for k in range(0, min(n, 10) + 1):
+            got = solvers._opt_lower_bound(d, k)
+            assert repr(got) == repr(_reference_opt_lower_bound(d, k)), (n, k)
+            bounds += 1
+            if k:
+                assert farthest_first(d, k) == _reference_farthest_first(d, k)
+        for r in np.unique(np.append(d, 0.0)).tolist():
+            for k in (0, min(n, 10)):
+                assert hochbaum_shmoys_cover(d, r, k) == \
+                    _reference_hochbaum_shmoys(d, r, k), (n, r, k)
+                covers += 1
+    assert bounds > 300 and covers > 40_000
