@@ -100,7 +100,9 @@ def check_structure(instance, clustering: Clustering,
         witnesses["weak_center_proximity"] = weak_hit
 
     nz = np.flatnonzero(dc != 0)  # the ratio is infinite where d(c_i, p) = 0
-    ratio = d[np.ix_(cen, nz)] / dc[nz]  # [j, p]: d(c_j, p) / d(c_i, p)
+    # [j, p]: d(c_j, p) / d(c_i, p); an overflow gives +inf, the exact rounding
+    with np.errstate(over="ignore"):
+        ratio = d[np.ix_(cen, nz)] / dc[nz]
     factor = ratio[np.arange(k)[:, None] != lab[nz]].min(initial=np.inf)
 
     respects = nearest is not None

@@ -1,10 +1,10 @@
 """Command line entry point: solve, oracle, verify, generate, bench.
 
-Exit codes: 0 success, 1 input error (argparse usage errors too: one
-`error:` line on stderr), 2 a solver's resilience promise visibly failed
-(status not-resilient, with the outcome's reason if it has one), 3 the
-falsifier found a counterexample.  One command per invocation; output files
-are written via temp-and-rename so a crash never leaves a partial file.
+Exit codes: 0 success, 1 input error (usage errors and unwritable outputs
+too: one `error:` line on stderr), 2 a solver's resilience promise visibly
+failed (status not-resilient, with the outcome's reason if it has one), 3
+the falsifier found a counterexample.  One command per invocation; output
+files are written via temp-and-rename so a crash never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 from . import kci
 from .analysis import check_structure, find_cluster_capturing_centers
@@ -53,8 +54,7 @@ def _non_negative(text):
 
 def _read_instance(path, slack=0.0):
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read {path}: {e}")
     try:
@@ -65,10 +65,17 @@ def _read_instance(path, slack=0.0):
 
 def _read_clustering(path):
     try:
-        with open(path) as fh:
-            return kci.parse_clustering(fh.read())
+        return kci.parse_clustering(Path(path).read_text())
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise _InputError(f"cannot read clustering {path}: {e}")
+
+
+def _write(path, text):
+    """Every output file goes through here: an OSError becomes exit 1."""
+    try:
+        kci.write_atomic(path, text)
+    except OSError as e:
+        raise _InputError(f"cannot write {path}: {e}")
 
 
 def _check_k(k, n):
@@ -97,12 +104,12 @@ def cmd_solve(args):
         reason = outcome.diagnostics.get("reason")
         print(f"status {outcome.status}" + (f" ({reason})" if reason else ""))
         return EXIT_PROMISE
+    _write(args.out or args.input + ".clustering.json",
+           kci.emit_clustering(outcome.clustering))
     if chosen_r is not None:
         print(f"r {chosen_r!r}")
     print(f"radius {outcome.clustering.radius!r}")
     print(f"status {outcome.status}")
-    out = args.out or args.input + ".clustering.json"
-    kci.write_atomic(out, kci.emit_clustering(outcome.clustering))
     return EXIT_OK
 
 
@@ -110,12 +117,11 @@ def cmd_oracle(args):
     instance = _read_instance(args.input, slack=args.slack)
     _check_k(args.k, instance.n)
     res = brute_force_optimal(instance.dist, args.k, budget=args.budget)
+    if args.out:
+        _write(args.out, kci.emit_clustering(res.clustering(instance.dist)))
     print(f"radius {res.optimal_radius!r}")
     print(f"optimal-center-sets {len(res.optimal_center_sets)}")
     print(f"partition-unique {'true' if res.partition_unique else 'false'}")
-    if args.out:
-        kci.write_atomic(args.out,
-                         kci.emit_clustering(res.clustering(instance.dist)))
     return EXIT_OK
 
 
@@ -131,9 +137,12 @@ def cmd_verify(args):
         raise _InputError(str(e))
     structure = check_structure(instance, truth, r_star)
     ccc = find_cluster_capturing_centers(instance, truth, r_star)
-    fals = falsify_resilience(instance, truth.k, params,
-                              budget=args.budget, seed=args.seed,
-                              oracle_budget=args.oracle_budget)
+    try:
+        fals = falsify_resilience(instance, truth.k, params,
+                                  budget=args.budget, seed=args.seed,
+                                  oracle_budget=args.oracle_budget)
+    except ValueError as e:  # alpha * d overflows
+        raise _InputError(f"--alpha: {e}")
     report = {
         "r_star": r_star,
         "alpha": args.alpha,
@@ -153,19 +162,17 @@ def cmd_verify(args):
                 fals.violating_clustering),
             "epsilon_distance": fals.eps_dist,
         }
-    out = args.out or args.instance + ".report.json"
-    kci.write_atomic(out, json.dumps(report, indent=2) + "\n")
+    _write(args.out or args.instance + ".report.json",
+           json.dumps(report, indent=2) + "\n")
     print(f"falsifier {fals.status}")
     return EXIT_FALSIFIED if fals.status == "falsified" else EXIT_OK
 
 
 def _emit_planted(planted, prefix):
-    kci.write_atomic(prefix + ".kci", kci.emit_instance(planted.instance))
-    kci.write_atomic(prefix + ".truth.json",
-                     kci.emit_clustering(planted.truth))
-    kci.write_atomic(prefix + ".guarantee.json",
-                     json.dumps(kci.to_jsonable(planted.guarantee), indent=2)
-                     + "\n")
+    _write(prefix + ".kci", kci.emit_instance(planted.instance))
+    _write(prefix + ".truth.json", kci.emit_clustering(planted.truth))
+    _write(prefix + ".guarantee.json",
+           json.dumps(kci.to_jsonable(planted.guarantee), indent=2) + "\n")
     print(f"wrote {prefix}.kci {prefix}.truth.json {prefix}.guarantee.json")
 
 
@@ -184,7 +191,7 @@ def cmd_generate(args):
             instance = (gen_from_dominating_set(*named_graph(args.graph))
                         if args.family == "dom-set"
                         else gen_random_metric(args.n, args.mode, args.seed))
-            kci.write_atomic(prefix + ".kci", kci.emit_instance(instance))
+            _write(prefix + ".kci", kci.emit_instance(instance))
             print(f"wrote {prefix}.kci")
     except (RejectionBudgetExceeded, ConstructionCheckFailed,
             ValueError) as e:  # InfeasibleParams is a ValueError
@@ -241,8 +248,7 @@ def _bench_row(row, timing, oracle_budget):
 
 def cmd_bench(args):
     try:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(Path(args.manifest).read_text())
     except (OSError, ValueError) as e:
         raise _InputError(f"cannot read manifest {args.manifest}: {e}")
     if not isinstance(manifest, list):
@@ -288,7 +294,7 @@ def cmd_bench(args):
                                 oracle_budget=args.oracle_budget))
     text = "\n".join(lines) + "\n"
     if args.out:
-        kci.write_atomic(args.out, text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

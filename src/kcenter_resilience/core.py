@@ -123,21 +123,14 @@ class Clustering:
         return out
 
     def canonical_partition(self):
-        """Label-free view: nonempty clusters as sorted tuples, sorted."""
-        return tuple(sorted(tuple(c) for c in self.clusters() if c))
+        """Label-free view: ``label_groups`` of the assignment, as tuples."""
+        return tuple(map(tuple, label_groups(np.asarray(self.assignment))))
 
 
 def _as_table(instance) -> np.ndarray:
     if isinstance(instance, Instance):
         return instance.dist
     return np.asarray(instance, dtype=float)
-
-
-def _as_instance(instance) -> Instance:
-    """A raw table is read as an asymmetric instance, unvalidated."""
-    if isinstance(instance, Instance):
-        return instance
-    return Instance(ASYMMETRIC, instance)
 
 
 def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
@@ -177,8 +170,10 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
     rows = max(1, SCAN_CELLS // max(1, n * n))
     for start in range(0, n, rows):
         blk = d[start:start + rows]
-        # viol[p, s, q] <=> d(p,q) > d(p,s) + d(s,q); argwhere scans row-major
-        viol = blk[:, None, :] > (blk[:, :, None] + d[None, :, :]) + slack
+        # viol[p, s, q] <=> d(p,q) > d(p,s) + d(s,q); argwhere scans row-major;
+        # a sum that overflows to +inf exceeds every finite d(p,q): exact
+        with np.errstate(over="ignore"):
+            viol = blk[:, None, :] > (blk[:, :, None] + d[None, :, :]) + slack
         if viol.any():
             p, s, q = np.argwhere(viol)[0]
             raise TriangleViolation(start + int(p), int(s), int(q))
@@ -187,11 +182,16 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
 
 def cost(instance, centers: Iterable[int]) -> float:
     """k-center objective: max over points of distance from nearest center."""
-    d = _as_table(instance)
     centers = sorted(set(int(c) for c in centers))
     if not centers:
         raise ValueError("centers must be nonempty")
-    return float(d[centers].min(axis=0).max())
+    return float(set_costs(_as_table(instance), np.array([centers]))[0])
+
+
+def set_costs(d, subsets):
+    """k-center cost under each row of ``subsets`` (center sets): the
+    largest distance from a point's closest center to the point."""
+    return d[subsets].min(axis=1).max(axis=1)
 
 
 def voronoi_labels(d, subsets):
@@ -285,8 +285,8 @@ def symmetrized_set(instance, r_star: float):
     attachment array; None when A is empty.
 
     ``nearest[p]`` is p for p in A, so A is ``nearest == arange(n)``; for p
-    outside A it is A(p) = argmin_{q in A} d(q, p) (incoming distance,
-    smallest index on ties).
+    outside A it is A(p), its closest A-point under ``voronoi_labels``' tie
+    rule (incoming distance, smallest index on ties).
     """
     if r_star < 0:
         raise ValueError("r_star must be >= 0")
@@ -296,7 +296,4 @@ def symmetrized_set(instance, r_star: float):
     a_idx = np.flatnonzero(~fails)
     if not a_idx.size:
         return None
-    nearest = np.arange(d.shape[0])
-    # first occurrence = smallest index
-    nearest[fails] = a_idx[d[np.ix_(a_idx, fails)].argmin(axis=0)]
-    return nearest
+    return a_idx[voronoi_labels(d, a_idx[None])[0]]

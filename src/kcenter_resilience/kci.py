@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .core import Clustering, Instance, validate_instance
+from .core import Clustering, Instance, label_groups, validate_instance
 
 
 class KciFormatError(ValueError):
@@ -72,16 +72,14 @@ def parse_instance(text: str, slack: float = 0.0) -> Instance:
 
 
 def clustering_to_dict(clustering: Clustering) -> dict:
-    """Clusters sorted ascending, ordered by smallest member; centers aligned."""
-    pairs = sorted(
-        ((sorted(g), clustering.centers[i])
-         for i, g in enumerate(clustering.clusters()) if g),
-        key=lambda t: t[0][0])
+    """Nonempty clusters as ``label_groups`` orders them; centers aligned."""
+    assignment = clustering.assignment
+    groups = label_groups(np.asarray(assignment))
     return {
         "k": clustering.k,
         "radius": clustering.radius,
-        "centers": [c for _, c in pairs],
-        "clusters": [g for g, _ in pairs],
+        "centers": [clustering.centers[assignment[g[0]]] for g in groups],
+        "clusters": groups,
     }
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
-from .core import (SCAN_CELLS, Clustering, Instance, StabilityParams,
-                   _as_instance, _as_table, epsilon_distance, voronoi_labels,
+from .core import (SCAN_CELLS, Clustering, StabilityParams, _as_table,
+                   epsilon_distance, set_costs, voronoi_labels,
                    voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -34,12 +34,12 @@ class CapTooTight(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Perturbation:
-    """An alpha-perturbation d' of a base instance: d <= d' <= alpha*d.
+    """An alpha-perturbation d' of a base table d: d <= d' <= alpha*d.
 
     d' need not be a metric.
     """
 
-    base: Instance
+    base: np.ndarray
     alpha: float
     dprime: np.ndarray
 
@@ -49,7 +49,7 @@ class Perturbation:
         object.__setattr__(self, "dprime", d)
 
     def bounds_ok(self) -> bool:
-        d = self.base.dist
+        d = self.base
         return bool(np.all(self.dprime >= d) and np.all(self.dprime <= self.alpha * d))
 
 
@@ -96,7 +96,7 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> O
         idx = np.fromiter(itertools.chain.from_iterable(
             itertools.islice(subsets, m)), dtype=np.intp, count=m * k)
         idx = idx.reshape(m, k)
-        scores = d[idx].min(axis=1).max(axis=1)
+        scores = set_costs(d, idx)
         low = np.fmin.reduce(scores)  # a NaN score never ties or wins
         if low < best:
             best = low
@@ -126,28 +126,26 @@ def build_lemma1_perturbation(instance, r_star: float, alpha: float,
     drops below d.  The result satisfies "d >= r* implies d' >= alpha*r*",
     hence its optimal cost is exactly alpha*r*.
     """
-    inst = _as_instance(instance)
-    d = inst.dist
+    d = _as_table(instance)
     dprime = alpha * d
     bound = alpha * r_star
     for p, q in capped_pairs:
         if d[p, q] > bound:
             raise CapTooTight(p, q, d[p, q], bound)
         dprime[p, q] = min(alpha * d[p, q], bound)
-    return Perturbation(base=inst, alpha=alpha, dprime=dprime)
+    return Perturbation(base=d, alpha=alpha, dprime=dprime)
 
 
 def sample_perturbation(instance, alpha: float, seed: int) -> Perturbation:
     """Each off-diagonal entry scaled by an independent uniform [1, alpha] draw."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    inst = _as_instance(instance)
-    d = inst.dist
+    d = _as_table(instance)
     n = d.shape[0]
     rng = np.random.default_rng(seed)
     u = rng.uniform(1.0, alpha, size=(n, n))
     np.fill_diagonal(u, 1.0)
-    return Perturbation(base=inst, alpha=alpha, dprime=d * u)
+    return Perturbation(base=d, alpha=alpha, dprime=d * u)
 
 
 @dataclass(frozen=True)
@@ -195,21 +193,24 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     Finite search can only falsify; "none-found" is not a certificate of
     resilience.  Every counterexample is re-validated before it is
     returned: the perturbation bounds must hold and the violating
-    clustering must be optimal under d' and > epsilon from OPT.
+    clustering must be optimal under d' and > epsilon from OPT.  Raises
+    ValueError, before any oracle call, when alpha * max d overflows.
     """
-    inst = _as_instance(instance)
-    d = inst.dist
+    d = _as_table(instance)
+    if not isfinite(params.alpha * float(d.max())):
+        raise ValueError(f"alpha = {params.alpha!r} times the largest "
+                         "distance is not a finite double")
     opt = brute_force_optimal(d, k, budget=oracle_budget)
     r_star = opt.optimal_radius
     opt_part = opt.clustering(d)
     alpha, epsilon = params.alpha, params.epsilon
     bound = alpha * r_star
     capped = filter(None, ([(q, t) for t in ci if t != q and d[q, t] <= bound]
-                           for ci in opt_part.clusters() for q in range(inst.n)))
+                           for ci in opt_part.clusters() for q in range(len(d))))
     stream = itertools.chain(
-        (build_lemma1_perturbation(inst, r_star, alpha, pairs)
+        (build_lemma1_perturbation(d, r_star, alpha, pairs)
          for pairs in capped),
-        (sample_perturbation(inst, alpha, seed + i) for i in itertools.count()))
+        (sample_perturbation(d, alpha, seed + i) for i in itertools.count()))
     tried = 0
     for tried, pert in enumerate(itertools.islice(stream, budget), 1):
         cl, eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Clustering, Instance, _as_table, components,
+from .core import (Clustering, Instance, _as_table, components, cost,
                    label_groups, mutual_within, symmetrized_set,
                    threshold_components, voronoi_partition)
 
@@ -168,8 +168,8 @@ def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
     leaks = np.array([(sub[~row][:, row] < sub[i, row]).any()
                       for i, row in enumerate(inball)], dtype=bool)
     alive = np.flatnonzero(~leaks)  # positions in A, ascending
-    m = inball[alive].astype(float)
-    inside = (m @ (1.0 - m).T) == 0  # inside[i, j]: ball i is within ball j
+    m = inball[alive].astype(float)  # einsum: see approx_stability_2eps
+    inside = np.einsum("ij,kj->ik", m, 1.0 - m) == 0  # ball i within ball j
     # a ball inside another survivor goes, and so does the later of equals
     inside &= ~inside.T | np.tri(len(alive), k=-1, dtype=bool)
     survivors = alive[~inside.any(axis=1)]
@@ -240,26 +240,22 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                             diagnostics={"reason": "no hop cover for any k' <= k",
                                          "consistency_factor": 3.0})
     c_set = tuple(a[i] for i in cover_local)
-
-    def patches():  # (x, centers): k - x kept from c_set, x others added
-        for x in range(0, min(6, k) + 1):
-            for kept in itertools.combinations(c_set, k - x):
-                kept_s = set(kept)
-                pool = [p for p in range(n) if p not in kept_s]
-                for extra in itertools.combinations(pool, x):
-                    yield x, list(kept) + list(extra)
-
+    # (x, centers): k - x kept from c_set, x others added
+    patches = ((x, list(kept) + list(extra))
+               for x in range(0, min(6, k) + 1)
+               for kept in itertools.combinations(c_set, k - x)
+               for extra in itertools.combinations(
+                   [p for p in range(n) if p not in kept], x))
     chosen = x_used = None
-    reason = "no 3r* cover with x <= 6"
     work = 0
-    for x, cand in patches():
-        if work == PATCH_BUDGET:
-            reason = f"patch enumeration exceeded budget {PATCH_BUDGET}"
-            break
-        work += 1
-        if d[cand].min(axis=0).max() <= 3 * r_star:
+    for work, (x, cand) in enumerate(itertools.islice(patches, PATCH_BUDGET),
+                                     1):
+        if cost(d, cand) <= 3 * r_star:
             chosen, x_used = tuple(sorted(cand)), x
             break
+    else:  # islice stops without pulling past the budget
+        reason = ("no 3r* cover with x <= 6" if next(patches, None) is None
+                  else f"patch enumeration exceeded budget {PATCH_BUDGET}")
     # the greedy's picks do not depend on k, so k' is the first that fits
     diagnostics = {"k_prime": max(len(c_set), k - 6, 1), "hop_cover": c_set,
                    "x": x_used, "patch_work": work,

@@ -1,6 +1,7 @@
 """CLI surface: file formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,16 +60,16 @@ def test_generate_is_byte_identical_across_runs(tmp_path):
                     "--r", "1", "--alpha", "2", "--seed", "7",
                     "--out-prefix", p]) == 0
     for suffix in (".kci", ".truth.json", ".guarantee.json"):
-        assert open(p1 + suffix, "rb").read() == open(p2 + suffix, "rb").read()
+        assert Path(p1 + suffix).read_bytes() == Path(p2 + suffix).read_bytes()
 
 
 def test_solve_planted_matches_truth(tmp_path):
     prefix = gen_planted_files(tmp_path)
-    truth = parse_clustering(open(prefix + ".truth.json").read())
+    truth = parse_clustering(Path(prefix + ".truth.json").read_text())
     out = str(tmp_path / "sol.json")
     assert run(["solve", prefix + ".kci", "--algo", "thm5-3eps",
                 "--k", "3", "--r", repr(truth.radius), "--out", out]) == 0
-    got = parse_clustering(open(out).read())
+    got = parse_clustering(Path(out).read_text())
     assert got.canonical_partition() == truth.canonical_partition()
 
 
@@ -77,8 +78,8 @@ def test_solve_sweeps_when_r_absent(tmp_path):
     out = str(tmp_path / "sol.json")
     assert run(["solve", prefix + ".kci", "--algo", "alg1-2pr",
                 "--k", "3", "--out", out]) == 0
-    truth = parse_clustering(open(prefix + ".truth.json").read())
-    got = parse_clustering(open(out).read())
+    truth = parse_clustering(Path(prefix + ".truth.json").read_text())
+    got = parse_clustering(Path(out).read_text())
     assert got.canonical_partition() == truth.canonical_partition()
 
 
@@ -139,7 +140,7 @@ def test_verify_planted_ok(tmp_path):
     assert run(["verify", prefix + ".kci", prefix + ".truth.json",
                 "--alpha", "2", "--epsilon", "0", "--budget", "30",
                 "--out", report_path]) == 0
-    report = json.load(open(report_path))
+    report = json.loads(Path(report_path).read_text())
     assert report["structure"]["property1"] is True
     assert report["structure"]["property2"] is True
     assert report["falsifier"]["status"] in ("none-found", "budget-exceeded")
@@ -171,7 +172,7 @@ def test_verify_weak_instance_exits_3_with_replayable_counterexample(tmp_path):
     assert run(["verify", str(inst_path), str(truth_path),
                 "--alpha", "2", "--epsilon", "0", "--budget", "100",
                 "--out", report_path]) == 3
-    report = json.load(open(report_path))
+    report = json.loads(Path(report_path).read_text())
     ce = report["counterexample"]
     # replay: the serialized dprime really does move the optimum
     dprime = parse_instance(ce["dprime_kci"], slack=float("inf")).dist
@@ -186,7 +187,7 @@ def test_generate_dom_set_and_eps_padding(tmp_path):
     prefix = str(tmp_path / "star")
     assert run(["generate", "dom-set", "--graph", "star5", "--k", "1",
                 "--out-prefix", prefix]) == 0
-    inst = parse_instance(open(prefix + ".kci").read())
+    inst = parse_instance(Path(prefix + ".kci").read_text())
     assert set(np.unique(inst.dist)) <= {0.0, 1.0, 2.0}
 
     base_prefix = str(tmp_path / "base")
@@ -196,7 +197,7 @@ def test_generate_dom_set_and_eps_padding(tmp_path):
     assert run(["generate", "eps-padding", "--base", base_prefix + ".kci",
                 "--k", "2", "--alpha", "2", "--epsilon", "0.5",
                 "--out-prefix", pad_prefix]) == 0
-    padded = parse_instance(open(pad_prefix + ".kci").read())
+    padded = parse_instance(Path(pad_prefix + ".kci").read_text())
     assert padded.n == 4 + 8
 
 
@@ -223,8 +224,8 @@ def test_bench_deterministic_and_error_rows(tmp_path):
     for out in (out1, out2):
         assert run(["bench", "--manifest", str(mpath), "--out", out,
                     "--no-timing"]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    lines = open(out1).read().splitlines()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    lines = Path(out1).read_text().splitlines()
     assert lines[0] == \
         "family,params,seed,solver,eps_dist,radius_ratio,wall_ms,status"
     assert len(lines) == 4
@@ -291,7 +292,7 @@ def test_bench_oracle_infeasible_row_blank_ratio(tmp_path):
     out = str(tmp_path / "b.csv")
     assert run(["bench", "--manifest", str(mpath), "--out", out,
                 "--no-timing", "--oracle-budget", "1000"]) == 0
-    row = open(out).read().splitlines()[1]
+    row = Path(out).read_text().splitlines()[1]
     fields = row.split(",")
     assert fields[5] == ""  # radius_ratio column absent
     assert fields[7] == "exact-claim"
@@ -308,7 +309,7 @@ def test_bench_failed_promise_row_is_not_resilient(tmp_path):
     out = str(tmp_path / "b.csv")
     assert run(["bench", "--manifest", str(mpath), "--out", out,
                 "--no-timing"]) == 0
-    assert open(out).read().splitlines()[1] == \
+    assert Path(out).read_text().splitlines()[1] == \
         "planted-sym,alpha=2.0;epsilon=1.0;k=2;n=10;r=1.0,2,alg4-2eps-as," \
         ",,,not-resilient"
 
@@ -353,6 +354,10 @@ def _two_point_kci(entry):
     # was an OverflowError in the random phase, after NaN diagonals
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "inf"], None,
      "alpha must be finite"),
+    # alpha * d overflowed to inf: warned, then wrote a d' kcenter-pr
+    # cannot read back
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "1e308"], None,
+     "--alpha: alpha = 1e+308 times the largest distance"),
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
       "--epsilon", "2"], None, "epsilon"),
     (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2", "--r", "-1"],
@@ -489,7 +494,8 @@ def _two_point_kci(entry):
     (["generate", "planted-sym", "--alpha", "1e308"], None,
      "separation guarantee failed"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
-        "verify-alpha-nan", "verify-alpha-inf", "verify-epsilon-above-1", "verify-negative-r",
+        "verify-alpha-nan", "verify-alpha-inf", "verify-alpha-1e308",
+        "verify-epsilon-above-1", "verify-negative-r",
         "verify-oracle-budget-too-small", "verify-negative-budget",
         "bench-negative-oracle-budget", "oracle-negative-budget",
         "verify-negative-oracle-budget", "verify-negative-seed",
@@ -567,7 +573,7 @@ def _rename_point(truth, old, new):
         "nan-radius", "huge-int-radius", "string-radius", "float-k"])
 def test_verify_malformed_truth_exits_1(tmp_path, capsys, edit):
     prefix = gen_planted_files(tmp_path)
-    truth = json.load(open(prefix + ".truth.json"))
+    truth = json.loads(Path(prefix + ".truth.json").read_text())
     edit(truth)
     bad = tmp_path / "bad.truth.json"
     bad.write_text(json.dumps(truth))
@@ -575,3 +581,76 @@ def test_verify_malformed_truth_exits_1(tmp_path, capsys, edit):
                 "--budget", "5", "--out", str(tmp_path / "rep.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _write_commands(tmp_path, out):
+    """Each command that writes a file, writing it to ``out``."""
+    prefix = gen_planted_files(tmp_path)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"family": "bad-center-18",
+                                     "params": {"alpha": 2.0},
+                                     "solver": "thm3"}]))
+    return {
+        "solve": ["solve", prefix + ".kci", "--algo", "ff2", "--k", "3",
+                  "--out", out],
+        "oracle": ["oracle", prefix + ".kci", "--k", "3", "--out", out],
+        "verify": ["verify", prefix + ".kci", prefix + ".truth.json",
+                   "--alpha", "2", "--budget", "2", "--out", out],
+        "bench": ["bench", "--manifest", str(manifest), "--out", out],
+        "generate": ["generate", "random", "--n", "4", "--out-prefix", out],
+    }
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+def test_unwritable_output_path_exits_1(tmp_path, capsys, target):
+    # was a FileNotFoundError or IsADirectoryError traceback, and solve
+    # printed its result lines first
+    out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
+    commands = _write_commands(tmp_path, str(out))
+    if target == "existing-dir":
+        del commands["generate"]  # writes <prefix>.kci, never the prefix
+    capsys.readouterr()
+    for name, argv in commands.items():
+        assert run(argv) == 1, name
+        got = capsys.readouterr()
+        assert got.out == "", name
+        assert got.err.startswith(f"error: cannot write {out}")
+        assert got.err.count("\n") == 1, name
+
+
+def _huge_kci(tmp_path):
+    """A valid 4-point metric whose triangle sums overflow to inf."""
+    d = np.full((4, 4), 1e308)
+    d[:2, :2] = d[2:, 2:] = 1e-10
+    np.fill_diagonal(d, 0.0)
+    path = tmp_path / "huge.kci"
+    path.write_text(emit_instance(validate_instance(d, "symmetric")))
+    truth = tmp_path / "huge.truth.json"
+    truth.write_text(json.dumps({"k": 2, "radius": 1e-10, "centers": [0, 2],
+                                 "clusters": [[0, 1], [2, 3]]}))
+    return str(path), str(truth)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{kci}", "--algo", "ff2", "--k", "2"],
+    ["solve", "{kci}", "--algo", "thm5-3eps", "--k", "2"],
+    ["oracle", "{kci}", "--k", "2"],
+    ["verify", "{kci}", "{truth}", "--alpha", "1", "--budget", "3"],
+], ids=["solve-ff2", "solve-sweep", "oracle", "verify-alpha-1"])
+def test_huge_finite_distances_do_not_warn(tmp_path, capsys, argv):
+    # the triangle sums and the proximity ratio warned of an overflow; a
+    # RuntimeWarning is an error under the test settings
+    kci, truth = _huge_kci(tmp_path)
+    argv = [a.format(kci=kci, truth=truth) for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_overflowing_alpha_exits_1(tmp_path, capsys):
+    # 2 * 1e308 is inf: was a warning and a d' with inf entries
+    kci, truth = _huge_kci(tmp_path)
+    assert run(["verify", kci, truth, "--alpha", "2",
+                "--out", str(tmp_path / "rep.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha:") and err.count("\n") == 1
+    assert not (tmp_path / "rep.json").exists()

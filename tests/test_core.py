@@ -25,6 +25,7 @@ from kcenter_resilience import (
     voronoi_partition,
 )
 from kcenter_resilience import core
+from kcenter_resilience.kci import clustering_to_dict
 from kcenter_resilience.generators import (
     gen_bad_center_18,
     gen_from_dominating_set,
@@ -390,3 +391,44 @@ def test_snap_up_grid():
     assert v - 0.3 < grid
     assert (v / grid) == int(v / grid)
     assert float(snap_up(0.5)) == 0.5  # already on the grid
+
+
+def _reference_canonical_partition(cl):
+    """The label-free view before label_groups: nonempty clusters sorted."""
+    return tuple(sorted(tuple(c) for c in cl.clusters() if c))
+
+
+def _reference_clustering_to_dict(cl):
+    """The clustering JSON dict before label_groups: (group, center) pairs
+    sorted by the group's smallest member."""
+    pairs = sorted(((sorted(g), cl.centers[i])
+                    for i, g in enumerate(cl.clusters()) if g),
+                   key=lambda t: t[0][0])
+    return {"k": cl.k, "radius": cl.radius,
+            "centers": [c for _, c in pairs], "clusters": [g for g, _ in pairs]}
+
+
+def test_partition_order_matches_sorted_clusters():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for _ in range(4):
+                # labels drawn from range(k) leave some clusters empty
+                labels = rng.integers(0, k, size=n)
+                if k == n:
+                    labels = rng.permutation(n)
+                centers = rng.choice(n, size=k, replace=False)
+                # the same partition under permuted labels
+                perm = rng.permutation(k)
+                inverse = np.argsort(perm)
+                for lab, cen in ((labels, centers),
+                                 (perm[labels], centers[inverse])):
+                    cases.append(Clustering(
+                        k=k, centers=tuple(cen.tolist()),
+                        assignment=tuple(lab.tolist()), radius=float(n)))
+    empty = sum(len(set(cl.assignment)) < cl.k for cl in cases)
+    assert empty and any(cl.k == cl.n for cl in cases)
+    for cl in cases:
+        assert cl.canonical_partition() == _reference_canonical_partition(cl)
+        assert clustering_to_dict(cl) == _reference_clustering_to_dict(cl)

@@ -371,3 +371,20 @@ def test_falsifier_matches_two_phase_reference():
             assert _falsifier_fields(got) == _falsifier_fields(want)
     assert statuses == {"falsified", "none-found", "budget-exceeded"}
     assert random_hits > 0 and relabelled > 0
+
+
+def test_falsifier_refuses_overflowing_alpha(monkeypatch):
+    # 2 * 1e308 overflows: d' would hold inf entries, so no oracle call runs
+    d = np.full((4, 4), 1e308)
+    d[:2, :2] = d[2:, 2:] = 1e-10
+    np.fill_diagonal(d, 0.0)
+    calls = []
+    monkeypatch.setattr(oracle, "brute_force_optimal",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="not a finite double"):
+        falsify_resilience(d, 2, StabilityParams(alpha=2.0, epsilon=0.0))
+    assert calls == []
+    monkeypatch.undo()
+    res = falsify_resilience(d, 2, StabilityParams(alpha=1.0, epsilon=0.0),
+                             budget=3)
+    assert res.status != "falsified"

@@ -923,3 +923,21 @@ def test_shared_greedy_loops_match_their_own_loops():
                     _reference_hochbaum_shmoys(d, r, k), (n, r, k)
                 covers += 1
     assert bounds > 300 and covers > 40_000
+
+
+def test_patch_budget_boundary(monkeypatch):
+    # A = {0, 2} and one hop cover center suffice for k = 1, but 1 and 3
+    # fail A and every single center leaves a point 10 > 3r* away: the 5
+    # patches ([0], then each point alone) all fail
+    d = np.array([[0, 10, 1, 1], [10, 0, 10, 10], [1, 1, 0, 10],
+                  [10, 10, 10, 0]], dtype=float)
+    monkeypatch.setattr(solvers, "PATCH_BUDGET", 5)
+    out = asymmetric_3eps(d, 1, 1.0)
+    assert out.diagnostics["hop_cover"] == (0,)
+    assert out.diagnostics["reason"] == "no 3r* cover with x <= 6"
+    assert out.diagnostics["patch_work"] == 5
+    monkeypatch.setattr(solvers, "PATCH_BUDGET", 4)
+    out = asymmetric_3eps(d, 1, 1.0)
+    assert out.diagnostics["reason"] == \
+        "patch enumeration exceeded budget 4"
+    assert out.diagnostics["patch_work"] == 4
