@@ -18,6 +18,9 @@ from .core import (SCAN_CELLS, Clustering, StabilityParams, _as_table,
                    voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
+# the falsifier keeps at most this many cells (sets times k) of base-table
+# center sets to restrict its oracle calls to; past it every call is full
+KEPT_CELLS = SCAN_CELLS
 
 
 class BudgetExceeded(RuntimeError):
@@ -71,7 +74,20 @@ class OracleResult:
         return voronoi_partition(table, self.optimal_center_sets[0])
 
 
-def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> OracleResult:
+def _subset_chunks(n, k, chunk):
+    """Every k-subset of range(n), lexicographically, as (m, k) arrays of
+    at most ``chunk`` rows."""
+    subsets = itertools.combinations(range(n), k)
+    total = comb(n, k)
+    for start in range(0, total, chunk):
+        m = min(chunk, total - start)
+        idx = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(subsets, m)), dtype=np.intp, count=m * k)
+        yield idx.reshape(m, k)
+
+
+def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET, *,
+                        candidates=None) -> OracleResult:
     """Enumerate every k-subset of centers and return the exact optimum.
 
     Works on any square nonnegative table, including non-metric
@@ -79,6 +95,11 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> O
     minimizers are retained.  They are scored in chunks of at most
     ``SCAN_CELLS`` // (k n) subsets, so memory is O(SCAN_CELLS) beside the
     table and the minimizers, whatever C(n, k) is.
+
+    ``candidates``, an (m, k) array of ascending rows in lexicographic
+    order, scores only those rows instead; the result is the full scan's
+    whenever every optimal set is among them.  The budget still applies to
+    C(n, k).
     """
     d = _as_table(table)
     n = d.shape[0]
@@ -88,14 +109,18 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> O
     if total > budget:
         raise BudgetExceeded(f"C({n},{k}) = {total} exceeds budget {budget}")
     chunk = max(1, SCAN_CELLS // (k * n))
-    subsets = itertools.combinations(range(n), k)
+    if candidates is None:
+        chunks = _subset_chunks(n, k, chunk)
+    else:
+        candidates = np.asarray(candidates, dtype=np.intp)
+        if candidates.ndim != 2 or candidates.shape[1] != k:
+            raise ValueError(f"candidates must be an (m, {k}) array, "
+                             f"got shape {candidates.shape}")
+        chunks = (candidates[start:start + chunk]
+                  for start in range(0, len(candidates), chunk))
     best = np.inf
     minimizers = [np.empty((0, k), dtype=np.intp)]  # kept if every score is NaN
-    for start in range(0, total, chunk):
-        m = min(chunk, total - start)
-        idx = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(subsets, m)), dtype=np.intp, count=m * k)
-        idx = idx.reshape(m, k)
+    for idx in chunks:
         scores = set_costs(d, idx)
         low = np.fmin.reduce(scores)  # a NaN score never ties or wins
         if low < best:
@@ -118,6 +143,14 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET) -> O
                         partitions=tuple(first.values()))
 
 
+def _require_finite_scale(d, alpha):
+    """Raise ValueError unless alpha times the largest distance is a finite
+    double, so alpha * d and any d' <= alpha * d hold no inf or NaN."""
+    if not isfinite(alpha * float(d.max(initial=0.0))):
+        raise ValueError(f"alpha = {alpha!r} times the largest "
+                         "distance is not a finite double")
+
+
 def build_lemma1_perturbation(instance, r_star: float, alpha: float,
                               capped_pairs) -> Perturbation:
     """Scale every distance by alpha, capping the given pairs at alpha*r*.
@@ -127,6 +160,7 @@ def build_lemma1_perturbation(instance, r_star: float, alpha: float,
     hence its optimal cost is exactly alpha*r*.
     """
     d = _as_table(instance)
+    _require_finite_scale(d, alpha)
     dprime = alpha * d
     bound = alpha * r_star
     for p, q in capped_pairs:
@@ -141,6 +175,7 @@ def sample_perturbation(instance, alpha: float, seed: int) -> Perturbation:
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     d = _as_table(instance)
+    _require_finite_scale(d, alpha)
     n = d.shape[0]
     rng = np.random.default_rng(seed)
     u = rng.uniform(1.0, alpha, size=(n, n))
@@ -159,13 +194,43 @@ class FalsifierResult:
     opt_unique: bool = True
 
 
-def _check_perturbation(d, k, opt_part, epsilon, oracle_budget):
+def _base_cost_cut(d, k, first, bound):
+    """Map a perturbation d' of d to the center sets it need be scored on
+    (see falsify_resilience): those with cost_d(S) <= cost_d'(first), among
+    the sets with cost_d(S) <= bound, kept once; or to None (every set) when
+    the cut is unproven for d' or the kept sets pass KEPT_CELLS cells."""
+    n = d.shape[0]
+    sets, costs, cells = [], [], 0
+    for idx in _subset_chunks(n, k, max(1, SCAN_CELLS // (k * n))):
+        c = set_costs(d, idx)
+        keep = c <= bound
+        cells += k * int(np.count_nonzero(keep))
+        if cells > KEPT_CELLS:
+            return lambda pert: None
+        sets.append(idx[keep])
+        costs.append(c[keep])
+    sets, costs = np.concatenate(sets), np.concatenate(costs)
+    first = np.asarray([first], dtype=np.intp)
+
+    def candidates(pert):
+        if not np.all(pert.dprime >= d):
+            return None
+        ub = set_costs(pert.dprime, first)[0]
+        return sets[costs <= ub] if ub <= bound else None
+
+    return candidates
+
+
+def _check_perturbation(d, k, opt_part, epsilon, oracle_budget,
+                        candidates=None):
     """Return the first d'-optimal clustering farther than epsilon from OPT.
 
     epsilon_distance is label-free, so one clustering per distinct
     partition decides; the first set inducing it is the first such set.
+    ``candidates`` restricts the oracle's scan (see brute_force_optimal).
     """
-    res = brute_force_optimal(d.dprime, k, budget=oracle_budget)
+    res = brute_force_optimal(d.dprime, k, budget=oracle_budget,
+                              candidates=candidates)
     for i in res.partitions:
         cl = voronoi_partition(d.dprime, res.optimal_center_sets[i])
         eps = epsilon_distance(cl, opt_part)
@@ -191,15 +256,23 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     - "none-found": none did and every capped perturbation was tried.
 
     Finite search can only falsify; "none-found" is not a certificate of
-    resilience.  Every counterexample is re-validated before it is
-    returned: the perturbation bounds must hold and the violating
-    clustering must be optimal under d' and > epsilon from OPT.  Raises
-    ValueError, before any oracle call, when alpha * max d overflows.
+    resilience.  Every counterexample is re-validated, by a full oracle
+    scan, before it is returned: the perturbation bounds must hold and the
+    violating clustering must be optimal under d' and > epsilon from OPT.
+    Raises ValueError, before any oracle call, when alpha * max d overflows.
+
+    Each d' is scored only on the center sets that can be optimal for it.
+    Every d' in the stream has d <= d' <= alpha d, so cost_d(S) <=
+    cost_d'(S) for every center set S, and with S0 the first d-optimal set
+    OPT(d') <= UB = cost_d'(S0) <= alpha r*.  So a d'-optimal set has
+    cost_d(S) <= UB: the sets with cost_d <= alpha r* are kept once, in
+    lexicographic order, and d' is scored on those with cost_d <= UB, which
+    gives the full scan's minimizers and partitions.  A d' not >= d
+    entrywise or with UB > alpha r*, or every d' when the kept sets pass
+    KEPT_CELLS cells, gets the full scan.
     """
     d = _as_table(instance)
-    if not isfinite(params.alpha * float(d.max())):
-        raise ValueError(f"alpha = {params.alpha!r} times the largest "
-                         "distance is not a finite double")
+    _require_finite_scale(d, params.alpha)
     opt = brute_force_optimal(d, k, budget=oracle_budget)
     r_star = opt.optimal_radius
     opt_part = opt.clustering(d)
@@ -207,13 +280,15 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     bound = alpha * r_star
     capped = filter(None, ([(q, t) for t in ci if t != q and d[q, t] <= bound]
                            for ci in opt_part.clusters() for q in range(len(d))))
+    cut = _base_cost_cut(d, k, opt.optimal_center_sets[0], bound)
     stream = itertools.chain(
         (build_lemma1_perturbation(d, r_star, alpha, pairs)
          for pairs in capped),
         (sample_perturbation(d, alpha, seed + i) for i in itertools.count()))
     tried = 0
     for tried, pert in enumerate(itertools.islice(stream, budget), 1):
-        cl, eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget)
+        cl, eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget,
+                                      cut(pert))
         if cl is None:
             continue
         assert pert.bounds_ok(), "counterexample violates perturbation bounds"

@@ -1,11 +1,12 @@
-"""Validation and the oracle scan hold a bounded number of cells, whatever
-n^3 or C(n, k) is."""
+"""Validation, the oracle scan and the falsifier hold a bounded number of
+cells, whatever n^3 or C(n, k) is."""
 
 import tracemalloc
 
 import numpy as np
 
-from kcenter_resilience import brute_force_optimal, validate_instance
+from kcenter_resilience import (StabilityParams, brute_force_optimal,
+                                falsify_resilience, validate_instance)
 from kcenter_resilience.generators import gen_planted_symmetric
 
 
@@ -28,3 +29,11 @@ def test_oracle_peak_is_bounded():
     d = gen_planted_symmetric(60, 3, 1.0, 2.0, 0).instance.dist
     # one array over all C(60, 3) subsets would take 49 MB
     assert _peak_bytes(brute_force_optimal, d, 3) < 4 * 2 ** 20
+
+
+def test_falsifier_peak_is_bounded():
+    d = gen_planted_symmetric(60, 3, 1.0, 2.0, 0).instance.dist
+    # the base-cost cut keeps 8,000 of the C(60, 3) = 34,220 sets, and at
+    # most KEPT_CELLS cells of them; scoring them all at once would take 49 MB
+    peak = _peak_bytes(falsify_resilience, d, 3, StabilityParams(2.0, 0.0), 3)
+    assert peak < 2 * 2 ** 20

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from kcenter_resilience import (
     CapTooTight,
     FalsifierResult,
     OracleResult,
+    Perturbation,
     StabilityParams,
     brute_force_optimal,
     build_lemma1_perturbation,
@@ -25,6 +28,7 @@ from kcenter_resilience import (
 )
 from kcenter_resilience import oracle
 from kcenter_resilience.generators import (
+    gen_bad_center_18,
     gen_planted_asymmetric,
     gen_planted_symmetric,
     gen_random_metric,
@@ -197,6 +201,28 @@ def test_sample_perturbation_deterministic_and_bounded():
     assert np.array_equal(sample_perturbation(inst, 1.0, 0).dprime, inst.dist)
 
 
+def _huge_table():
+    """Two pairs 1e-10 apart, 1e308 between them: 2 * d overflows."""
+    d = np.full((4, 4), 1e308)
+    d[:2, :2] = d[2:, 2:] = 1e-10
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def test_perturbation_builders_refuse_overflowing_alpha():
+    d = _huge_table()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before multiplying
+        with pytest.raises(ValueError, match="not a finite double"):
+            sample_perturbation(d, 2.0, 0)
+        with pytest.raises(ValueError, match="not a finite double"):
+            build_lemma1_perturbation(d, 1e-10, 2.0, [(0, 1)])
+        # alpha = 1 keeps every entry finite
+        assert np.array_equal(sample_perturbation(d, 1.0, 0).dprime, d)
+        pert = build_lemma1_perturbation(d, 1e-10, 1.0, [(0, 1)])
+        assert np.array_equal(pert.dprime, d) and pert.bounds_ok()
+
+
 def _weakly_separated(gap):
     pts = np.array([0.0, 1.0, 1.0 + gap, 2.0 + gap])
     d = snap_up(np.abs(pts[:, None] - pts[None, :]))
@@ -340,14 +366,20 @@ def _falsifier_fields(res):
 
 
 def _falsifier_cases():
-    """(instance, k, params, seed): random metrics of both modes and
-    planted-sym tables; alpha 1.2 finds counterexamples in the random phase."""
+    """(instance, k, params, seed): random metrics of both modes, and the
+    shapes `verify` is run on: planted-sym and planted-asym tables and
+    bad-center-18, which falsifies; alpha 1.2 finds counterexamples in the
+    random phase."""
     cases = [(gen_random_metric(9, mode, s), k, StabilityParams(a, e), s)
              for mode in ("symmetric", "asymmetric") for s in (0, 1)
              for k in (2, 3) for a in (1.0, 1.2, 1.5, 2.0) for e in (0.0, 0.2)]
     cases += [(gen_planted_symmetric(n, 3, 1.0, 2.0, 0).instance, 3,
                StabilityParams(a, 0.0), 0)
               for n in (12, 14, 16) for a in (1.5, 2.0)]
+    cases += [(gen_planted_asymmetric(14, 3, 1.0, 2.0, 1.2, 0).instance, 3,
+               StabilityParams(2.0, 0.0), 0),
+              (gen_bad_center_18(2.0).instance, 3,
+               StabilityParams(2.0, 0.0555), 0)]
     return cases
 
 
@@ -375,9 +407,7 @@ def test_falsifier_matches_two_phase_reference():
 
 def test_falsifier_refuses_overflowing_alpha(monkeypatch):
     # 2 * 1e308 overflows: d' would hold inf entries, so no oracle call runs
-    d = np.full((4, 4), 1e308)
-    d[:2, :2] = d[2:, 2:] = 1e-10
-    np.fill_diagonal(d, 0.0)
+    d = _huge_table()
     calls = []
     monkeypatch.setattr(oracle, "brute_force_optimal",
                         lambda *args, **kwargs: calls.append(args))
@@ -388,3 +418,125 @@ def test_falsifier_refuses_overflowing_alpha(monkeypatch):
     res = falsify_resilience(d, 2, StabilityParams(alpha=1.0, epsilon=0.0),
                              budget=3)
     assert res.status != "falsified"
+
+
+def _recording_oracle(monkeypatch):
+    """Wrap the falsifier's oracle: each call is also scanned in full, and
+    (candidates, result, full scan's result) is recorded."""
+    full, calls = oracle.brute_force_optimal, []
+
+    def recorded(table, k, budget=oracle.DEFAULT_SUBSET_BUDGET, *,
+                 candidates=None):
+        got = full(table, k, budget, candidates=candidates)
+        calls.append((candidates, got, full(table, k, budget)))
+        return got
+
+    monkeypatch.setattr(oracle, "brute_force_optimal", recorded)
+    return calls
+
+
+def test_restricted_oracle_matches_full_scan(monkeypatch):
+    # every oracle call of the falsifier stream, capped and random phases,
+    # on tie-heavy tables (integer grids, 1 - eye) and planted ones
+    tables = [_grid(8, s, directed) for s in (0, 1)
+              for directed in (False, True)]
+    tables.append(1.0 - np.eye(7))
+    tables += [gen_planted_symmetric(12, 3, 1.0, 2.0, s).instance.dist
+               for s in (0, 1)]
+    tables += [gen_planted_asymmetric(12, 3, 1.0, 2.0, 1.2, s).instance.dist
+               for s in (0, 1)]
+    params = StabilityParams(2.0, 1.0)  # never falsified: budget runs out
+    calls = _recording_oracle(monkeypatch)
+    for d in tables:
+        for k in (2, 3, 4):
+            T = _capped_count(validate_instance(d, "asymmetric"), k, 2.0)
+            falsify_resilience(d, k, params, budget=T + 3)
+    restricted = [(len(c), got, want) for c, got, want in calls
+                  if c is not None]
+    assert all(got == want for _, got, want in restricted)
+    # the base call and the re-validations are full; every perturbation here
+    # is restricted, many with ties between sets and between partitions
+    assert len(restricted) > 300
+    assert sum(len(want.optimal_center_sets) > 1
+               for _, _, want in restricted) > 100
+    assert sum(not want.partition_unique for _, _, want in restricted) > 20
+    assert sum(m < comb(12, 3) // 2 for m, _, _ in restricted) > 50
+
+
+def _line(xs):
+    return validate_instance(np.abs(np.subtract.outer(xs, xs)), "symmetric")
+
+
+def test_falsifier_scans_in_full_when_dprime_dips_below_base(monkeypatch):
+    # OPT {0,1} {10,11} {50}, r* = 1.  The set {0, 10, 11} covers all but
+    # point 50, 39 away; a d' with d'(11, 50) = 0 makes it d'-optimal at
+    # alpha r* = 2 although its base cost 39 is far above UB = 2
+    inst = _line(np.array([0.0, 1.0, 10.0, 11.0, 50.0]))
+    build = oracle.build_lemma1_perturbation
+
+    def dipped(*args):
+        pert = build(*args)
+        dprime = pert.dprime.copy()
+        dprime[3, 4] = 0.0
+        return Perturbation(base=pert.base, alpha=pert.alpha, dprime=dprime)
+
+    monkeypatch.setattr(oracle, "build_lemma1_perturbation", dipped)
+    params = StabilityParams(2.0, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "KEPT_CELLS", 0)  # every call scans in full
+        want = falsify_resilience(inst, 3, params, budget=8)
+    calls = _recording_oracle(monkeypatch)
+    got = falsify_resilience(inst, 3, params, budget=8)
+    assert _falsifier_fields(got) == _falsifier_fields(want)
+    perts = calls[1:]  # after the base table's call
+    T = _capped_count(inst, 3, 2.0)
+    assert 0 < T < len(perts) == 8
+    assert all(got == full for _, got, full in perts)
+    assert all(c is None for c, _, _ in perts[:T])  # dipped: full scan
+    assert all(c is not None for c, _, _ in perts[T:])  # random: restricted
+    assert all((0, 2, 3) in res.optimal_center_sets for _, res, _ in perts[:T])
+
+
+def _kept_cells(inst, k, alpha):
+    """Cells (sets times k) of the center sets with cost_d <= alpha r*."""
+    d = inst.dist
+    bound = alpha * brute_force_optimal(d, k).optimal_radius
+    return k * sum(cost(d, s) <= bound
+                   for s in itertools.combinations(range(inst.n), k))
+
+
+@pytest.mark.parametrize("make,params", [
+    (lambda: gen_planted_symmetric(12, 3, 1.0, 2.0, 0), StabilityParams(2.0, 0.0)),
+    (lambda: gen_bad_center_18(2.0), StabilityParams(2.0, 0.0555)),
+], ids=["none-found", "falsified"])
+def test_falsifier_falls_back_past_kept_cap(monkeypatch, make, params):
+    inst = make().instance
+    want = falsify_resilience(inst, 3, params, budget=30)
+    cells = _kept_cells(inst, 3, params.alpha)
+    for cap, restricted in ((cells, True), (cells - 1, False)):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "KEPT_CELLS", cap)
+            calls = _recording_oracle(m)
+            got = falsify_resilience(inst, 3, params, budget=30)
+        assert _falsifier_fields(got) == _falsifier_fields(want)
+        perts = calls[1:1 + got.tried]  # the re-validation scans in full
+        assert all((c is not None) == restricted for c, _, _ in perts)
+        assert all(res == full for _, res, full in calls)
+
+
+def test_falsifier_scans_in_full_when_dprime_passes_alpha_d(monkeypatch):
+    # a random d' drawn up to 4 d under alpha = 2: UB = cost_d'(S0) passes
+    # alpha r*, the kept sets' bound, and the third such d' has an optimal
+    # set whose base cost is above alpha r*
+    d = gen_random_metric(9, "symmetric", 0).dist
+    monkeypatch.setattr(oracle, "sample_perturbation",
+                        lambda inst, alpha, seed: sample_perturbation(inst, 4.0, seed))
+    calls = _recording_oracle(monkeypatch)
+    T = _capped_count(validate_instance(d, "symmetric"), 3, 2.0)
+    res = falsify_resilience(d, 3, StabilityParams(2.0, 1.0), budget=T + 3)
+    assert res.tried == T + 3
+    bound = 2.0 * calls[0][1].optimal_radius
+    beyond = [c for c, _, full in calls[1:]
+              if max(cost(d, s) for s in full.optimal_center_sets) > bound]
+    assert beyond and all(c is None for c in beyond)
+    assert all(got == full for _, got, full in calls)
