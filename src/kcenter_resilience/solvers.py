@@ -15,6 +15,7 @@ checkers are the way to confirm it on concrete instances.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -280,7 +281,7 @@ def target_cost_verifier(instance, target: float):
 
 
 def _spanning_tree(d):
-    """Minimum spanning tree of the table as edge arrays (p, q), by rank.
+    """Minimum spanning tree of the table as a list of edges (p, q), by rank.
 
     A pair ranks by its first entry in the table's entries sorted by
     (d[p, q], p, q), the order of a row-major argmin; the order is strict,
@@ -297,7 +298,7 @@ def _spanning_tree(d):
         if lp != lq:
             tree.append((p, q))
             labels[labels == max(lp, lq)] = min(lp, lq)
-    return np.array(tree, dtype=np.intp).reshape(-1, 2).T
+    return tree
 
 
 def weak_proximity_linkage(instance, k: int,
@@ -316,50 +317,77 @@ def weak_proximity_linkage(instance, k: int,
 
     Each merge joins the cheapest pair leaving some f < 0 component, and
     every pair leaving that component is eligible, so by the cut property
-    it is an edge of the minimum spanning tree: each step scans only the
-    n - 1 tree edges, in the same (d, p, q) order as a scan of the table.
+    it is an edge of the minimum spanning tree, first in the same (d, p, q)
+    order as a scan of the table.  Each round puts the ranks of all n - 1
+    tree edges on a heap and pops the smallest: an edge inside one
+    component is dropped (within a round components only grow), an edge
+    with an f < 0 end is merged, and any other is parked under both end
+    components.  A merge pools the two components' parked ranks and puts
+    them back on the heap when the merged component has f < 0.  An edge
+    turns eligible only through such a merge, so every eligible edge is on
+    the heap and every rank popped before it was ineligible when popped:
+    the edge merged is the first eligible one in rank order, the argmax of
+    the eligibility mask over the tree.
     """
     _require_symmetric(instance)
     d = _as_table(instance)
     n = d.shape[0]
-    tree_p, tree_q = _spanning_tree(d)
-    labels = np.arange(n)  # a component's label is its smallest member
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    tree = _spanning_tree(d)
+    labels = list(range(n))  # a component's label is its smallest member
+    groups = {p: [p] for p in range(n)}  # label -> members, both ascending
     committed = []
 
     def stuck(reason):
         return SolveOutcome(status="not-resilient", diagnostics={
             "reason": reason, "committed_edges": tuple(committed)})
 
-    while n - len(committed) > k:
-        scratch = labels.copy()
-        comps = {g[0]: g for g in label_groups(scratch)}
-        neg = np.zeros(n, dtype=bool)  # neg[root]: that component has f < 0
-        for root, members in comps.items():
-            neg[root] = verifier(members) < 0
-        last_edge = None
-        while neg.any():
+    while len(groups) > k:
+        scratch, comps = labels.copy(), dict(groups)
+        neg = {root for root, members in comps.items()
+               if verifier(members) < 0}  # roots of the f < 0 components
+        heap = list(range(n - 1))  # tree ranks; a sorted list is a heap
+        parked = {}  # root -> ranks of the ineligible edges it ends
+        last = None  # rank of the round's last merge
+        while neg:
             if len(comps) == 1:
                 return stuck("a single component still has f < 0")
             # two or more components, one with f < 0: a tree edge leaves it
-            lp, lq = scratch[tree_p], scratch[tree_q]
-            i = int(((lp != lq) & (neg[lp] | neg[lq])).argmax())
-            p, q = int(tree_p[i]), int(tree_q[i])
-            keep, drop = min(lp[i], lq[i]), max(lp[i], lq[i])
+            rank = heapq.heappop(heap)
+            p, q = tree[rank]
+            lp, lq = scratch[p], scratch[q]
+            if lp == lq:
+                continue
+            if lp not in neg and lq not in neg:
+                parked.setdefault(lp, []).append(rank)
+                parked.setdefault(lq, []).append(rank)
+                continue
+            keep, drop = (lp, lq) if lp < lq else (lq, lp)
+            for x in comps[drop]:
+                scratch[x] = keep
             members = comps.pop(drop) + comps.pop(keep)
-            scratch[scratch == drop] = keep
             comps[keep] = members
-            neg[drop], neg[keep] = False, verifier(members) < 0
-            last_edge = (min(p, q), max(p, q))
-        if last_edge is None:
+            neg -= {drop, keep}
+            waiting = parked.pop(drop, []) + parked.pop(keep, [])
+            if verifier(members) < 0:
+                neg.add(keep)
+                for parked_rank in waiting:
+                    heapq.heappush(heap, parked_rank)
+            elif waiting:
+                parked[keep] = waiting
+            last = rank
+        if last is None:
             return stuck("all components verify but more than k remain")
-        committed.append(last_edge)
-        p, q = last_edge
-        rp, rq = labels[p], labels[q]
-        keep, drop = min(rp, rq), max(rp, rq)
-        labels[labels == drop] = keep
+        p, q = tree[last]
+        committed.append((min(p, q), max(p, q)))
+        keep, drop = sorted((labels[p], labels[q]))
+        for x in groups[drop]:
+            labels[x] = keep
+        groups[keep] = sorted(groups.pop(drop) + groups[keep])
     return SolveOutcome(status="exact-claim",
                         clustering=_clustering_from_groups(
-                            d, label_groups(labels)),
+                            d, list(groups.values())),
                         diagnostics={"committed_edges": tuple(committed),
                                      "consistency_factor": np.inf})
 

@@ -1,7 +1,9 @@
 """Source hygiene: every module in src/ and tests/ uses each name it
-imports, and every private module-level name in src/ has a use in src/."""
+imports, every private module-level name in src/ has a use in src/, and
+src/ imports nothing beyond the standard library, numpy and scipy."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,3 +94,35 @@ def test_no_unused_private_names_in_src():
     modules = sorted((ROOT / "src").rglob("*.py"))
     assert len(modules) > 5
     assert _unused_privates(path.read_text() for path in modules) == []
+
+
+def _foreign_imports(source, package):
+    """Top-level modules imported that are not in the standard library,
+    not numpy or scipy and not the package itself (relative imports are
+    the package)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", package}
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module.split(".")[0])
+    return [name for name in imported if name not in allowed]
+
+
+def test_foreign_imports_detected():
+    source = ("from __future__ import annotations\n"
+              "import heapq, os.path, requests\nimport numpy as np\n"
+              "from scipy.sparse import csgraph\nfrom . import core\n"
+              "from .core import cost\nfrom pkg import cli\n"
+              "from pandas.api import types\n")
+    assert _foreign_imports(source, "pkg") == ["requests", "pandas"]
+
+
+def test_src_imports_only_stdlib_numpy_scipy():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 5
+    foreign = [f"{path.relative_to(ROOT)}: {name}" for path in modules
+               for name in _foreign_imports(path.read_text(),
+                                            "kcenter_resilience")]
+    assert foreign == []

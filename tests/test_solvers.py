@@ -228,6 +228,24 @@ def test_weak_proximity_linkage_single_component_stuck():
     assert out.diagnostics["committed_edges"] == ()
 
 
+@pytest.mark.parametrize("k", [-1, 0, 13])
+def test_weak_proximity_linkage_rejects_k_outside_1_to_n(monkeypatch, k):
+    inst = gen_random_metric(12, "symmetric", 3)
+    calls = []
+
+    def verifier(members):
+        calls.append(members)
+        return -1.0
+
+    message = f"need 1 <= k <= n, got k={k}, n=12"
+    with pytest.raises(ValueError, match=message):
+        weak_proximity_linkage(inst, k, verifier)
+    monkeypatch.setattr(solvers, "equal_size_verifier", lambda n, k: verifier)
+    with pytest.raises(ValueError, match=message):
+        SOLVERS["alg3-linkage"].solve(inst, k, None, None)
+    assert calls == []
+
+
 def test_approx_stability_planted():
     planted = gen_planted_symmetric(12, 3, 1.0, 2.0, 6)
     out = approx_stability_2eps(planted.instance, 3, planted.truth.radius, 0.1)
@@ -391,10 +409,16 @@ def test_solvers_deterministic():
 
 # --- differential checks against from-definition references ----------------
 
-def _reference_linkage(d, k, verifier):
-    """Guarded linkage by definition: rescan every pair for each merge."""
+def _reference_linkage(d, k, verifier, revived=None):
+    """Guarded linkage by definition: rescan every pair for each merge.
+
+    revived, if given, gets each merged pair that an earlier scan of the
+    same round passed over as ineligible: one of its ends went from
+    f >= 0 to f < 0 through a merge in between.
+    """
     n = d.shape[0]
     labels = np.arange(n)
+    flat_index = np.arange(n * n).reshape(n, n)
     committed = []
 
     def stuck(reason):
@@ -405,6 +429,7 @@ def _reference_linkage(d, k, verifier):
         scratch = labels.copy()
         comps = {g[0]: g for g in label_groups(scratch)}
         fval = {root: verifier(m) for root, m in comps.items()}
+        passed = np.zeros((n, n), dtype=bool)  # passed over this round
         last_edge = None
         while any(v < 0 for v in fval.values()):
             if len(comps) == 1:
@@ -414,6 +439,10 @@ def _reference_linkage(d, k, verifier):
             eligible = diff & (neg[:, None] | neg[None, :])
             flat = int(np.where(eligible, d, np.inf).argmin())  # row-major
             p, q = divmod(flat, n)
+            if revived is not None and (passed[p, q] or passed[q, p]):
+                revived.append((p, q))
+            passed |= diff & ~eligible & (
+                (d < d[p, q]) | ((d == d[p, q]) & (flat_index < flat)))
             rp, rq = scratch[p], scratch[q]
             keep, drop = min(rp, rq), max(rp, rq)
             members = comps.pop(drop) + comps.pop(keep)
@@ -517,6 +546,15 @@ ASYM_TABLES = (
     + [gen_random_metric(n, "asymmetric", s).dist for n in (6, 9) for s in (0, 1)])
 
 
+def _tie_table(n, seed, symmetric):
+    """Entries drawn from 1, 2, 3: ties everywhere, and no metric."""
+    t = np.random.default_rng(seed).integers(1, 4, size=(n, n)).astype(float)
+    if symmetric:
+        t = np.minimum(t, t.T)
+    np.fill_diagonal(t, 0.0)
+    return t
+
+
 def _verifiers(d, n, k):
     off = np.sort(d[~np.eye(n, dtype=bool)])
     return [equal_size_verifier(n, k),
@@ -525,27 +563,49 @@ def _verifiers(d, n, k):
             lambda b: 0.0,
             lambda b: -1.0,
             lambda b: sum(b) % 3 - 1,
-            lambda b: -(len(b) % 2)]  # f < 0 on odd sizes
+            lambda b: -(len(b) % 2),  # f < 0 on odd sizes
+            # a merge of an f >= 0 component can give f < 0
+            lambda b: -1.0 if 2 in b and len(b) < 4 else 1.0]
 
 
 @pytest.mark.parametrize("asymmetric", [False, True], ids=["sym", "asym"])
 def test_weak_proximity_linkage_matches_reference(asymmetric):
     # raw tables skip the symmetry check, so the tree's tie order is also
     # checked where d(p, q) != d(q, p)
+    cases = [(d, (1, 2, 3)) for d in (ASYM_TABLES if asymmetric
+                                     else SYM_TABLES)]
+    cases += [(_tie_table(n, n, symmetric=not asymmetric),
+               range(1, min(n, 5) + 1)) for n in range(3, 16)]
     calls = mismatches = 0
-    for d in ASYM_TABLES if asymmetric else SYM_TABLES:
+    revived = []
+    for d, ks in cases:
         n = d.shape[0]
-        for k in (1, 2, 3):
+        for k in ks:
             for ver in _verifiers(d, n, k):
                 seen = [[], []]
                 recorders = [lambda b, s=s: (s.append(list(b)), ver(b))[1]
                              for s in seen]
                 got = weak_proximity_linkage(d, k, recorders[0])
-                want = _reference_linkage(d, k, recorders[1])
+                want = _reference_linkage(d, k, recorders[1], revived)
                 calls += 1
                 mismatches += (_outcome_key(got) != _outcome_key(want)
                                or seen[0] != seen[1])
-    assert calls == 12 * 3 * 7 and mismatches == 0
+    assert calls == (12 * 3 + 3 + 4 + 11 * 5) * 8 and mismatches == 0
+    # an edge passed over as ineligible was merged later in its round
+    assert revived
+
+
+@pytest.mark.parametrize("n", [60, 80])
+def test_weak_proximity_linkage_matches_reference_at_benchmark_scale(n):
+    d = gen_planted_symmetric(n, 5, 1.0, 2.0, 0).instance.dist
+    ver = equal_size_verifier(n, 5)
+    seen = [[], []]
+    recorders = [lambda b, s=s: (s.append(list(b)), ver(b))[1] for s in seen]
+    got = weak_proximity_linkage(d, 5, recorders[0])
+    want = _reference_linkage(d, 5, recorders[1])
+    assert got.status == "exact-claim"
+    assert _outcome_key(got) == _outcome_key(want)
+    assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("asymmetric", [False, True], ids=["sym", "asym"])
