@@ -142,7 +142,14 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
 
     The triangle check takes O(n^3) time in blocks of p rows, each at most
     ``SCAN_CELLS`` cells (one row when n^2 is larger), so memory stays
-    O(n^2) beside the table: any n that fits in memory can be read.
+    O(n^2) beside the table: any n that fits in memory can be read.  Each
+    block compares d(p,q) with the shortest two-hop path
+    min_s (d(p,s) + d(s,q)) + slack, which is exact: rounding x + slack is
+    monotone in x, so some s violates exactly when the minimum does.  When
+    the table equals its transpose exactly, a violation (p,s,q) mirrors to
+    (q,s,p), so the first violating row holds one with q >= p, and a block
+    scans only the columns from its first row on.  The first violating
+    row is then rescanned whole for its first (s, q).
     """
     d = np.asarray(raw_table, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -168,15 +175,20 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
             raise SymmetryViolation(int(p), int(q))
     n = d.shape[0]
     rows = max(1, SCAN_CELLS // max(1, n * n))
-    for start in range(0, n, rows):
-        blk = d[start:start + rows]
-        # viol[p, s, q] <=> d(p,q) > d(p,s) + d(s,q); argwhere scans row-major;
-        # a sum that overflows to +inf exceeds every finite d(p,q): exact
-        with np.errstate(over="ignore"):
-            viol = blk[:, None, :] > (blk[:, :, None] + d[None, :, :]) + slack
-        if viol.any():
-            p, s, q = np.argwhere(viol)[0]
-            raise TriangleViolation(start + int(p), int(s), int(q))
+    mirrored = np.array_equal(d, d.T)
+    # a sum that overflows to +inf exceeds every finite d(p,q): exact
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            blk = d[start:start + rows]
+            lo = start if mirrored else 0
+            two_hop = (blk[:, :, None] + d[None, :, lo:]).min(axis=1)
+            hit = (blk[:, lo:] > two_hop + slack).any(axis=1)
+            if hit.any():
+                p = start + int(hit.argmax())
+                # viol[s, q] <=> d(p,q) > d(p,s) + d(s,q), scanned row-major
+                viol = d[p] > (d[p][:, None] + d) + slack
+                s, q = np.argwhere(viol)[0]
+                raise TriangleViolation(p, int(s), int(q))
     return Instance(mode=mode, dist=d)
 
 

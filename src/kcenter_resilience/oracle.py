@@ -227,12 +227,18 @@ def _check_perturbation(d, k, opt_part, epsilon, oracle_budget,
 
     epsilon_distance is label-free, so one clustering per distinct
     partition decides; the first set inducing it is the first such set.
+    OPT's own partition is at distance 0 and is skipped: a partition is
+    OPT's exactly when its pairs (label, OPT label) take k values.
     ``candidates`` restricts the oracle's scan (see brute_force_optimal).
     """
     res = brute_force_optimal(d.dprime, k, budget=oracle_budget,
                               candidates=candidates)
-    for i in res.partitions:
-        cl = voronoi_partition(d.dprime, res.optimal_center_sets[i])
+    sets = np.asarray(res.optimal_center_sets)[list(res.partitions)]
+    pairs = np.sort(voronoi_labels(d.dprime, sets) * k + opt_part.assignment,
+                    axis=1)
+    differ = np.count_nonzero(np.diff(pairs, axis=1), axis=1) >= k
+    for centers in sets[differ]:
+        cl = voronoi_partition(d.dprime, centers)
         eps = epsilon_distance(cl, opt_part)
         if eps > epsilon:
             return cl, eps

@@ -1,5 +1,7 @@
 """Instance model, validation, costs, partitions, closeness, components."""
 
+import ast
+import collections
 import itertools
 
 import numpy as np
@@ -125,7 +127,12 @@ def _validation_key(validate, d, mode, slack):
 def _validation_cases():
     """(table, mode, slack): generator output, L1 grids with coincident
     points (zero off-diagonal distances), raw random tables, and each valid
-    table again with one entry scaled or zeroed at a random (p, q)."""
+    table again with one entry scaled or zeroed at a random (p, q).  A
+    symmetric table scaled at (p, q) and (q, p) is also checked in
+    asymmetric mode, and with one more entry raised by half the slack, so
+    that it is symmetric only within the slack; and each valid symmetric
+    table raised at (p, q) and (q, p), within slack 1, so that only row p
+    violates, with q < p."""
     pts = [np.random.default_rng(s).integers(0, 4, size=(20, 2))
            for s in range(3)]
     grids = [np.abs(x[:, None] - x[None]).sum(axis=2).astype(float)
@@ -154,6 +161,20 @@ def _validation_cases():
                 bad[q, p] = bad[p, q]
             for slack in (0.0, GRID, 0.1, 1.0):
                 cases.append((bad, mode, slack))
+                if mode == "symmetric":
+                    cases.append((bad, "asymmetric", slack))
+                    skew = bad.copy()
+                    skew[tuple(rng.choice(n, size=2, replace=False))] += slack / 2
+                    cases.append((skew, mode, slack))
+    # symmetric within slack 1, violating at (p, q) with q < p while row q
+    # holds: the mirror of a violation need not be one
+    for d, mode in valid:
+        if mode == "symmetric":
+            q, p = sorted(rng.choice(d.shape[0], size=2, replace=False))
+            two_hop = np.delete(d[p] + d[:, q], [p, q]).min()
+            skew = d.copy()
+            skew[q, p], skew[p, q] = two_hop + 0.5, two_hop + 1.25
+            cases.append((skew, mode, 1.0))
     # d(0,2) = (d(0,1) + d(1,2)) + slack, which holds only when the check
     # adds the two legs first and the slack last
     abs_ = rng.uniform(0.0, 1.0, size=(200, 3))
@@ -172,7 +193,8 @@ def _validation_cases():
 
 def test_validate_matches_whole_cube_reference(monkeypatch):
     cases = _validation_cases()
-    mismatches = triangles = offset_rows = 0
+    mismatches = 0
+    kinds = collections.Counter()
     for d, mode, slack in cases:
         want = _validation_key(_reference_validate, d, mode, slack)
         n = d.shape[0]
@@ -182,10 +204,20 @@ def test_validate_matches_whole_cube_reference(monkeypatch):
             mismatches += _validation_key(validate_instance, d, mode,
                                           slack) != want
         monkeypatch.undo()
-        triangles += want[0] == "TriangleViolation"
-        offset_rows += want[0] == "TriangleViolation" and "'p': 0," not in want[1]
+        if want[0] == "TriangleViolation":
+            hit = ast.literal_eval(want[1])
+            mirrored = np.array_equal(d, d.T)
+            kinds.update(triangles=1,
+                         offset_rows=hit["p"] > 0,  # first hit past row 0
+                         back_witness=hit["q"] < hit["p"],  # found by the rescan
+                         # half the columns scanned outside symmetric mode
+                         mirrored_asym=mirrored and mode == "asymmetric",
+                         # every column scanned in symmetric mode
+                         within_slack=not mirrored and mode == "symmetric")
     assert len(cases) > 500 and mismatches == 0
-    assert triangles > 100 and offset_rows > 50  # first hit past row 0
+    assert kinds["triangles"] > 1000 and kinds["offset_rows"] > 500
+    assert kinds["back_witness"] > 50
+    assert kinds["mirrored_asym"] > 200 and kinds["within_slack"] > 200
 
 
 def test_cost_examples():

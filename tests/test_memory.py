@@ -20,9 +20,14 @@ def _peak_bytes(fn, *args):
 
 
 def test_validate_peak_is_a_few_tables():
-    d = 1.0 - np.eye(500)  # every triangle holds: the scan runs to the end
-    # the whole-cube scan held 9 bytes per triple, 562 tables at n = 500
-    assert _peak_bytes(validate_instance, d, "symmetric") < 4 * d.nbytes
+    # every triangle holds: the scan runs to the end, over half the columns
+    # of the symmetric table and every column of the asymmetric one
+    d = 1.0 - np.eye(500)
+    skew = d.copy()
+    skew[0, 1] = 0.5
+    for table, mode in ((d, "symmetric"), (skew, "asymmetric")):
+        # the whole-cube scan held 9 bytes per triple, 562 tables at n = 500
+        assert _peak_bytes(validate_instance, table, mode) < 4 * table.nbytes
 
 
 def test_oracle_peak_is_bounded():
