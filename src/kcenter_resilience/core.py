@@ -139,6 +139,8 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
     Raises the subclass of InstanceViolation naming the first violating
     pair/triple in row-major scan order.  ``slack`` loosens symmetry and
     triangle comparisons for externally supplied data (default exact).
+    Symmetry is compared in the triangle scan's row blocks, and not at all
+    when the table equals its transpose exactly.
 
     The triangle check takes O(n^3) time in blocks of p rows, each at most
     ``SCAN_CELLS`` cells (one row when n^2 is larger), so memory stays
@@ -158,6 +160,8 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
         raise ValueError("table entries must be finite")
     if mode not in (SYMMETRIC, ASYMMETRIC):
         raise ValueError(f"unknown mode {mode!r}")
+    if not slack >= 0:  # an exactly symmetric table then needs no compare
+        raise ValueError(f"slack must be >= 0, got {slack}")
     # rows in order; within a row the diagonal is checked before the signs
     diag = d.diagonal() != 0.0
     negative = d < 0.0
@@ -168,14 +172,16 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
             raise NonzeroDiagonal(p, d[p, p])
         q = int(negative[p].argmax())
         raise NegativeDistance(p, q, d[p, q])
-    if mode == SYMMETRIC:
-        bad = np.argwhere(np.abs(d - d.T) > slack)
-        if bad.size:
-            p, q = bad[0]
-            raise SymmetryViolation(int(p), int(q))
     n = d.shape[0]
     rows = max(1, SCAN_CELLS // max(1, n * n))
     mirrored = np.array_equal(d, d.T)
+    if mode == SYMMETRIC and not mirrored:
+        for start in range(0, n, rows):
+            blk = d[start:start + rows] - d[:, start:start + rows].T
+            bad = np.argwhere(np.abs(blk) > slack)
+            if bad.size:
+                p, q = bad[0]
+                raise SymmetryViolation(start + int(p), int(q))
     # a sum that overflows to +inf exceeds every finite d(p,q): exact
     with np.errstate(over="ignore"):
         for start in range(0, n, rows):
@@ -202,17 +208,20 @@ def cost(instance, centers: Iterable[int]) -> float:
 
 def set_costs(d, subsets):
     """k-center cost under each row of ``subsets`` (center sets): the
-    largest distance from a point's closest center to the point."""
-    return d[subsets].min(axis=1).max(axis=1)
+    largest distance from a point's closest center to the point.  A stack
+    of tables d, shape (B, n, n), gives one row of costs per table."""
+    return d[..., subsets, :].min(axis=-2).max(axis=-1)
 
 
 def voronoi_labels(d, subsets):
     """Voronoi labels under each row of ``subsets`` (ascending center sets):
     the position of each point's closest center (distance center -> point),
     the smallest center index on ties, except that a center always gets its
-    own position, also when two centers coincide."""
-    lab = d[subsets].argmin(axis=1)  # first occurrence = smallest index
-    lab[np.arange(len(subsets))[:, None], subsets] = np.arange(subsets.shape[1])
+    own position, also when two centers coincide.  A stack of tables d,
+    shape (B, n, n), gives one row of label rows per table."""
+    lab = d[..., subsets, :].argmin(axis=-2)  # first occurrence = smallest
+    lab[..., np.arange(len(subsets))[:, None], subsets] = \
+        np.arange(subsets.shape[1])
     return lab
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -194,31 +195,55 @@ class FalsifierResult:
     opt_unique: bool = True
 
 
-def _base_cost_cut(d, k, first, bound):
-    """Map a perturbation d' of d to the center sets it need be scored on
-    (see falsify_resilience): those with cost_d(S) <= cost_d'(first), among
-    the sets with cost_d(S) <= bound, kept once; or to None (every set) when
-    the cut is unproven for d' or the kept sets pass KEPT_CELLS cells."""
+def _kept_sets(d, k, bound):
+    """The center sets with cost_d(S) <= bound, in lexicographic order, or
+    None when they pass KEPT_CELLS cells."""
     n = d.shape[0]
-    sets, costs, cells = [], [], 0
+    sets, cells = [], 0
     for idx in _subset_chunks(n, k, max(1, SCAN_CELLS // (k * n))):
-        c = set_costs(d, idx)
-        keep = c <= bound
-        cells += k * int(np.count_nonzero(keep))
+        idx = idx[set_costs(d, idx) <= bound]
+        cells += idx.size
         if cells > KEPT_CELLS:
-            return lambda pert: None
-        sets.append(idx[keep])
-        costs.append(c[keep])
-    sets, costs = np.concatenate(sets), np.concatenate(costs)
-    first = np.asarray([first], dtype=np.intp)
-
-    def candidates(pert):
-        if not np.all(pert.dprime >= d):
             return None
-        ub = set_costs(pert.dprime, first)[0]
-        return sets[costs <= ub] if ub <= bound else None
+        sets.append(idx)
+    return np.concatenate(sets)
 
-    return candidates
+
+def _differs(labels, opt_labels, k):
+    """Which rows of Voronoi labels give a partition other than OPT's: a
+    partition is OPT's exactly when its pairs (label, OPT label) take k
+    values."""
+    pairs = np.sort(labels * k + opt_labels, axis=-1)
+    return np.count_nonzero(np.diff(pairs, axis=-1), axis=-1) >= k
+
+
+def _screen(batch, d, kept, bound, opt_labels, chunk):
+    """Which perturbations of ``batch`` the base-cost cut covers (see
+    falsify_resilience), and which of those are cleared: every d'-optimal
+    set induces OPT's partition.
+
+    The batch's tables are stacked and scored on the kept sets ``chunk``
+    sets at a time; the labels are taken only for the sets that are optimal
+    for some d' of the batch, ``chunk`` at a time too.
+    """
+    none = np.zeros(len(batch), dtype=bool)
+    if kept is None:
+        return none, none
+    tables = np.stack([pert.dprime for pert in batch])
+    k = kept.shape[1]
+    scores = np.concatenate([set_costs(tables, kept[s:s + chunk])
+                             for s in range(0, len(kept), chunk)], axis=1)
+    best = scores.min(axis=1, keepdims=True)
+    covered = np.all(tables >= d, axis=(1, 2)) & (best[:, 0] <= bound)
+    b, j = np.nonzero(scores == best)
+    optimal, pos = np.unique(j, return_inverse=True)
+    differ = none.copy()
+    for s in range(0, len(optimal), chunk):
+        labels = voronoi_labels(tables, kept[optimal[s:s + chunk]])
+        at = (pos >= s) & (pos < s + chunk)
+        rows = labels[b[at], pos[at] - s]
+        differ[b[at][_differs(rows, opt_labels, k)]] = True
+    return covered, covered & ~differ
 
 
 def _check_perturbation(d, k, opt_part, epsilon, oracle_budget,
@@ -227,16 +252,13 @@ def _check_perturbation(d, k, opt_part, epsilon, oracle_budget,
 
     epsilon_distance is label-free, so one clustering per distinct
     partition decides; the first set inducing it is the first such set.
-    OPT's own partition is at distance 0 and is skipped: a partition is
-    OPT's exactly when its pairs (label, OPT label) take k values.
+    OPT's own partition is at distance 0 and is skipped (see _differs).
     ``candidates`` restricts the oracle's scan (see brute_force_optimal).
     """
     res = brute_force_optimal(d.dprime, k, budget=oracle_budget,
                               candidates=candidates)
     sets = np.asarray(res.optimal_center_sets)[list(res.partitions)]
-    pairs = np.sort(voronoi_labels(d.dprime, sets) * k + opt_part.assignment,
-                    axis=1)
-    differ = np.count_nonzero(np.diff(pairs, axis=1), axis=1) >= k
+    differ = _differs(voronoi_labels(d.dprime, sets), opt_part.assignment, k)
     for centers in sets[differ]:
         cl = voronoi_partition(d.dprime, centers)
         eps = epsilon_distance(cl, opt_part)
@@ -265,45 +287,69 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     resilience.  Every counterexample is re-validated, by a full oracle
     scan, before it is returned: the perturbation bounds must hold and the
     violating clustering must be optimal under d' and > epsilon from OPT.
-    Raises ValueError, before any oracle call, when alpha * max d overflows.
+    Raises ValueError, before any oracle call, when ``budget`` is not a
+    non-negative integer or alpha * max d overflows.
 
     Each d' is scored only on the center sets that can be optimal for it.
     Every d' in the stream has d <= d' <= alpha d, so cost_d(S) <=
-    cost_d'(S) for every center set S, and with S0 the first d-optimal set
-    OPT(d') <= UB = cost_d'(S0) <= alpha r*.  So a d'-optimal set has
-    cost_d(S) <= UB: the sets with cost_d <= alpha r* are kept once, in
-    lexicographic order, and d' is scored on those with cost_d <= UB, which
-    gives the full scan's minimizers and partitions.  A d' not >= d
-    entrywise or with UB > alpha r*, or every d' when the kept sets pass
-    KEPT_CELLS cells, gets the full scan.
+    cost_d'(S) for every center set S.  The sets with cost_d <= alpha r*
+    are kept once, in lexicographic order, and d' is covered when d' >= d
+    entrywise and some kept set has cost_d'(S) <= alpha r*: then a
+    d'-optimal set T has cost_d(T) <= OPT(d') <= alpha r*, so it is kept,
+    and the kept sets give the full scan's minimizers and partitions.  The
+    perturbations are pulled in batches of 1, 2, 4, ... tables, at most
+    SCAN_CELLS cells with their scores (one table, its sets scored in
+    chunks, when one fills it), and each covered d' whose minimizers all
+    induce OPT's partition is cleared at once.  Every other d' goes, in
+    stream order, through the oracle: on the kept sets when covered, on
+    every set otherwise, and on every set for every d' when the kept sets
+    pass KEPT_CELLS cells.
     """
+    if not (isinstance(budget, Integral) and budget >= 0):
+        raise ValueError("budget must be a non-negative integer, "
+                         f"got {budget!r}")
     d = _as_table(instance)
     _require_finite_scale(d, params.alpha)
     opt = brute_force_optimal(d, k, budget=oracle_budget)
     r_star = opt.optimal_radius
     opt_part = opt.clustering(d)
+    opt_labels = np.asarray(opt_part.assignment)
     alpha, epsilon = params.alpha, params.epsilon
     bound = alpha * r_star
     capped = filter(None, ([(q, t) for t in ci if t != q and d[q, t] <= bound]
                            for ci in opt_part.clusters() for q in range(len(d))))
-    cut = _base_cost_cut(d, k, opt.optimal_center_sets[0], bound)
     stream = itertools.chain(
         (build_lemma1_perturbation(d, r_star, alpha, pairs)
          for pairs in capped),
         (sample_perturbation(d, alpha, seed + i) for i in itertools.count()))
+    kept = _kept_sets(d, k, bound)
+    # a batch of B tables scored on chunk kept sets at a time holds
+    # B n^2 + B chunk k n <= SCAN_CELLS cells, or one table past that
+    n = d.shape[0]
+    width = max(1, SCAN_CELLS // (n * n + (0 if kept is None else kept.size * n)))
+    chunk = max(1, (SCAN_CELLS // width - n * n) // (k * n))
+    perts = itertools.islice(stream, budget)
     tried = 0
-    for tried, pert in enumerate(itertools.islice(stream, budget), 1):
-        cl, eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget,
-                                      cut(pert))
-        if cl is None:
-            continue
-        assert pert.bounds_ok(), "counterexample violates perturbation bounds"
-        re_cl, re_eps = _check_perturbation(pert, k, opt_part, epsilon, oracle_budget)
-        assert re_cl is not None and re_eps > epsilon, "counterexample did not re-validate"
-        return FalsifierResult(status="falsified", perturbation=pert,
-                               violating_clustering=cl, opt_clustering=opt_part,
-                               eps_dist=eps, tried=tried,
-                               opt_unique=opt.partition_unique)
+    while batch := list(itertools.islice(perts, min(tried + 1, width))):
+        covered, cleared = _screen(batch, d, kept, bound, opt_labels, chunk)
+        for pert, restrict, skip in zip(batch, covered, cleared):
+            tried += 1
+            if skip:
+                continue
+            cl, eps = _check_perturbation(pert, k, opt_part, epsilon,
+                                          oracle_budget,
+                                          kept if restrict else None)
+            if cl is None:
+                continue
+            assert pert.bounds_ok(), "counterexample violates perturbation bounds"
+            re_cl, re_eps = _check_perturbation(pert, k, opt_part, epsilon,
+                                                oracle_budget)
+            assert re_cl is not None and re_eps > epsilon, \
+                "counterexample did not re-validate"
+            return FalsifierResult(status="falsified", perturbation=pert,
+                                   violating_clustering=cl,
+                                   opt_clustering=opt_part, eps_dist=eps,
+                                   tried=tried, opt_unique=opt.partition_unique)
     # islice stops without pulling past the budget, so the next pair list
     # is the first untried capped perturbation, if any is left
     status = "none-found" if next(capped, None) is None else "budget-exceeded"

@@ -220,6 +220,45 @@ def test_validate_matches_whole_cube_reference(monkeypatch):
     assert kinds["mirrored_asym"] > 200 and kinds["within_slack"] > 200
 
 
+def test_symmetry_violation_is_first_in_row_major_order(monkeypatch):
+    # four blocks of three rows; asymmetric pairs inside the first, a middle
+    # and the last block, alone and together, beyond and within the slack
+    n, rows = 12, 3
+    monkeypatch.setattr(core, "SCAN_CELLS", rows * n * n)
+    blocks = (0, 1, 3)
+    rng = np.random.default_rng(0)
+    first_blocks = collections.Counter()
+    for picked in itertools.chain.from_iterable(
+            itertools.combinations(blocks, r) for r in (1, 2, 3)):
+        for _ in range(10):
+            d = 1.0 - np.eye(n)
+            for b in picked:
+                p, q = rng.choice(np.arange(b * rows, (b + 1) * rows), 2,
+                                  replace=False)
+                d[p, q] += rng.choice((0.1, 0.5))
+            # and one pair across two blocks, within every slack
+            p, q = rng.choice(n, 2, replace=False)
+            d[p, q] += 0.05
+            for slack in (0.0, 0.25):
+                bad = np.argwhere(np.abs(d - d.T) > slack)
+                if not bad.size:
+                    validate_instance(d, "symmetric", slack)
+                    continue
+                with pytest.raises(SymmetryViolation) as exc:
+                    validate_instance(d, "symmetric", slack)
+                assert (exc.value.p, exc.value.q) == tuple(bad[0].tolist())
+                assert all(type(v) is int for v in (exc.value.p, exc.value.q))
+                first_blocks[int(bad[0][0]) // rows] += 1
+    assert {0, 1, 3} <= set(first_blocks)
+
+
+def test_validate_refuses_negative_or_nan_slack():
+    d = 1.0 - np.eye(3)
+    for slack in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="slack must be >= 0"):
+            validate_instance(d, "symmetric", slack)
+
+
 def test_cost_examples():
     inst = validate_instance([[0, 1], [1, 0]], "symmetric")
     assert cost(inst, [0]) == 1.0

@@ -1,6 +1,7 @@
 """Source hygiene: every module in src/ and tests/ uses each name it
 imports, every private module-level name in src/ has a use in src/, and
-src/ imports nothing beyond the standard library, numpy and scipy."""
+src/ imports nothing beyond the standard library, numpy and scipy, and
+no thread, process or event-loop module."""
 
 import ast
 import sys
@@ -126,3 +127,46 @@ def test_src_imports_only_stdlib_numpy_scipy():
                for name in _foreign_imports(path.read_text(),
                                             "kcenter_resilience")]
     assert foreign == []
+
+
+# src/ batches its vectorised work rather than spreading it over threads,
+# processes or an event loop: it runs on small shared hosts
+POOLS = ("threading", "multiprocessing", "concurrent.futures", "asyncio")
+
+
+def _pool_imports(source):
+    """The modules of POOLS that each import statement of source imports
+    (a relative import is the package's own)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        found += [pool for pool in POOLS
+                  if any(name == pool or name.startswith(pool + ".")
+                         for name in names)]
+    return found
+
+
+def test_pool_imports_detected():
+    source = ("import threading\nimport os, asyncio.events\n"
+              "from concurrent import futures\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "from multiprocessing.pool import Pool\nimport concurrent\n"
+              "from . import threading\nfrom .asyncio import run\n"
+              "import heapq\n")
+    assert _pool_imports(source) == ["threading", "asyncio",
+                                     "concurrent.futures",
+                                     "concurrent.futures", "multiprocessing"]
+
+
+def test_src_starts_no_threads_processes_or_event_loops():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 5
+    pooled = [f"{path.relative_to(ROOT)}: {name}" for path in modules
+              for name in _pool_imports(path.read_text())]
+    assert pooled == []

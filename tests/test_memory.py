@@ -30,6 +30,18 @@ def test_validate_peak_is_a_few_tables():
         assert _peak_bytes(validate_instance, table, mode) < 4 * table.nbytes
 
 
+def test_validate_symmetric_mode_peak_is_under_one_and_a_half_tables():
+    # symmetry is compared in the triangle scan's row blocks, and not at
+    # all on a table equal to its transpose: the whole-table compare held
+    # 2.13 tables at n = 500
+    d = 1.0 - np.eye(500)
+    loose = d.copy()
+    loose[0, 1] += 0.5  # symmetric only within the slack
+    for table, slack in ((d, 0.0), (loose, 1.0)):
+        peak = _peak_bytes(validate_instance, table, "symmetric", slack)
+        assert peak < 1.5 * table.nbytes
+
+
 def test_oracle_peak_is_bounded():
     d = gen_planted_symmetric(60, 3, 1.0, 2.0, 0).instance.dist
     # one array over all C(60, 3) subsets would take 49 MB

@@ -27,6 +27,7 @@ from kcenter_resilience import (
     voronoi_partition,
 )
 from kcenter_resilience import oracle
+from kcenter_resilience.core import label_groups
 from kcenter_resilience.generators import (
     gen_bad_center_18,
     gen_planted_asymmetric,
@@ -405,6 +406,154 @@ def test_falsifier_matches_two_phase_reference():
     assert random_hits > 0 and relabelled > 0
 
 
+def _one_at_a_time_falsify(instance, k, params, budget=200, seed=0,
+                           oracle_budget=oracle.DEFAULT_SUBSET_BUDGET):
+    """The falsifier loop before batch screening: each d' in turn goes to
+    the oracle, on the kept sets of base cost <= cost_d'(S0) when d' >= d
+    and cost_d'(S0) <= alpha r* (S0 the first d-optimal set), on every set
+    otherwise; then one clustering per partition other than OPT's."""
+    d = getattr(instance, "dist", instance)
+    n = d.shape[0]
+    opt = brute_force_optimal(d, k, budget=oracle_budget)
+    r_star = opt.optimal_radius
+    opt_part = opt.clustering(d)
+    alpha, epsilon = params.alpha, params.epsilon
+    bound = alpha * r_star
+    sets = np.array(list(itertools.combinations(range(n), k)))
+    costs = d[sets].min(axis=1).max(axis=1)
+    sets, costs = sets[costs <= bound], costs[costs <= bound]
+    if k * len(sets) > oracle.KEPT_CELLS:
+        sets = None
+    first = opt.optimal_center_sets[0]
+
+    def check(pert, restrict):
+        candidates = None
+        if restrict and np.all(pert.dprime >= d):
+            ub = cost(pert.dprime, first)
+            candidates = sets[costs <= ub] if ub <= bound else None
+        res = brute_force_optimal(pert.dprime, k, budget=oracle_budget,
+                                  candidates=candidates)
+        for i in res.partitions:
+            cl = voronoi_partition(pert.dprime, res.optimal_center_sets[i])
+            if cl.canonical_partition() == opt_part.canonical_partition():
+                continue
+            eps = epsilon_distance(cl, opt_part)
+            if eps > epsilon:
+                return cl, eps
+        return None, None
+
+    capped = filter(None, ([(q, t) for t in ci if t != q and d[q, t] <= bound]
+                           for ci in opt_part.clusters() for q in range(n)))
+    stream = itertools.chain(
+        (build_lemma1_perturbation(d, r_star, alpha, pairs)
+         for pairs in capped),
+        (sample_perturbation(d, alpha, seed + i) for i in itertools.count()))
+    tried = 0
+    for tried, pert in enumerate(itertools.islice(stream, budget), 1):
+        cl, eps = check(pert, sets is not None)
+        if cl is None:
+            continue
+        assert pert.bounds_ok()
+        assert check(pert, False) == (cl, eps)
+        return FalsifierResult(status="falsified", perturbation=pert,
+                               violating_clustering=cl, opt_clustering=opt_part,
+                               eps_dist=eps, tried=tried,
+                               opt_unique=opt.partition_unique)
+    status = "none-found" if next(capped, None) is None else "budget-exceeded"
+    return FalsifierResult(status=status, tried=tried, opt_clustering=opt_part,
+                           opt_unique=opt.partition_unique)
+
+
+def _counting(monkeypatch):
+    """Count the perturbations the falsifier builds, the batches it screens
+    (their sizes and cells) and the d' it sends to the oracle that are not
+    falsified there."""
+    seen = {"built": 0, "batches": [], "passed": 0}
+    for name in ("build_lemma1_perturbation", "sample_perturbation"):
+        def counted(*args, _build=getattr(oracle, name)):
+            seen["built"] += 1
+            return _build(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    screen, check = oracle._screen, oracle._check_perturbation
+
+    def screened(batch, d, kept, bound, opt_labels, chunk):
+        n = d.shape[0]
+        k = 0 if kept is None else kept.shape[1]
+        seen["batches"].append((len(batch), len(batch) * (n * n + chunk * k * n)))
+        return screen(batch, d, kept, bound, opt_labels, chunk)
+
+    def checked(*args):
+        got = check(*args)
+        seen["passed"] += got == (None, None)
+        return got
+
+    monkeypatch.setattr(oracle, "_screen", screened)
+    monkeypatch.setattr(oracle, "_check_perturbation", checked)
+    return seen
+
+
+def test_batched_falsifier_matches_one_at_a_time(monkeypatch):
+    cases = _falsifier_cases()
+    # tie-heavy tables: distinct optimal partitions within epsilon of OPT's
+    ties = [_grid(8, s, directed) for s in (0, 1) for directed in (False, True)]
+    ties.append(1.0 - np.eye(7))
+    cases += [(d, k, StabilityParams(a, e), 0) for d in ties for k in (2, 3)
+              for a, e in ((2.0, 0.0), (2.0, 0.3), (1.5, 1.0))]
+    budgets = (1, 2, 3, 4, 7, 8, 15, 16, 200)
+    statuses, within_eps, runs = set(), 0, 0
+    for case, (inst, k, params, seed) in enumerate(cases):
+        n = len(getattr(inst, "dist", inst))
+        for budget in budgets:
+            want = _falsifier_fields(
+                _one_at_a_time_falsify(inst, k, params, budget, seed))
+            # default cells; one d' per batch, scored two kept sets at a
+            # time; no kept sets, so every d' is scanned in full
+            for name, cap in (("SCAN_CELLS", oracle.SCAN_CELLS),
+                              ("SCAN_CELLS", n * n + 2 * k * n),
+                              ("KEPT_CELLS", 0)):
+                # the reruns take budget 200 on every fourth case
+                if cap != oracle.SCAN_CELLS and (
+                        budget in (3, 7, 15) or budget == 200 and case % 4):
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, name, cap)
+                    seen = _counting(m)
+                    got = falsify_resilience(inst, k, params, budget, seed)
+                    cells = oracle.SCAN_CELLS
+                assert _falsifier_fields(got) == want
+                runs += 1
+                statuses.add(got.status)
+                within_eps += got.status != "falsified" and seen["passed"] > 0
+                # a falsified run builds past its counterexample only
+                # within that d''s batch; other runs build what they try
+                if got.status == "falsified":
+                    assert seen["built"] <= 2 * got.tried - 1
+                else:
+                    assert seen["built"] == got.tried
+                assert all(size == 1 or held <= cells
+                           for size, held in seen["batches"])
+                if name == "SCAN_CELLS" and cap < oracle.SCAN_CELLS:
+                    assert {size for size, _ in seen["batches"]} <= {1}
+    assert statuses == {"falsified", "none-found", "budget-exceeded"}
+    assert within_eps > 20 and runs > 1000
+
+
+def test_falsifier_refuses_bad_budget(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "brute_force_optimal",
+                        lambda *args, **kwargs: calls.append(args))
+    d = gen_random_metric(6, "symmetric", 0).dist
+    for budget in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="budget must be a non-negative "
+                                             "integer, got"):
+            falsify_resilience(d, 2, StabilityParams(2.0, 0.0), budget=budget)
+    assert calls == []
+    monkeypatch.undo()
+    for budget in (0, np.int64(2)):
+        res = falsify_resilience(d, 2, StabilityParams(2.0, 0.0), budget=budget)
+        assert res.tried <= budget
+
+
 def test_falsifier_refuses_overflowing_alpha(monkeypatch):
     # 2 * 1e308 overflows: d' would hold inf entries, so no oracle call runs
     d = _huge_table()
@@ -435,9 +584,51 @@ def _recording_oracle(monkeypatch):
     return calls
 
 
+def _recording_screen(monkeypatch):
+    """Wrap the falsifier's batch screen: each d' it sees is recorded with
+    its decision ("cleared", "restricted" or "full") and what the decision
+    rests on (the base table, the kept sets, alpha r* and OPT's labels)."""
+    screen, decisions = oracle._screen, []
+
+    def recorded(batch, d, kept, bound, opt_labels, chunk):
+        covered, cleared = screen(batch, d, kept, bound, opt_labels, chunk)
+        for pert, cov, clr in zip(batch, covered, cleared):
+            kind = "cleared" if clr else "restricted" if cov else "full"
+            decisions.append((pert, kind, d, kept, bound, opt_labels))
+        return covered, cleared
+
+    monkeypatch.setattr(oracle, "_screen", recorded)
+    return decisions
+
+
+def _full_scans(decisions):
+    """Check each decision against the full scan, and return that scan's
+    result for each d'.
+
+    A covered d' (cleared or restricted) must be >= d with OPT(d') <= alpha
+    r*, and its kept-set scan must equal the full one; a cleared d' must
+    have only OPT's partition among its optimal sets, a restricted one
+    another partition too; a d' scanned in full must not be covered."""
+    results = []
+    for pert, kind, d, kept, bound, opt_labels in decisions:
+        k = len(set(opt_labels.tolist()))
+        want = brute_force_optimal(pert.dprime, k)
+        covered = (kept is not None and bool(np.all(pert.dprime >= d))
+                   and want.optimal_radius <= bound)
+        assert covered == (kind != "full")
+        if covered:
+            assert brute_force_optimal(pert.dprime, k, candidates=kept) == want
+            opt = tuple(map(tuple, label_groups(opt_labels)))
+            only_opt = all(voronoi_partition(pert.dprime, s).canonical_partition()
+                           == opt for s in want.optimal_center_sets)
+            assert only_opt == (kind == "cleared")
+        results.append(want)
+    return results
+
+
 def test_restricted_oracle_matches_full_scan(monkeypatch):
-    # every oracle call of the falsifier stream, capped and random phases,
-    # on tie-heavy tables (integer grids, 1 - eye) and planted ones
+    # every decision of the falsifier stream, capped and random phases, on
+    # tie-heavy tables (integer grids, 1 - eye) and planted ones
     tables = [_grid(8, s, directed) for s in (0, 1)
               for directed in (False, True)]
     tables.append(1.0 - np.eye(7))
@@ -447,20 +638,25 @@ def test_restricted_oracle_matches_full_scan(monkeypatch):
                for s in (0, 1)]
     params = StabilityParams(2.0, 1.0)  # never falsified: budget runs out
     calls = _recording_oracle(monkeypatch)
+    decisions = _recording_screen(monkeypatch)
     for d in tables:
         for k in (2, 3, 4):
             T = _capped_count(validate_instance(d, "asymmetric"), k, 2.0)
             falsify_resilience(d, k, params, budget=T + 3)
-    restricted = [(len(c), got, want) for c, got, want in calls
-                  if c is not None]
-    assert all(got == want for _, got, want in restricted)
-    # the base call and the re-validations are full; every perturbation here
-    # is restricted, many with ties between sets and between partitions
-    assert len(restricted) > 300
-    assert sum(len(want.optimal_center_sets) > 1
-               for _, _, want in restricted) > 100
-    assert sum(not want.partition_unique for _, _, want in restricted) > 20
-    assert sum(m < comb(12, 3) // 2 for m, _, _ in restricted) > 50
+    want = _full_scans(decisions)
+    kinds = [kind for _, kind, *_ in decisions]
+    # every perturbation here is covered, many with ties between sets and
+    # between partitions; those with a partition other than OPT's go to
+    # the oracle on the kept sets, which gives the full scan's answer
+    assert len(decisions) > 300 and "full" not in kinds
+    assert sum(len(res.optimal_center_sets) > 1 for res in want) > 100
+    assert sum(not res.partition_unique for res in want) > 20
+    assert kinds.count("restricted") > 20 and kinds.count("cleared") > 100
+    restricted = [(c, got, full) for c, got, full in calls if c is not None]
+    assert len(restricted) == kinds.count("restricted")
+    assert all(got == full for _, got, full in calls)
+    assert sum(len(kept) < comb(12, 3) // 2
+               for _, kind, _, kept, *_ in decisions) > 50
 
 
 def _line(xs):
@@ -470,7 +666,7 @@ def _line(xs):
 def test_falsifier_scans_in_full_when_dprime_dips_below_base(monkeypatch):
     # OPT {0,1} {10,11} {50}, r* = 1.  The set {0, 10, 11} covers all but
     # point 50, 39 away; a d' with d'(11, 50) = 0 makes it d'-optimal at
-    # alpha r* = 2 although its base cost 39 is far above UB = 2
+    # alpha r* = 2 although its base cost 39 is far above alpha r*
     inst = _line(np.array([0.0, 1.0, 10.0, 11.0, 50.0]))
     build = oracle.build_lemma1_perturbation
 
@@ -483,18 +679,22 @@ def test_falsifier_scans_in_full_when_dprime_dips_below_base(monkeypatch):
     monkeypatch.setattr(oracle, "build_lemma1_perturbation", dipped)
     params = StabilityParams(2.0, 1.0)
     with monkeypatch.context() as m:
-        m.setattr(oracle, "KEPT_CELLS", 0)  # every call scans in full
+        m.setattr(oracle, "KEPT_CELLS", 0)  # every d' scans in full
         want = falsify_resilience(inst, 3, params, budget=8)
     calls = _recording_oracle(monkeypatch)
+    decisions = _recording_screen(monkeypatch)
     got = falsify_resilience(inst, 3, params, budget=8)
     assert _falsifier_fields(got) == _falsifier_fields(want)
-    perts = calls[1:]  # after the base table's call
+    full = _full_scans(decisions)
     T = _capped_count(inst, 3, 2.0)
-    assert 0 < T < len(perts) == 8
-    assert all(got == full for _, got, full in perts)
-    assert all(c is None for c, _, _ in perts[:T])  # dipped: full scan
-    assert all(c is not None for c, _, _ in perts[T:])  # random: restricted
-    assert all((0, 2, 3) in res.optimal_center_sets for _, res, _ in perts[:T])
+    assert 0 < T < len(decisions) == 8
+    kinds = [kind for _, kind, *_ in decisions]
+    assert kinds[:T] == ["full"] * T  # dipped: full scan
+    assert "full" not in kinds[T:]  # random: covered
+    assert all((0, 2, 3) in res.optimal_center_sets for res in full[:T])
+    # the oracle saw each dipped d' whole, after the base table's call
+    assert [c for c, _, _ in calls[1:1 + T]] == [None] * T
+    assert all(got == full for _, got, full in calls)
 
 
 def _kept_cells(inst, k, alpha):
@@ -513,14 +713,25 @@ def test_falsifier_falls_back_past_kept_cap(monkeypatch, make, params):
     inst = make().instance
     want = falsify_resilience(inst, 3, params, budget=30)
     cells = _kept_cells(inst, 3, params.alpha)
-    for cap, restricted in ((cells, True), (cells - 1, False)):
+    for cap, covered in ((cells, True), (cells - 1, False)):
         with monkeypatch.context() as m:
             m.setattr(oracle, "KEPT_CELLS", cap)
             calls = _recording_oracle(m)
+            decisions = _recording_screen(m)
             got = falsify_resilience(inst, 3, params, budget=30)
         assert _falsifier_fields(got) == _falsifier_fields(want)
-        perts = calls[1:1 + got.tried]  # the re-validation scans in full
-        assert all((c is not None) == restricted for c, _, _ in perts)
+        _full_scans(decisions)
+        kinds = [kind for _, kind, *_ in decisions[:got.tried]]
+        # past the cap every d' goes to the oracle and is scanned in full;
+        # under it only the restricted ones go, and the counterexample's
+        # re-validation is scanned in full
+        flagged = calls[1:-1] if got.status == "falsified" else calls[1:]
+        if covered:
+            assert "full" not in kinds
+            assert len(flagged) == kinds.count("restricted")
+        else:
+            assert kinds == ["full"] * got.tried and len(flagged) == got.tried
+        assert all((c is not None) == covered for c, _, _ in flagged)
         assert all(res == full for _, res, full in calls)
 
 
