@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from math import comb
+from math import comb, isfinite
 from pathlib import Path
 
 from . import kci
@@ -46,10 +46,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _non_negative(text):
-    """argparse type of --r and --slack: a float >= 0 (nan is not)."""
-    if float(text) >= 0:
-        return float(text)
-    raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    """argparse type of --r and --slack: a finite float >= 0."""
+    if isfinite(value := float(text)) and value >= 0:
+        return value
+    raise argparse.ArgumentTypeError(
+        f"must be a finite number >= 0, got {text}")
 
 
 def _read_instance(path, slack=0.0):
@@ -66,7 +67,7 @@ def _read_instance(path, slack=0.0):
 def _read_clustering(path):
     try:
         return kci.parse_clustering(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         raise _InputError(f"cannot read clustering {path}: {e}")
 
 
@@ -249,7 +250,7 @@ def _bench_row(row, timing, oracle_budget):
 def cmd_bench(args):
     try:
         manifest = json.loads(Path(args.manifest).read_text())
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise _InputError(f"cannot read manifest {args.manifest}: {e}")
     if not isinstance(manifest, list):
         raise _InputError("manifest must be a JSON list of rows")

@@ -20,7 +20,7 @@ from .core import (SCAN_CELLS, Clustering, StabilityParams, _as_table,
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 # the falsifier keeps at most this many cells (sets times k) of base-table
-# center sets to restrict its oracle calls to; past it every call is full
+# center sets to screen each d' on; past it every d' is scanned in full
 KEPT_CELLS = SCAN_CELLS
 
 
@@ -87,8 +87,8 @@ def _subset_chunks(n, k, chunk):
         yield idx.reshape(m, k)
 
 
-def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET, *,
-                        candidates=None) -> OracleResult:
+def brute_force_optimal(table, k: int,
+                        budget: int = DEFAULT_SUBSET_BUDGET) -> OracleResult:
     """Enumerate every k-subset of centers and return the exact optimum.
 
     Works on any square nonnegative table, including non-metric
@@ -96,11 +96,6 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET, *,
     minimizers are retained.  They are scored in chunks of at most
     ``SCAN_CELLS`` // (k n) subsets, so memory is O(SCAN_CELLS) beside the
     table and the minimizers, whatever C(n, k) is.
-
-    ``candidates``, an (m, k) array of ascending rows in lexicographic
-    order, scores only those rows instead; the result is the full scan's
-    whenever every optimal set is among them.  The budget still applies to
-    C(n, k).
     """
     d = _as_table(table)
     n = d.shape[0]
@@ -110,18 +105,9 @@ def brute_force_optimal(table, k: int, budget: int = DEFAULT_SUBSET_BUDGET, *,
     if total > budget:
         raise BudgetExceeded(f"C({n},{k}) = {total} exceeds budget {budget}")
     chunk = max(1, SCAN_CELLS // (k * n))
-    if candidates is None:
-        chunks = _subset_chunks(n, k, chunk)
-    else:
-        candidates = np.asarray(candidates, dtype=np.intp)
-        if candidates.ndim != 2 or candidates.shape[1] != k:
-            raise ValueError(f"candidates must be an (m, {k}) array, "
-                             f"got shape {candidates.shape}")
-        chunks = (candidates[start:start + chunk]
-                  for start in range(0, len(candidates), chunk))
     best = np.inf
     minimizers = [np.empty((0, k), dtype=np.intp)]  # kept if every score is NaN
-    for idx in chunks:
+    for idx in _subset_chunks(n, k, chunk):
         scores = set_costs(d, idx)
         low = np.fmin.reduce(scores)  # a NaN score never ties or wins
         if low < best:
@@ -219,48 +205,47 @@ def _differs(labels, opt_labels, k):
 
 def _screen(batch, d, kept, bound, opt_labels, chunk):
     """Which perturbations of ``batch`` the base-cost cut covers (see
-    falsify_resilience), and which of those are cleared: every d'-optimal
-    set induces OPT's partition.
+    falsify_resilience), and, for each covered one with a d'-optimal set
+    whose partition is not OPT's, those sets in lexicographic order, as
+    ``{batch index: (m, k) array}``.  A covered d' not in it is cleared.
 
     The batch's tables are stacked and scored on the kept sets ``chunk``
     sets at a time; the labels are taken only for the sets that are optimal
     for some d' of the batch, ``chunk`` at a time too.
     """
-    none = np.zeros(len(batch), dtype=bool)
     if kept is None:
-        return none, none
+        return np.zeros(len(batch), dtype=bool), {}
     tables = np.stack([pert.dprime for pert in batch])
     k = kept.shape[1]
     scores = np.concatenate([set_costs(tables, kept[s:s + chunk])
                              for s in range(0, len(kept), chunk)], axis=1)
     best = scores.min(axis=1, keepdims=True)
     covered = np.all(tables >= d, axis=(1, 2)) & (best[:, 0] <= bound)
-    b, j = np.nonzero(scores == best)
+    b, j = np.nonzero(scores == best)  # row-major: j ascends within each b
     optimal, pos = np.unique(j, return_inverse=True)
-    differ = none.copy()
+    far = np.zeros(len(b), dtype=bool)
     for s in range(0, len(optimal), chunk):
         labels = voronoi_labels(tables, kept[optimal[s:s + chunk]])
         at = (pos >= s) & (pos < s + chunk)
-        rows = labels[b[at], pos[at] - s]
-        differ[b[at][_differs(rows, opt_labels, k)]] = True
-    return covered, covered & ~differ
+        far[at] = _differs(labels[b[at], pos[at] - s], opt_labels, k)
+    far &= covered[b]
+    return covered, {i: kept[j[far & (b == i)]] for i in set(b[far].tolist())}
 
 
-def _check_perturbation(d, k, opt_part, epsilon, oracle_budget,
-                        candidates=None):
-    """Return the first d'-optimal clustering farther than epsilon from OPT.
-
-    epsilon_distance is label-free, so one clustering per distinct
-    partition decides; the first set inducing it is the first such set.
-    OPT's own partition is at distance 0 and is skipped (see _differs).
-    ``candidates`` restricts the oracle's scan (see brute_force_optimal).
-    """
-    res = brute_force_optimal(d.dprime, k, budget=oracle_budget,
-                              candidates=candidates)
+def _oracle_sets(dprime, k, opt_labels, oracle_budget):
+    """A full scan's first d'-optimal set of each partition but OPT's."""
+    res = brute_force_optimal(dprime, k, budget=oracle_budget)
     sets = np.asarray(res.optimal_center_sets)[list(res.partitions)]
-    differ = _differs(voronoi_labels(d.dprime, sets), opt_part.assignment, k)
-    for centers in sets[differ]:
-        cl = voronoi_partition(d.dprime, centers)
+    return sets[_differs(voronoi_labels(dprime, sets), opt_labels, k)]
+
+
+def _check_perturbation(dprime, sets, opt_part, epsilon):
+    """Return the first clustering of ``sets`` farther than epsilon from OPT.
+
+    epsilon_distance is label-free, so the sets of one partition are at one
+    distance and the first far set induces the first far partition."""
+    for centers in sets:
+        cl = voronoi_partition(dprime, centers)
         eps = epsilon_distance(cl, opt_part)
         if eps > epsilon:
             return cl, eps
@@ -290,20 +275,20 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     Raises ValueError, before any oracle call, when ``budget`` is not a
     non-negative integer or alpha * max d overflows.
 
-    Each d' is scored only on the center sets that can be optimal for it.
-    Every d' in the stream has d <= d' <= alpha d, so cost_d(S) <=
-    cost_d'(S) for every center set S.  The sets with cost_d <= alpha r*
-    are kept once, in lexicographic order, and d' is covered when d' >= d
-    entrywise and some kept set has cost_d'(S) <= alpha r*: then a
-    d'-optimal set T has cost_d(T) <= OPT(d') <= alpha r*, so it is kept,
-    and the kept sets give the full scan's minimizers and partitions.  The
+    Each covered d' is decided on the center sets that can be optimal for
+    it, with no oracle call.  Every d' in the stream has d <= d' <= alpha d,
+    so cost_d(S) <= cost_d'(S) for every center set S.  The sets with
+    cost_d <= alpha r* are kept once, in lexicographic order, and d' is
+    covered when d' >= d entrywise and some kept set has cost_d'(S) <=
+    alpha r*: then a d'-optimal set T has cost_d(T) <= OPT(d') <= alpha r*,
+    so it is kept, and the kept sets hold every d'-optimal set.  The
     perturbations are pulled in batches of 1, 2, 4, ... tables, at most
     SCAN_CELLS cells with their scores (one table, its sets scored in
-    chunks, when one fills it), and each covered d' whose minimizers all
-    induce OPT's partition is cleared at once.  Every other d' goes, in
-    stream order, through the oracle: on the kept sets when covered, on
-    every set otherwise, and on every set for every d' when the kept sets
-    pass KEPT_CELLS cells.
+    chunks, when one fills it).  A covered d' whose optimal sets all induce
+    OPT's partition is cleared; one with other optimal sets is checked on
+    those.  The oracle scans every set only for the base table, for a d'
+    that is not covered (every d' when the kept sets pass KEPT_CELLS
+    cells) and for the re-validation.
     """
     if not (isinstance(budget, Integral) and budget >= 0):
         raise ValueError("budget must be a non-negative integer, "
@@ -331,19 +316,20 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     perts = itertools.islice(stream, budget)
     tried = 0
     while batch := list(itertools.islice(perts, min(tried + 1, width))):
-        covered, cleared = _screen(batch, d, kept, bound, opt_labels, chunk)
-        for pert, restrict, skip in zip(batch, covered, cleared):
+        covered, flagged = _screen(batch, d, kept, bound, opt_labels, chunk)
+        for i, pert in enumerate(batch):
             tried += 1
-            if skip:
+            if covered[i] and i not in flagged:
                 continue
-            cl, eps = _check_perturbation(pert, k, opt_part, epsilon,
-                                          oracle_budget,
-                                          kept if restrict else None)
+            sets = (flagged[i] if covered[i] else
+                    _oracle_sets(pert.dprime, k, opt_labels, oracle_budget))
+            cl, eps = _check_perturbation(pert.dprime, sets, opt_part, epsilon)
             if cl is None:
                 continue
             assert pert.bounds_ok(), "counterexample violates perturbation bounds"
-            re_cl, re_eps = _check_perturbation(pert, k, opt_part, epsilon,
-                                                oracle_budget)
+            re_cl, re_eps = _check_perturbation(
+                pert.dprime, _oracle_sets(pert.dprime, k, opt_labels,
+                                          oracle_budget), opt_part, epsilon)
             assert re_cl is not None and re_eps > epsilon, \
                 "counterexample did not re-validate"
             return FalsifierResult(status="falsified", perturbation=pert,

@@ -18,6 +18,13 @@ def run(args):
     return main(list(args))
 
 
+def _strict_report(path):
+    """A verify report, parsed as strict JSON: Infinity and NaN raise."""
+    def refuse(name):
+        raise ValueError(f"report holds {name}, which is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def gen_planted_files(tmp_path, seed=7):
     prefix = str(tmp_path / "ps")
     assert run(["generate", "planted-sym", "--n", "12", "--k", "3",
@@ -140,7 +147,7 @@ def test_verify_planted_ok(tmp_path):
     assert run(["verify", prefix + ".kci", prefix + ".truth.json",
                 "--alpha", "2", "--epsilon", "0", "--budget", "30",
                 "--out", report_path]) == 0
-    report = json.loads(Path(report_path).read_text())
+    report = _strict_report(report_path)
     assert report["structure"]["property1"] is True
     assert report["structure"]["property2"] is True
     assert report["falsifier"]["status"] in ("none-found", "budget-exceeded")
@@ -172,7 +179,7 @@ def test_verify_weak_instance_exits_3_with_replayable_counterexample(tmp_path):
     assert run(["verify", str(inst_path), str(truth_path),
                 "--alpha", "2", "--epsilon", "0", "--budget", "100",
                 "--out", report_path]) == 3
-    report = json.loads(Path(report_path).read_text())
+    report = _strict_report(report_path)
     ce = report["counterexample"]
     # replay: the serialized dprime really does move the optimum
     dprime = parse_instance(ce["dprime_kci"], slack=float("inf")).dist
@@ -493,6 +500,20 @@ def _two_point_kci(entry):
      "separation guarantee failed"),
     (["generate", "planted-sym", "--alpha", "1e308"], None,
      "separation guarantee failed"),
+    # were a RecursionError traceback
+    (["verify", "{ps}.kci", "{deep}", "--alpha", "2"], None,
+     "cannot read clustering"),
+    (["bench", "--manifest", "{deep}"], None, "cannot read manifest"),
+    # were exit 0: a claimed approximation-only solve, an "r_star": Infinity
+    # report that is not JSON, and a non-metric table accepted
+    (["solve", "{ps}.kci", "--algo", "hs", "--k", "3", "--r", "inf"], None,
+     "argument --r: must be a finite number >= 0, got inf"),
+    (["verify", "{ps}.kci", "{ps}.truth.json", "--alpha", "2",
+      "--r", "1e400"], None,
+     "argument --r: must be a finite number >= 0, got 1e400"),
+    (["oracle", "{kci}", "--k", "1", "--slack", "inf"],
+     b"kci 1\nmode symmetric\nn 3\n0 1 100\n5 0 1\n100 1 0\n",
+     "argument --slack: must be a finite number >= 0, got inf"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-alpha-inf", "verify-alpha-1e308",
         "verify-epsilon-above-1", "verify-negative-r",
@@ -515,14 +536,18 @@ def _two_point_kci(entry):
         "usage-newline-argument", "random-over-cap",
         "planted-sym-over-cap", "planted-asym-over-cap", "dom-set-over-cap",
         "eps-padding-epsilon-inf", "eps-padding-epsilon-2",
-        "planted-sym-r-1e300", "planted-sym-alpha-1e308"])
+        "planted-sym-r-1e300", "planted-sym-alpha-1e308",
+        "verify-truth-deep-json", "bench-manifest-deep-json", "solve-r-inf",
+        "verify-r-1e400", "oracle-slack-inf"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     # payload: manifest rows (a list), one KCI distance entry (a string),
     # a whole KCI file (bytes) or the point count of a random symmetric KCI
-    # file (an int)
+    # file (an int); {deep} is a JSON file nested 200000 lists deep
     prefix = gen_planted_files(tmp_path)
     manifest = tmp_path / "m.json"
     kci = tmp_path / "bad.kci"
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
     if isinstance(payload, list):
         manifest.write_text(json.dumps(payload))
     elif isinstance(payload, bytes):
@@ -532,7 +557,8 @@ def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     elif isinstance(payload, int):
         kci.write_text(emit_instance(gen_random_metric(payload, "symmetric", 0)))
     capsys.readouterr()
-    argv = [a.format(ps=prefix, manifest=manifest, kci=kci) for a in argv]
+    argv = [a.format(ps=prefix, manifest=manifest, kci=kci, deep=deep)
+            for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

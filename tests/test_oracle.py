@@ -408,10 +408,9 @@ def test_falsifier_matches_two_phase_reference():
 
 def _one_at_a_time_falsify(instance, k, params, budget=200, seed=0,
                            oracle_budget=oracle.DEFAULT_SUBSET_BUDGET):
-    """The falsifier loop before batch screening: each d' in turn goes to
-    the oracle, on the kept sets of base cost <= cost_d'(S0) when d' >= d
-    and cost_d'(S0) <= alpha r* (S0 the first d-optimal set), on every set
-    otherwise; then one clustering per partition other than OPT's."""
+    """The falsifier loop without batch screening: each d' in turn is
+    scanned in full by the oracle, then one clustering per partition other
+    than OPT's is checked."""
     d = getattr(instance, "dist", instance)
     n = d.shape[0]
     opt = brute_force_optimal(d, k, budget=oracle_budget)
@@ -419,20 +418,9 @@ def _one_at_a_time_falsify(instance, k, params, budget=200, seed=0,
     opt_part = opt.clustering(d)
     alpha, epsilon = params.alpha, params.epsilon
     bound = alpha * r_star
-    sets = np.array(list(itertools.combinations(range(n), k)))
-    costs = d[sets].min(axis=1).max(axis=1)
-    sets, costs = sets[costs <= bound], costs[costs <= bound]
-    if k * len(sets) > oracle.KEPT_CELLS:
-        sets = None
-    first = opt.optimal_center_sets[0]
 
-    def check(pert, restrict):
-        candidates = None
-        if restrict and np.all(pert.dprime >= d):
-            ub = cost(pert.dprime, first)
-            candidates = sets[costs <= ub] if ub <= bound else None
-        res = brute_force_optimal(pert.dprime, k, budget=oracle_budget,
-                                  candidates=candidates)
+    def check(pert):
+        res = brute_force_optimal(pert.dprime, k, budget=oracle_budget)
         for i in res.partitions:
             cl = voronoi_partition(pert.dprime, res.optimal_center_sets[i])
             if cl.canonical_partition() == opt_part.canonical_partition():
@@ -450,11 +438,10 @@ def _one_at_a_time_falsify(instance, k, params, budget=200, seed=0,
         (sample_perturbation(d, alpha, seed + i) for i in itertools.count()))
     tried = 0
     for tried, pert in enumerate(itertools.islice(stream, budget), 1):
-        cl, eps = check(pert, sets is not None)
+        cl, eps = check(pert)
         if cl is None:
             continue
         assert pert.bounds_ok()
-        assert check(pert, False) == (cl, eps)
         return FalsifierResult(status="falsified", perturbation=pert,
                                violating_clustering=cl, opt_clustering=opt_part,
                                eps_dist=eps, tried=tried,
@@ -466,8 +453,8 @@ def _one_at_a_time_falsify(instance, k, params, budget=200, seed=0,
 
 def _counting(monkeypatch):
     """Count the perturbations the falsifier builds, the batches it screens
-    (their sizes and cells) and the d' it sends to the oracle that are not
-    falsified there."""
+    (their sizes and cells) and the d' it checks, flagged by the screen or
+    scanned in full, that are not falsified there."""
     seen = {"built": 0, "batches": [], "passed": 0}
     for name in ("build_lemma1_perturbation", "sample_perturbation"):
         def counted(*args, _build=getattr(oracle, name)):
@@ -570,14 +557,13 @@ def test_falsifier_refuses_overflowing_alpha(monkeypatch):
 
 
 def _recording_oracle(monkeypatch):
-    """Wrap the falsifier's oracle: each call is also scanned in full, and
-    (candidates, result, full scan's result) is recorded."""
+    """Wrap the falsifier's oracle: each call's table and result are
+    recorded."""
     full, calls = oracle.brute_force_optimal, []
 
-    def recorded(table, k, budget=oracle.DEFAULT_SUBSET_BUDGET, *,
-                 candidates=None):
-        got = full(table, k, budget, candidates=candidates)
-        calls.append((candidates, got, full(table, k, budget)))
+    def recorded(table, k, budget=oracle.DEFAULT_SUBSET_BUDGET):
+        got = full(table, k, budget)
+        calls.append((table, got))
         return got
 
     monkeypatch.setattr(oracle, "brute_force_optimal", recorded)
@@ -586,16 +572,19 @@ def _recording_oracle(monkeypatch):
 
 def _recording_screen(monkeypatch):
     """Wrap the falsifier's batch screen: each d' it sees is recorded with
-    its decision ("cleared", "restricted" or "full") and what the decision
-    rests on (the base table, the kept sets, alpha r* and OPT's labels)."""
+    its decision ("cleared", "flagged" or "full"), its flagged sets (None
+    unless flagged) and what the decision rests on (the base table, the
+    kept sets, alpha r* and OPT's labels)."""
     screen, decisions = oracle._screen, []
 
     def recorded(batch, d, kept, bound, opt_labels, chunk):
-        covered, cleared = screen(batch, d, kept, bound, opt_labels, chunk)
-        for pert, cov, clr in zip(batch, covered, cleared):
-            kind = "cleared" if clr else "restricted" if cov else "full"
-            decisions.append((pert, kind, d, kept, bound, opt_labels))
-        return covered, cleared
+        covered, flagged = screen(batch, d, kept, bound, opt_labels, chunk)
+        for i, pert in enumerate(batch):
+            kind = ("full" if not covered[i] else
+                    "flagged" if i in flagged else "cleared")
+            decisions.append((pert, kind, flagged.get(i), d, kept, bound,
+                              opt_labels))
+        return covered, flagged
 
     monkeypatch.setattr(oracle, "_screen", recorded)
     return decisions
@@ -605,28 +594,42 @@ def _full_scans(decisions):
     """Check each decision against the full scan, and return that scan's
     result for each d'.
 
-    A covered d' (cleared or restricted) must be >= d with OPT(d') <= alpha
-    r*, and its kept-set scan must equal the full one; a cleared d' must
-    have only OPT's partition among its optimal sets, a restricted one
-    another partition too; a d' scanned in full must not be covered."""
+    A covered d' (cleared or flagged) must be >= d with OPT(d') <= alpha
+    r*.  A flagged d''s sets must be exactly the full scan's optimal sets
+    whose partition is not OPT's, in lexicographic order; a cleared d' must
+    have no such set; a d' scanned in full must not be covered."""
     results = []
-    for pert, kind, d, kept, bound, opt_labels in decisions:
+    for pert, kind, sets, d, kept, bound, opt_labels in decisions:
         k = len(set(opt_labels.tolist()))
         want = brute_force_optimal(pert.dprime, k)
         covered = (kept is not None and bool(np.all(pert.dprime >= d))
                    and want.optimal_radius <= bound)
         assert covered == (kind != "full")
         if covered:
-            assert brute_force_optimal(pert.dprime, k, candidates=kept) == want
             opt = tuple(map(tuple, label_groups(opt_labels)))
-            only_opt = all(voronoi_partition(pert.dprime, s).canonical_partition()
-                           == opt for s in want.optimal_center_sets)
-            assert only_opt == (kind == "cleared")
+            far = [s for s in want.optimal_center_sets
+                   if voronoi_partition(pert.dprime, s).canonical_partition()
+                   != opt]
+            assert (kind == "cleared") == (sets is None) == (not far)
+            if sets is not None:
+                assert list(map(tuple, sets.tolist())) == far
         results.append(want)
     return results
 
 
-def test_restricted_oracle_matches_full_scan(monkeypatch):
+def _scanned(calls, base, decisions, counterexample=None):
+    """Whether the oracle scanned exactly the base table, then each d' the
+    screen left to it, in stream order, then the counterexample's
+    re-validation, if one is given."""
+    want = [base] + [pert.dprime for pert, kind, *_ in decisions
+                     if kind == "full"]
+    want += [] if counterexample is None else [counterexample.dprime]
+    return len(calls) == len(want) and all(
+        np.array_equal(table, table_want)
+        for (table, _), table_want in zip(calls, want))
+
+
+def test_screen_flagged_sets_match_full_scan(monkeypatch):
     # every decision of the falsifier stream, capped and random phases, on
     # tie-heavy tables (integer grids, 1 - eye) and planted ones
     tables = [_grid(8, s, directed) for s in (0, 1)
@@ -639,24 +642,43 @@ def test_restricted_oracle_matches_full_scan(monkeypatch):
     params = StabilityParams(2.0, 1.0)  # never falsified: budget runs out
     calls = _recording_oracle(monkeypatch)
     decisions = _recording_screen(monkeypatch)
+    runs = 0
     for d in tables:
         for k in (2, 3, 4):
             T = _capped_count(validate_instance(d, "asymmetric"), k, 2.0)
             falsify_resilience(d, k, params, budget=T + 3)
+            runs += 1
     want = _full_scans(decisions)
     kinds = [kind for _, kind, *_ in decisions]
     # every perturbation here is covered, many with ties between sets and
-    # between partitions; those with a partition other than OPT's go to
-    # the oracle on the kept sets, which gives the full scan's answer
+    # between partitions; those with a partition other than OPT's are
+    # checked on their flagged sets, which are the full scan's
     assert len(decisions) > 300 and "full" not in kinds
     assert sum(len(res.optimal_center_sets) > 1 for res in want) > 100
     assert sum(not res.partition_unique for res in want) > 20
-    assert kinds.count("restricted") > 20 and kinds.count("cleared") > 100
-    restricted = [(c, got, full) for c, got, full in calls if c is not None]
-    assert len(restricted) == kinds.count("restricted")
-    assert all(got == full for _, got, full in calls)
+    assert kinds.count("flagged") > 20 and kinds.count("cleared") > 100
+    # the oracle saw only the base tables
+    assert len(calls) == runs
     assert sum(len(kept) < comb(12, 3) // 2
-               for _, kind, _, kept, *_ in decisions) > 50
+               for *_, kept, _, _ in decisions) > 50
+
+
+def test_covered_perturbations_never_reach_the_oracle(monkeypatch):
+    # every d' of these tie-heavy streams is covered, and many are flagged;
+    # at epsilon = 1 none falsifies, so the base table's call is the only one
+    ties = [_grid(8, s, directed) for s in (0, 1) for directed in (False, True)]
+    ties.append(1.0 - np.eye(7))
+    calls = _recording_oracle(monkeypatch)
+    decisions = _recording_screen(monkeypatch)
+    for d in ties:
+        for k in (2, 3):
+            for alpha in (1.5, 2.0):
+                calls.clear()
+                res = falsify_resilience(d, k, StabilityParams(alpha, 1.0))
+                assert res.status != "falsified" and res.tried == 200
+                assert _scanned(calls, d, [])
+    kinds = [kind for _, kind, *_ in decisions]
+    assert "full" not in kinds and kinds.count("flagged") > 100
 
 
 def _line(xs):
@@ -692,9 +714,8 @@ def test_falsifier_scans_in_full_when_dprime_dips_below_base(monkeypatch):
     assert kinds[:T] == ["full"] * T  # dipped: full scan
     assert "full" not in kinds[T:]  # random: covered
     assert all((0, 2, 3) in res.optimal_center_sets for res in full[:T])
-    # the oracle saw each dipped d' whole, after the base table's call
-    assert [c for c, _, _ in calls[1:1 + T]] == [None] * T
-    assert all(got == full for _, got, full in calls)
+    # the oracle saw the base table and each dipped d', nothing else
+    assert _scanned(calls, inst.dist, decisions)
 
 
 def _kept_cells(inst, k, alpha):
@@ -721,18 +742,15 @@ def test_falsifier_falls_back_past_kept_cap(monkeypatch, make, params):
             got = falsify_resilience(inst, 3, params, budget=30)
         assert _falsifier_fields(got) == _falsifier_fields(want)
         _full_scans(decisions)
-        kinds = [kind for _, kind, *_ in decisions[:got.tried]]
-        # past the cap every d' goes to the oracle and is scanned in full;
-        # under it only the restricted ones go, and the counterexample's
-        # re-validation is scanned in full
-        flagged = calls[1:-1] if got.status == "falsified" else calls[1:]
+        tried = decisions[:got.tried]
+        kinds = [kind for _, kind, *_ in tried]
+        # past the cap every d' goes to the oracle; under it none does, and
+        # only the counterexample's re-validation follows the base call
         if covered:
             assert "full" not in kinds
-            assert len(flagged) == kinds.count("restricted")
         else:
-            assert kinds == ["full"] * got.tried and len(flagged) == got.tried
-        assert all((c is not None) == covered for c, _, _ in flagged)
-        assert all(res == full for _, res, full in calls)
+            assert kinds == ["full"] * got.tried
+        assert _scanned(calls, inst.dist, tried, got.perturbation)
 
 
 def test_falsifier_scans_in_full_when_dprime_passes_alpha_d(monkeypatch):
@@ -743,11 +761,15 @@ def test_falsifier_scans_in_full_when_dprime_passes_alpha_d(monkeypatch):
     monkeypatch.setattr(oracle, "sample_perturbation",
                         lambda inst, alpha, seed: sample_perturbation(inst, 4.0, seed))
     calls = _recording_oracle(monkeypatch)
+    decisions = _recording_screen(monkeypatch)
     T = _capped_count(validate_instance(d, "symmetric"), 3, 2.0)
     res = falsify_resilience(d, 3, StabilityParams(2.0, 1.0), budget=T + 3)
     assert res.tried == T + 3
+    full = _full_scans(decisions)
+    # the d' with an optimal set above the kept sets' bound reached the
+    # oracle, which scanned them in full
     bound = 2.0 * calls[0][1].optimal_radius
-    beyond = [c for c, _, full in calls[1:]
-              if max(cost(d, s) for s in full.optimal_center_sets) > bound]
-    assert beyond and all(c is None for c in beyond)
-    assert all(got == full for _, got, full in calls)
+    beyond = [kind for (_, kind, *_), scan in zip(decisions, full)
+              if max(cost(d, s) for s in scan.optimal_center_sets) > bound]
+    assert beyond and set(beyond) == {"full"}
+    assert _scanned(calls, d, decisions)
