@@ -75,16 +75,55 @@ class OracleResult:
         return voronoi_partition(table, self.optimal_center_sets[0])
 
 
-def _subset_chunks(n, k, chunk):
-    """Every k-subset of range(n), lexicographically, as (m, k) arrays of
-    at most ``chunk`` rows."""
-    subsets = itertools.combinations(range(n), k)
-    total = comb(n, k)
-    for start in range(0, total, chunk):
-        m = min(chunk, total - start)
-        idx = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(subsets, m)), dtype=np.intp, count=m * k)
-        yield idx.reshape(m, k)
+def _scored_blocks(d, k):
+    """Every k-subset of range(n) scored once, a block at a time: yields
+    (heads, start, scores) with scores[i, j] = cost_d(heads[i] + (start + j,)).
+
+    The heads are the (k-1)-subsets grouped by their last member b (for
+    k = 1 the empty set, b = -1), and their tails the members after b, at
+    most SCAN_CELLS // n at a time.  Each head's closest-center row is
+    formed once and scores its tails in one pass, n cells per set.  A block
+    of m heads and w tails holds at most m (max(w, k) + 1) n <= SCAN_CELLS
+    cells (one head when that passes it): the scores or the heads' gather,
+    beside their closest rows and the previous block's."""
+    n = d.shape[0]
+    span = max(1, SCAN_CELLS // n)
+    for b in range(k - 2, n - 1) if k > 1 else [-1]:
+        ends = (b,) if k > 1 else ()  # k = 1: one empty head, every tail
+        lead = k - 1 - len(ends)
+        count = comb(max(b, 0), lead)
+        prefixes = (h + ends for h in itertools.combinations(range(b), lead))
+        m = max(1, SCAN_CELLS // (n * (max(min(span, n - 1 - b), k) + 1)))
+        for done in range(0, count, m):
+            rows = min(m, count - done)
+            heads = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(prefixes, rows)),
+                dtype=np.intp, count=rows * (k - 1)).reshape(rows, k - 1)
+            closest = d[heads].min(axis=1, initial=np.inf)  # +inf: no head
+            for start in range(b + 1, n, span):
+                tails = d[start:start + span]
+                # in place: numpy then buffers one broadcast operand, not two
+                scores = np.repeat(closest[:, None], len(tails), axis=1)
+                scores = np.minimum(scores, tails, out=scores).max(axis=2)
+                yield heads, start, scores
+
+
+def _sets(heads, start, hit):
+    """The sets of a scored block where ``hit`` holds, as (m, k) rows."""
+    i, j = np.nonzero(hit)
+    return np.column_stack([heads[i], start + j])
+
+
+def _lexicographic(sets):
+    return sets[np.lexsort(sets.T[::-1])]
+
+
+def _partition_keys(labels, k):
+    """Rows of Voronoi labels with each point labelled by the smallest
+    member of its cluster: two rows are equal exactly when their partitions
+    are."""
+    smallest = (labels[:, None, :] == np.arange(k)[:, None]).argmax(axis=2)
+    return np.take_along_axis(smallest, labels, axis=1)
 
 
 def brute_force_optimal(table, k: int,
@@ -92,39 +131,38 @@ def brute_force_optimal(table, k: int,
     """Enumerate every k-subset of centers and return the exact optimum.
 
     Works on any square nonnegative table, including non-metric
-    perturbations.  Subsets are enumerated lexicographically; all
-    minimizers are retained.  They are scored in chunks of at most
-    ``SCAN_CELLS`` // (k n) subsets, so memory is O(SCAN_CELLS) beside the
-    table and the minimizers, whatever C(n, k) is.
+    perturbations; raises ValueError on any other shape.  All minimizers
+    are retained, in lexicographic order.  Each set is scored once from its
+    (k-1)-prefix's closest-center row, n cells per set, in blocks of at
+    most ``SCAN_CELLS`` cells, so memory is O(SCAN_CELLS) beside the table
+    and the minimizers, whatever C(n, k) is.
     """
     d = _as_table(table)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"table must be square, got shape {d.shape}")
     n = d.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     total = comb(n, k)
     if total > budget:
         raise BudgetExceeded(f"C({n},{k}) = {total} exceeds budget {budget}")
-    chunk = max(1, SCAN_CELLS // (k * n))
     best = np.inf
     minimizers = [np.empty((0, k), dtype=np.intp)]  # kept if every score is NaN
-    for idx in _subset_chunks(n, k, chunk):
-        scores = set_costs(d, idx)
-        low = np.fmin.reduce(scores)  # a NaN score never ties or wins
+    for heads, start, scores in _scored_blocks(d, k):
+        low = np.fmin.reduce(scores, axis=None)  # a NaN never ties or wins
         if low < best:
             best = low
-            minimizers = [idx[scores == low]]
+            minimizers = [_sets(heads, start, scores == low)]
         elif low == best:
-            minimizers.append(idx[scores == low])
-    mins = np.concatenate(minimizers)
-    # each point labelled by the smallest member of its cluster names the
-    # partition; the first set with each such row holds its index
+            minimizers.append(_sets(heads, start, scores == low))
+    mins = _lexicographic(np.concatenate(minimizers))
+    # the first set with each partition key holds its index
     first = {}
+    chunk = max(1, SCAN_CELLS // (k * n))
     for start in range(0, len(mins), chunk):
-        lab = voronoi_labels(d, mins[start:start + chunk])
-        smallest = (lab[:, None, :] == np.arange(k)[:, None]).argmax(axis=2)
-        for i, row in enumerate(np.take_along_axis(smallest, lab, axis=1),
-                                start):
-            first.setdefault(row.tobytes(), i)
+        keys = _partition_keys(voronoi_labels(d, mins[start:start + chunk]), k)
+        for i, key in enumerate(keys, start):
+            first.setdefault(key.tobytes(), i)
     return OracleResult(optimal_radius=float(best),
                         optimal_center_sets=tuple(map(tuple, mins.tolist())),
                         partitions=tuple(first.values()))
@@ -184,34 +222,26 @@ class FalsifierResult:
 def _kept_sets(d, k, bound):
     """The center sets with cost_d(S) <= bound, in lexicographic order, or
     None when they pass KEPT_CELLS cells."""
-    n = d.shape[0]
     sets, cells = [], 0
-    for idx in _subset_chunks(n, k, max(1, SCAN_CELLS // (k * n))):
-        idx = idx[set_costs(d, idx) <= bound]
-        cells += idx.size
+    for heads, start, scores in _scored_blocks(d, k):
+        sets.append(_sets(heads, start, scores <= bound))
+        cells += sets[-1].size
         if cells > KEPT_CELLS:
             return None
-        sets.append(idx)
-    return np.concatenate(sets)
+    return _lexicographic(np.concatenate(sets))
 
 
-def _differs(labels, opt_labels, k):
-    """Which rows of Voronoi labels give a partition other than OPT's: a
-    partition is OPT's exactly when its pairs (label, OPT label) take k
-    values."""
-    pairs = np.sort(labels * k + opt_labels, axis=-1)
-    return np.count_nonzero(np.diff(pairs, axis=-1), axis=-1) >= k
-
-
-def _screen(batch, d, kept, bound, opt_labels, chunk):
+def _screen(batch, d, kept, bound, opt_key, chunk):
     """Which perturbations of ``batch`` the base-cost cut covers (see
     falsify_resilience), and, for each covered one with a d'-optimal set
-    whose partition is not OPT's, those sets in lexicographic order, as
-    ``{batch index: (m, k) array}``.  A covered d' not in it is cleared.
+    whose partition is not OPT's (partition key ``opt_key``), the first such
+    set of each such partition, in lexicographic order, as ``{batch index:
+    (m, k) array}``.  A covered d' not in it is cleared.
 
     The batch's tables are stacked and scored on the kept sets ``chunk``
-    sets at a time; the labels are taken only for the sets that are optimal
-    for some d' of the batch, ``chunk`` at a time too.
+    sets at a time.  Each pair of a covered d' and a d'-optimal set is
+    labelled on that d' alone, as many pairs at a time as the batch has
+    scores in a chunk.
     """
     if kept is None:
         return np.zeros(len(batch), dtype=bool), {}
@@ -221,29 +251,37 @@ def _screen(batch, d, kept, bound, opt_labels, chunk):
                              for s in range(0, len(kept), chunk)], axis=1)
     best = scores.min(axis=1, keepdims=True)
     covered = np.all(tables >= d, axis=(1, 2)) & (best[:, 0] <= bound)
-    b, j = np.nonzero(scores == best)  # row-major: j ascends within each b
-    optimal, pos = np.unique(j, return_inverse=True)
-    far = np.zeros(len(b), dtype=bool)
-    for s in range(0, len(optimal), chunk):
-        labels = voronoi_labels(tables, kept[optimal[s:s + chunk]])
-        at = (pos >= s) & (pos < s + chunk)
-        far[at] = _differs(labels[b[at], pos[at] - s], opt_labels, k)
-    far &= covered[b]
-    return covered, {i: kept[j[far & (b == i)]] for i in set(b[far].tolist())}
+    # row-major: j ascends within each b
+    b, j = np.nonzero((scores == best) & covered[:, None])
+    keys = np.empty((len(b), d.shape[0]), dtype=np.intp)
+    step = len(batch) * chunk
+    for s in range(0, len(b), step):
+        sets = kept[j[s:s + step]]
+        # voronoi_labels' rule, each set on its own d'
+        labels = tables[b[s:s + step, None], sets].argmin(axis=1)
+        labels[np.arange(len(sets))[:, None], sets] = np.arange(k)
+        keys[s:s + step] = _partition_keys(labels, k)
+    first = {}  # the first pair of each d' and partition but OPT's
+    for p in np.flatnonzero((keys != opt_key).any(axis=1)).tolist():
+        first.setdefault((b[p], keys[p].tobytes()), p)
+    far = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return covered, {i: kept[j[far[b[far] == i]]] for i in set(b[far].tolist())}
 
 
-def _oracle_sets(dprime, k, opt_labels, oracle_budget):
+def _oracle_sets(dprime, k, opt_key, oracle_budget):
     """A full scan's first d'-optimal set of each partition but OPT's."""
     res = brute_force_optimal(dprime, k, budget=oracle_budget)
     sets = np.asarray(res.optimal_center_sets)[list(res.partitions)]
-    return sets[_differs(voronoi_labels(dprime, sets), opt_labels, k)]
+    keys = _partition_keys(voronoi_labels(dprime, sets), k)
+    return sets[(keys != opt_key).any(axis=1)]
 
 
 def _check_perturbation(dprime, sets, opt_part, epsilon):
     """Return the first clustering of ``sets`` farther than epsilon from OPT.
 
-    epsilon_distance is label-free, so the sets of one partition are at one
-    distance and the first far set induces the first far partition."""
+    ``sets`` holds the first d'-optimal set of each partition but OPT's;
+    epsilon_distance is label-free, so any set of a partition would give
+    the same distance."""
     for centers in sets:
         cl = voronoi_partition(dprime, centers)
         eps = epsilon_distance(cl, opt_part)
@@ -272,8 +310,9 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     resilience.  Every counterexample is re-validated, by a full oracle
     scan, before it is returned: the perturbation bounds must hold and the
     violating clustering must be optimal under d' and > epsilon from OPT.
-    Raises ValueError, before any oracle call, when ``budget`` is not a
-    non-negative integer or alpha * max d overflows.
+    Raises ValueError, before any scan, when ``budget`` is not a
+    non-negative integer, alpha * max d overflows or the table is not
+    square.
 
     Each covered d' is decided on the center sets that can be optimal for
     it, with no oracle call.  Every d' in the stream has d <= d' <= alpha d,
@@ -284,11 +323,13 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     so it is kept, and the kept sets hold every d'-optimal set.  The
     perturbations are pulled in batches of 1, 2, 4, ... tables, at most
     SCAN_CELLS cells with their scores (one table, its sets scored in
-    chunks, when one fills it).  A covered d' whose optimal sets all induce
-    OPT's partition is cleared; one with other optimal sets is checked on
-    those.  The oracle scans every set only for the base table, for a d'
-    that is not covered (every d' when the kept sets pass KEPT_CELLS
-    cells) and for the re-validation.
+    chunks, when one fills it).  Each pair of a covered d' and a
+    d'-optimal set is labelled on that d' alone and named by its partition
+    key, as in brute_force_optimal.  A covered d' whose optimal sets all
+    induce OPT's partition is cleared; one with other partitions is checked
+    on the first optimal set of each.  The oracle scans every set only for
+    the base table, for a d' that is not covered (every d' when the kept
+    sets pass KEPT_CELLS cells) and for the re-validation.
     """
     if not (isinstance(budget, Integral) and budget >= 0):
         raise ValueError("budget must be a non-negative integer, "
@@ -298,7 +339,7 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     opt = brute_force_optimal(d, k, budget=oracle_budget)
     r_star = opt.optimal_radius
     opt_part = opt.clustering(d)
-    opt_labels = np.asarray(opt_part.assignment)
+    opt_key = _partition_keys(np.asarray([opt_part.assignment]), k)[0]
     alpha, epsilon = params.alpha, params.epsilon
     bound = alpha * r_star
     capped = filter(None, ([(q, t) for t in ci if t != q and d[q, t] <= bound]
@@ -316,19 +357,19 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     perts = itertools.islice(stream, budget)
     tried = 0
     while batch := list(itertools.islice(perts, min(tried + 1, width))):
-        covered, flagged = _screen(batch, d, kept, bound, opt_labels, chunk)
+        covered, flagged = _screen(batch, d, kept, bound, opt_key, chunk)
         for i, pert in enumerate(batch):
             tried += 1
             if covered[i] and i not in flagged:
                 continue
             sets = (flagged[i] if covered[i] else
-                    _oracle_sets(pert.dprime, k, opt_labels, oracle_budget))
+                    _oracle_sets(pert.dprime, k, opt_key, oracle_budget))
             cl, eps = _check_perturbation(pert.dprime, sets, opt_part, epsilon)
             if cl is None:
                 continue
             assert pert.bounds_ok(), "counterexample violates perturbation bounds"
             re_cl, re_eps = _check_perturbation(
-                pert.dprime, _oracle_sets(pert.dprime, k, opt_labels,
+                pert.dprime, _oracle_sets(pert.dprime, k, opt_key,
                                           oracle_budget), opt_part, epsilon)
             assert re_cl is not None and re_eps > epsilon, \
                 "counterexample did not re-validate"

@@ -48,6 +48,13 @@ def test_oracle_peak_is_bounded():
     assert _peak_bytes(brute_force_optimal, d, 3) < 4 * 2 ** 20
 
 
+def test_oracle_peak_is_bounded_at_k4():
+    # scored from their 3-prefixes: the C(80, 3) = 82,160 prefixes' index
+    # rows alone would take 1.9 MB, their closest-center rows 52 MB
+    d = gen_planted_symmetric(80, 4, 1.0, 2.0, 0).instance.dist
+    assert _peak_bytes(brute_force_optimal, d, 4) < 2 ** 20
+
+
 def test_falsifier_peak_is_bounded():
     d = gen_planted_symmetric(60, 3, 1.0, 2.0, 0).instance.dist
     # the base-cost cut keeps 8,000 of the C(60, 3) = 34,220 sets, and at

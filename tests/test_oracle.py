@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import warnings
 from math import comb
 
@@ -27,7 +28,7 @@ from kcenter_resilience import (
     voronoi_partition,
 )
 from kcenter_resilience import oracle
-from kcenter_resilience.core import label_groups
+from kcenter_resilience.core import label_groups, set_costs
 from kcenter_resilience.generators import (
     gen_bad_center_18,
     gen_planted_asymmetric,
@@ -106,7 +107,8 @@ def _grid(n, seed, directed):
 
 def _oracle_cases():
     """(table, k): planted tables, their sampled and capped perturbations,
-    tie-heavy grids and an all-zero table, at k = 1 and k = n among others."""
+    tie-heavy grids, all-zero tables (n = 6 and n = 1) and tables with NaN
+    or +inf entries, at k = 1 and k = n among others."""
     planted = ([gen_planted_symmetric(n, 3, 1.0, 2.0, s) for n in (9, 12)
                 for s in (0, 1)]
                + [gen_planted_asymmetric(n, 3, 1.0, 2.0, 1.2, s)
@@ -123,10 +125,13 @@ def _oracle_cases():
         cases += [(pert.dprime, k) for pert in perts for k in (2, 3)]
     tables = [_grid(n, s, directed) for n in (6, 8) for s in (0, 1)
               for directed in (False, True)]
-    tables.append(np.zeros((6, 6)))
+    tables += [np.zeros((6, 6)), np.zeros((1, 1))]
     # NaN scores neither win nor tie; all-NaN leaves no optimal set
     tables += [np.where(tables[0] == 1.0, np.nan, tables[0]),
                np.full((4, 4), np.nan)]
+    # +inf scores tie like any other: all-inf makes every set optimal
+    tables += [np.where(tables[1] == 2.0, np.inf, tables[1]),
+               np.full((4, 4), np.inf)]
     cases += [(d, k) for d in tables for k in range(1, d.shape[0] + 1)]
     return cases
 
@@ -149,6 +154,63 @@ def test_oracle_matches_loop_reference(monkeypatch):
         ties += not want.partition_unique
     assert len(cases) > 150 and mismatches == 0
     assert ties > 20  # tie-heavy tables with more than one optimal partition
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (5,), (2, 2, 2)])
+def test_oracle_refuses_non_square_table(shape):
+    msg = f"table must be square, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        brute_force_optimal(np.zeros(shape), 1)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        falsify_resilience(np.zeros(shape), 1, StabilityParams(2.0, 0.0))
+
+
+def test_scan_scores_each_set_once(monkeypatch):
+    # the blocks cover every k-set exactly once, each scored as set_costs
+    # scores it, and hold at most SCAN_CELLS cells (one head past that)
+    rng = np.random.default_rng(0)
+    # default cells, one set per block, a few tails per block
+    cases = [(n, k, cap) for n in range(1, 13) for k in range(1, n + 1)
+             for cap in (oracle.SCAN_CELLS, 1, 3 * n)]
+    for n, k, cap in cases + [(30, 4, oracle.SCAN_CELLS)]:
+        d = rng.random((n, n))
+        monkeypatch.setattr(oracle, "SCAN_CELLS", cap)
+        blocks = list(oracle._scored_blocks(d, k))
+        assert sum(scores.size for _, _, scores in blocks) == comb(n, k)
+        sets = np.concatenate([
+            oracle._sets(heads, start, np.ones(scores.shape, dtype=bool))
+            for heads, start, scores in blocks])
+        assert (sorted(map(tuple, sets.tolist()))
+                == list(itertools.combinations(range(n), k)))
+        assert np.array_equal(
+            np.concatenate([scores.ravel() for _, _, scores in blocks]),
+            set_costs(d, sets))
+        for heads, _, scores in blocks:
+            width = max(scores.shape[1], k) + 1
+            assert len(heads) == 1 or len(heads) * width * n <= cap
+            assert scores.shape[1] <= max(1, cap // n)
+
+
+def test_kept_sets_match_itertools_filter(monkeypatch):
+    # lexicographic, whatever the blocks; at exactly KEPT_CELLS cells they
+    # are kept, one cell fewer returns None
+    tables = [gen_planted_symmetric(12, 3, 1.0, 2.0, 0).instance.dist,
+              gen_random_metric(9, "asymmetric", 1).dist,
+              _grid(8, 0, False), _grid(8, 1, True), 1.0 - np.eye(7)]
+    runs = 0
+    for d, k in itertools.product(tables, (1, 2, 3)):
+        r_star = brute_force_optimal(d, k).optimal_radius
+        for bound in (r_star, 1.5 * r_star, 2.0 * r_star):
+            want = [list(s) for s in itertools.combinations(range(len(d)), k)
+                    if cost(d, s) <= bound]
+            for cap in (oracle.SCAN_CELLS, 1, 5 * k * len(d)):
+                monkeypatch.setattr(oracle, "SCAN_CELLS", cap)
+                monkeypatch.setattr(oracle, "KEPT_CELLS", k * len(want))
+                assert oracle._kept_sets(d, k, bound).tolist() == want
+                monkeypatch.setattr(oracle, "KEPT_CELLS", k * len(want) - 1)
+                assert oracle._kept_sets(d, k, bound) is None
+                runs += 1
+    assert runs == 135
 
 
 def test_capped_perturbation_alpha_one_is_identity():
@@ -463,11 +525,11 @@ def _counting(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     screen, check = oracle._screen, oracle._check_perturbation
 
-    def screened(batch, d, kept, bound, opt_labels, chunk):
+    def screened(batch, d, kept, bound, opt_key, chunk):
         n = d.shape[0]
         k = 0 if kept is None else kept.shape[1]
         seen["batches"].append((len(batch), len(batch) * (n * n + chunk * k * n)))
-        return screen(batch, d, kept, bound, opt_labels, chunk)
+        return screen(batch, d, kept, bound, opt_key, chunk)
 
     def checked(*args):
         got = check(*args)
@@ -574,16 +636,16 @@ def _recording_screen(monkeypatch):
     """Wrap the falsifier's batch screen: each d' it sees is recorded with
     its decision ("cleared", "flagged" or "full"), its flagged sets (None
     unless flagged) and what the decision rests on (the base table, the
-    kept sets, alpha r* and OPT's labels)."""
+    kept sets, alpha r* and OPT's partition key)."""
     screen, decisions = oracle._screen, []
 
-    def recorded(batch, d, kept, bound, opt_labels, chunk):
-        covered, flagged = screen(batch, d, kept, bound, opt_labels, chunk)
+    def recorded(batch, d, kept, bound, opt_key, chunk):
+        covered, flagged = screen(batch, d, kept, bound, opt_key, chunk)
         for i, pert in enumerate(batch):
             kind = ("full" if not covered[i] else
                     "flagged" if i in flagged else "cleared")
             decisions.append((pert, kind, flagged.get(i), d, kept, bound,
-                              opt_labels))
+                              opt_key))
         return covered, flagged
 
     monkeypatch.setattr(oracle, "_screen", recorded)
@@ -595,19 +657,21 @@ def _full_scans(decisions):
     result for each d'.
 
     A covered d' (cleared or flagged) must be >= d with OPT(d') <= alpha
-    r*.  A flagged d''s sets must be exactly the full scan's optimal sets
-    whose partition is not OPT's, in lexicographic order; a cleared d' must
-    have no such set; a d' scanned in full must not be covered."""
+    r*.  A flagged d''s sets must be exactly the full scan's first optimal
+    set of each partition that is not OPT's, in lexicographic order; a
+    cleared d' must have no such partition; a d' scanned in full must not
+    be covered."""
     results = []
-    for pert, kind, sets, d, kept, bound, opt_labels in decisions:
-        k = len(set(opt_labels.tolist()))
+    for pert, kind, sets, d, kept, bound, opt_key in decisions:
+        k = len(set(opt_key.tolist()))
         want = brute_force_optimal(pert.dprime, k)
         covered = (kept is not None and bool(np.all(pert.dprime >= d))
                    and want.optimal_radius <= bound)
         assert covered == (kind != "full")
         if covered:
-            opt = tuple(map(tuple, label_groups(opt_labels)))
-            far = [s for s in want.optimal_center_sets
+            opt = tuple(map(tuple, label_groups(opt_key)))
+            firsts = [want.optimal_center_sets[i] for i in want.partitions]
+            far = [s for s in firsts
                    if voronoi_partition(pert.dprime, s).canonical_partition()
                    != opt]
             assert (kind == "cleared") == (sets is None) == (not far)
