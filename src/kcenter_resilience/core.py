@@ -203,7 +203,11 @@ def cost(instance, centers: Iterable[int]) -> float:
     centers = sorted(set(int(c) for c in centers))
     if not centers:
         raise ValueError("centers must be nonempty")
-    return float(set_costs(_as_table(instance), np.array([centers]))[0])
+    d = _as_table(instance)
+    if centers[0] < 0 or centers[-1] >= len(d):
+        raise ValueError(f"centers must be in 0..{len(d) - 1}, "
+                         f"got {centers[0]}..{centers[-1]}")
+    return float(set_costs(d, np.array([centers]))[0])
 
 
 def set_costs(d, subsets):
@@ -213,15 +217,14 @@ def set_costs(d, subsets):
     return d[..., subsets, :].min(axis=-2).max(axis=-1)
 
 
-def voronoi_labels(d, subsets):
-    """Voronoi labels under each row of ``subsets`` (ascending center sets):
-    the position of each point's closest center (distance center -> point),
-    the smallest center index on ties, except that a center always gets its
-    own position, also when two centers coincide.  A stack of tables d,
-    shape (B, n, n), gives one row of label rows per table."""
-    lab = d[..., subsets, :].argmin(axis=-2)  # first occurrence = smallest
-    lab[..., np.arange(len(subsets))[:, None], subsets] = \
-        np.arange(subsets.shape[1])
+def voronoi_labels(rows, subsets):
+    """Voronoi labels of each row of ``subsets`` (ascending center sets) from
+    its center rows ``rows[i]`` (``d[subsets]`` for one table d): the position
+    of each point's closest center (distance center -> point), the smallest
+    center index on ties, except that a center always gets its own position,
+    also when two centers coincide.  The package's one Voronoi tie rule."""
+    lab = rows.argmin(axis=1)  # first occurrence = smallest
+    lab[np.arange(len(subsets))[:, None], subsets] = np.arange(subsets.shape[1])
     return lab
 
 
@@ -232,11 +235,12 @@ def voronoi_partition(instance, centers: Sequence[int]) -> Clustering:
     centers = tuple(int(c) for c in centers)
     if len(set(centers)) != len(centers):
         raise ValueError("centers must be distinct")
+    radius = cost(d, centers)  # refuses centers outside 0..n-1
     order = np.argsort(centers, kind="stable")  # smallest center index first
-    pos = voronoi_labels(d, np.asarray(centers)[order][None])[0]
+    ascending = np.asarray(centers)[order][None]
+    pos = voronoi_labels(d[ascending], ascending)[0]
     return Clustering(k=len(centers), centers=centers,
-                      assignment=tuple(order[pos].tolist()),
-                      radius=cost(d, centers))
+                      assignment=tuple(order[pos].tolist()), radius=radius)
 
 
 def epsilon_distance(a: Clustering, b: Clustering) -> float:
@@ -259,7 +263,7 @@ def epsilon_distance(a: Clustering, b: Clustering) -> float:
 
 def ball(instance, center: int, radius: float, domain=None):
     """Points of ``domain`` within ``radius`` of ``center`` (outgoing)."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be >= 0")
     d = _as_table(instance)
     if domain is None:
@@ -296,7 +300,7 @@ def threshold_components(instance, threshold: float = 0.0):
     Two points are joined when they are within ``threshold`` of each other
     in both directions.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be >= 0")
     return components(mutual_within(_as_table(instance), threshold))
 
@@ -309,7 +313,7 @@ def symmetrized_set(instance, r_star: float):
     outside A it is A(p), its closest A-point under ``voronoi_labels``' tie
     rule (incoming distance, smallest index on ties).
     """
-    if r_star < 0:
+    if not r_star >= 0:
         raise ValueError("r_star must be >= 0")
     d = _as_table(instance)
     # p fails iff some q has d(q,p) <= r* but d(p,q) > r*
@@ -317,4 +321,4 @@ def symmetrized_set(instance, r_star: float):
     a_idx = np.flatnonzero(~fails)
     if not a_idx.size:
         return None
-    return a_idx[voronoi_labels(d, a_idx[None])[0]]
+    return a_idx[voronoi_labels(d[a_idx][None], a_idx[None])[0]]

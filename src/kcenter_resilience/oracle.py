@@ -118,10 +118,11 @@ def _lexicographic(sets):
     return sets[np.lexsort(sets.T[::-1])]
 
 
-def _partition_keys(labels, k):
-    """Rows of Voronoi labels with each point labelled by the smallest
-    member of its cluster: two rows are equal exactly when their partitions
-    are."""
+def _partition_keys(rows, sets):
+    """The ``voronoi_labels`` of each set from its center rows, with each
+    point labelled by the smallest member of its cluster: two keys are equal
+    exactly when their partitions are."""
+    labels, k = voronoi_labels(rows, sets), sets.shape[1]
     smallest = (labels[:, None, :] == np.arange(k)[:, None]).argmax(axis=2)
     return np.take_along_axis(smallest, labels, axis=1)
 
@@ -160,8 +161,8 @@ def brute_force_optimal(table, k: int,
     first = {}
     chunk = max(1, SCAN_CELLS // (k * n))
     for start in range(0, len(mins), chunk):
-        keys = _partition_keys(voronoi_labels(d, mins[start:start + chunk]), k)
-        for i, key in enumerate(keys, start):
+        sets = mins[start:start + chunk]
+        for i, key in enumerate(_partition_keys(d[sets], sets), start):
             first.setdefault(key.tobytes(), i)
     return OracleResult(optimal_radius=float(best),
                         optimal_center_sets=tuple(map(tuple, mins.tolist())),
@@ -184,6 +185,8 @@ def build_lemma1_perturbation(instance, r_star: float, alpha: float,
     drops below d.  The result satisfies "d >= r* implies d' >= alpha*r*",
     hence its optimal cost is exactly alpha*r*.
     """
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
     d = _as_table(instance)
     _require_finite_scale(d, alpha)
     dprime = alpha * d
@@ -240,13 +243,12 @@ def _screen(batch, d, kept, bound, opt_key, chunk):
 
     The batch's tables are stacked and scored on the kept sets ``chunk``
     sets at a time.  Each pair of a covered d' and a d'-optimal set is
-    labelled on that d' alone, as many pairs at a time as the batch has
-    scores in a chunk.
+    keyed by _partition_keys on its set's rows of that d' alone, as many
+    pairs at a time as the batch has scores in a chunk.
     """
     if kept is None:
         return np.zeros(len(batch), dtype=bool), {}
     tables = np.stack([pert.dprime for pert in batch])
-    k = kept.shape[1]
     scores = np.concatenate([set_costs(tables, kept[s:s + chunk])
                              for s in range(0, len(kept), chunk)], axis=1)
     best = scores.min(axis=1, keepdims=True)
@@ -257,10 +259,8 @@ def _screen(batch, d, kept, bound, opt_key, chunk):
     step = len(batch) * chunk
     for s in range(0, len(b), step):
         sets = kept[j[s:s + step]]
-        # voronoi_labels' rule, each set on its own d'
-        labels = tables[b[s:s + step, None], sets].argmin(axis=1)
-        labels[np.arange(len(sets))[:, None], sets] = np.arange(k)
-        keys[s:s + step] = _partition_keys(labels, k)
+        keys[s:s + step] = _partition_keys(tables[b[s:s + step, None], sets],
+                                           sets)
     first = {}  # the first pair of each d' and partition but OPT's
     for p in np.flatnonzero((keys != opt_key).any(axis=1)).tolist():
         first.setdefault((b[p], keys[p].tobytes()), p)
@@ -268,18 +268,18 @@ def _screen(batch, d, kept, bound, opt_key, chunk):
     return covered, {i: kept[j[far[b[far] == i]]] for i in set(b[far].tolist())}
 
 
-def _oracle_sets(dprime, k, opt_key, oracle_budget):
-    """A full scan's first d'-optimal set of each partition but OPT's."""
+def _oracle_sets(dprime, k, oracle_budget):
+    """A full scan's first d'-optimal set of each partition, OPT's too: it is
+    at epsilon-distance 0 from OPT, so _check_perturbation passes over it."""
     res = brute_force_optimal(dprime, k, budget=oracle_budget)
-    sets = np.asarray(res.optimal_center_sets)[list(res.partitions)]
-    keys = _partition_keys(voronoi_labels(dprime, sets), k)
-    return sets[(keys != opt_key).any(axis=1)]
+    return np.asarray(res.optimal_center_sets)[list(res.partitions)]
 
 
 def _check_perturbation(dprime, sets, opt_part, epsilon):
     """Return the first clustering of ``sets`` farther than epsilon from OPT.
 
-    ``sets`` holds the first d'-optimal set of each partition but OPT's;
+    ``sets`` holds the first d'-optimal set of each partition (the screen's
+    leave OPT's out, the full scan's may hold it, at distance 0 from OPT);
     epsilon_distance is label-free, so any set of a partition would give
     the same distance."""
     for centers in sets:
@@ -339,7 +339,8 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     opt = brute_force_optimal(d, k, budget=oracle_budget)
     r_star = opt.optimal_radius
     opt_part = opt.clustering(d)
-    opt_key = _partition_keys(np.asarray([opt_part.assignment]), k)[0]
+    first = np.asarray(opt.optimal_center_sets[:1])
+    opt_key = _partition_keys(d[first], first)[0]
     alpha, epsilon = params.alpha, params.epsilon
     bound = alpha * r_star
     capped = filter(None, ([(q, t) for t in ci if t != q and d[q, t] <= bound]
@@ -363,14 +364,14 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
             if covered[i] and i not in flagged:
                 continue
             sets = (flagged[i] if covered[i] else
-                    _oracle_sets(pert.dprime, k, opt_key, oracle_budget))
+                    _oracle_sets(pert.dprime, k, oracle_budget))
             cl, eps = _check_perturbation(pert.dprime, sets, opt_part, epsilon)
             if cl is None:
                 continue
             assert pert.bounds_ok(), "counterexample violates perturbation bounds"
             re_cl, re_eps = _check_perturbation(
-                pert.dprime, _oracle_sets(pert.dprime, k, opt_key,
-                                          oracle_budget), opt_part, epsilon)
+                pert.dprime, _oracle_sets(pert.dprime, k, oracle_budget),
+                opt_part, epsilon)
             assert re_cl is not None and re_eps > epsilon, \
                 "counterexample did not re-validate"
             return FalsifierResult(status="falsified", perturbation=pert,

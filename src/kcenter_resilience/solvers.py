@@ -128,7 +128,7 @@ def hochbaum_shmoys_cover(instance, r: float, k: int):
     most k centers cover every point within 2r; k + 1 mean r is too small.
     The picks do not depend on k, which only decides where they stop.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError("r must be >= 0")
     d = _as_table(instance)
     return _greedy_cover(d.shape[0], lambda c: d[c] <= 2 * r, k)

@@ -20,6 +20,7 @@ from kcenter_resilience import (
     components,
     cost,
     epsilon_distance,
+    hochbaum_shmoys_cover,
     snap_up,
     symmetrized_set,
     threshold_components,
@@ -257,6 +258,31 @@ def test_validate_refuses_negative_or_nan_slack():
     for slack in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="slack must be >= 0"):
             validate_instance(d, "symmetric", slack)
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+@pytest.mark.parametrize("guarded, message", [
+    (lambda d, r: hochbaum_shmoys_cover(d, r, 2), "r must be >= 0"),
+    (threshold_components, "threshold must be >= 0"),
+    (symmetrized_set, "r_star must be >= 0"),
+    (lambda d, r: ball(d, 0, r), "radius must be >= 0"),
+], ids=["hochbaum_shmoys_cover", "threshold_components", "symmetrized_set",
+        "ball"])
+def test_radius_guards_refuse_negative_or_nan(guarded, message, value):
+    # a NaN radius compares false everywhere: it would cover nothing
+    with pytest.raises(ValueError, match=message):
+        guarded(1.0 - np.eye(3), value)
+
+
+@pytest.mark.parametrize("center", [-1, 3])
+def test_centers_outside_the_table_are_refused(center):
+    # numpy would read -1 as row n - 1 and raise IndexError on n
+    d = 1.0 - np.eye(3)
+    for call in (cost, voronoi_partition):
+        with pytest.raises(ValueError, match=r"centers must be in 0\.\.2"):
+            call(d, [center, 1])
+    assert cost(d, [0, 2]) == 1.0
+    assert voronoi_partition(d, [2, 0]).centers == (2, 0)
 
 
 def test_cost_examples():

@@ -28,7 +28,7 @@ from kcenter_resilience import (
     voronoi_partition,
 )
 from kcenter_resilience import oracle
-from kcenter_resilience.core import label_groups, set_costs
+from kcenter_resilience.core import label_groups, set_costs, voronoi_labels
 from kcenter_resilience.generators import (
     gen_bad_center_18,
     gen_planted_asymmetric,
@@ -284,6 +284,36 @@ def test_perturbation_builders_refuse_overflowing_alpha():
         assert np.array_equal(sample_perturbation(d, 1.0, 0).dprime, d)
         pert = build_lemma1_perturbation(d, 1e-10, 1.0, [(0, 1)])
         assert np.array_equal(pert.dprime, d) and pert.bounds_ok()
+
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            build_lemma1_perturbation(d, 1e-10, 0.5, [])
+
+
+def test_one_voronoi_rule_labels_every_pair():
+    # integer entries in {0, 1, 2}: exact ties everywhere, and distinct
+    # points at distance 0, so two centers of a set can coincide
+    rng = np.random.default_rng(3)
+    tables = rng.integers(0, 3, size=(5, 7, 7)).astype(float)
+    tables[:, np.arange(7), np.arange(7)] = 0.0
+    tables = np.concatenate([tables, [1.0 - np.eye(7), np.zeros((7, 7))]])
+    coincide = 0
+    for k in (1, 2, 3, 4):
+        subsets = np.array(list(itertools.combinations(range(7), k)))
+        b = np.repeat(np.arange(len(tables)), len(subsets))
+        sets = np.tile(subsets, (len(tables), 1))
+        labels = voronoi_labels(tables[b[:, None], sets], sets)
+        keys = oracle._partition_keys(tables[b[:, None], sets], sets)
+        names = {}
+        canon = []
+        for i, (t, s) in enumerate(zip(b, sets)):
+            cl = voronoi_partition(tables[t], s)
+            assert labels[i].tolist() == list(cl.assignment)
+            canon.append(names.setdefault(cl.canonical_partition(), len(names)))
+            coincide += bool((tables[t][np.ix_(s, s)] == 0).sum() > k)
+        canon = np.array(canon)
+        same_key = (keys[:, None] == keys[None]).all(axis=2)
+        assert np.array_equal(same_key, canon[:, None] == canon[None])
+    assert coincide > 100
 
 
 def _weakly_separated(gap):
