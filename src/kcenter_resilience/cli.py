@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from math import comb, isfinite
+from math import isfinite
 from pathlib import Path
 
 from . import kci
@@ -233,10 +233,12 @@ def _bench_row(row, timing, oracle_budget):
         if outcome.ok:
             if outcome.clustering.k == truth.k:  # epsilon_distance needs one k
                 eps_str = repr(epsilon_distance(outcome.clustering, truth))
-            if comb(instance.n, truth.k) <= oracle_budget:
-                opt = brute_force_optimal(instance.dist, truth.k)
+            try:  # past the oracle budget the ratio stays blank
+                opt = brute_force_optimal(instance.dist, truth.k, oracle_budget)
                 ratio_str = repr(outcome.clustering.radius / opt.optimal_radius
                                  if opt.optimal_radius > 0 else 1.0)
+            except BudgetExceeded:
+                pass
         status = outcome.status
     except Exception as e:  # per-row failures go in the CSV, not up the stack
         status = f"error:{type(e).__name__}"

@@ -128,9 +128,23 @@ class Clustering:
 
 
 def _as_table(instance) -> np.ndarray:
+    """An Instance's table, or a raw table as floats; refuses non-square."""
     if isinstance(instance, Instance):
         return instance.dist
-    return np.asarray(instance, dtype=float)
+    d = np.asarray(instance, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"table must be square, got shape {d.shape}")
+    return d
+
+
+def _require_k(k, n):
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
+def _require_non_negative(name, value):
+    if not value >= 0:  # NaN fails too
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
@@ -153,15 +167,13 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
     scans only the columns from its first row on.  The first violating
     row is then rescanned whole for its first (s, q).
     """
-    d = np.asarray(raw_table, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"table must be square, got shape {d.shape}")
+    d = _as_table(raw_table)
     if not np.all(np.isfinite(d)):
         raise ValueError("table entries must be finite")
     if mode not in (SYMMETRIC, ASYMMETRIC):
         raise ValueError(f"unknown mode {mode!r}")
-    if not slack >= 0:  # an exactly symmetric table then needs no compare
-        raise ValueError(f"slack must be >= 0, got {slack}")
+    # slack >= 0: an exactly symmetric table then needs no compare
+    _require_non_negative("slack", slack)
     # rows in order; within a row the diagonal is checked before the signs
     diag = d.diagonal() != 0.0
     negative = d < 0.0
@@ -263,8 +275,7 @@ def epsilon_distance(a: Clustering, b: Clustering) -> float:
 
 def ball(instance, center: int, radius: float, domain=None):
     """Points of ``domain`` within ``radius`` of ``center`` (outgoing)."""
-    if not radius >= 0:
-        raise ValueError("radius must be >= 0")
+    _require_non_negative("radius", radius)
     d = _as_table(instance)
     if domain is None:
         domain = range(d.shape[0])
@@ -300,8 +311,7 @@ def threshold_components(instance, threshold: float = 0.0):
     Two points are joined when they are within ``threshold`` of each other
     in both directions.
     """
-    if not threshold >= 0:
-        raise ValueError("threshold must be >= 0")
+    _require_non_negative("threshold", threshold)
     return components(mutual_within(_as_table(instance), threshold))
 
 
@@ -313,8 +323,7 @@ def symmetrized_set(instance, r_star: float):
     outside A it is A(p), its closest A-point under ``voronoi_labels``' tie
     rule (incoming distance, smallest index on ties).
     """
-    if not r_star >= 0:
-        raise ValueError("r_star must be >= 0")
+    _require_non_negative("r_star", r_star)
     d = _as_table(instance)
     # p fails iff some q has d(q,p) <= r* but d(p,q) > r*
     fails = np.any((d.T <= r_star) & (d > r_star), axis=1)

@@ -122,12 +122,8 @@ def to_jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):  # to Python values
+        return to_jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {str(key): to_jsonable(v) for key, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -138,10 +134,20 @@ def to_jsonable(obj):
 
 
 def write_atomic(path: str, text: str):
-    """Write via temp file + rename so failures never leave partial output."""
+    """Write via temp file + rename so failures never leave partial output.
+
+    The file gets the mode open(path, "w") would give it, an existing
+    file's or else 0o666 under the umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)  # the one way to read it: set, then restore
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

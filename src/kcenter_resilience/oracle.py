@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from .core import (SCAN_CELLS, Clustering, StabilityParams, _as_table,
-                   epsilon_distance, set_costs, voronoi_labels,
+                   _require_k, epsilon_distance, set_costs, voronoi_labels,
                    voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -139,11 +139,8 @@ def brute_force_optimal(table, k: int,
     and the minimizers, whatever C(n, k) is.
     """
     d = _as_table(table)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"table must be square, got shape {d.shape}")
     n = d.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _require_k(k, n)
     total = comb(n, k)
     if total > budget:
         raise BudgetExceeded(f"C({n},{k}) = {total} exceeds budget {budget}")
@@ -170,8 +167,11 @@ def brute_force_optimal(table, k: int,
 
 
 def _require_finite_scale(d, alpha):
-    """Raise ValueError unless alpha times the largest distance is a finite
-    double, so alpha * d and any d' <= alpha * d hold no inf or NaN."""
+    """Raise ValueError unless alpha >= 1 and alpha times the largest
+    distance is a finite double, so alpha * d and any d' <= alpha * d hold
+    no inf or NaN."""
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
     if not isfinite(alpha * float(d.max(initial=0.0))):
         raise ValueError(f"alpha = {alpha!r} times the largest "
                          "distance is not a finite double")
@@ -185,8 +185,6 @@ def build_lemma1_perturbation(instance, r_star: float, alpha: float,
     drops below d.  The result satisfies "d >= r* implies d' >= alpha*r*",
     hence its optimal cost is exactly alpha*r*.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
     d = _as_table(instance)
     _require_finite_scale(d, alpha)
     dprime = alpha * d
@@ -200,8 +198,6 @@ def build_lemma1_perturbation(instance, r_star: float, alpha: float,
 
 def sample_perturbation(instance, alpha: float, seed: int) -> Perturbation:
     """Each off-diagonal entry scaled by an independent uniform [1, alpha] draw."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
     d = _as_table(instance)
     _require_finite_scale(d, alpha)
     n = d.shape[0]
@@ -310,8 +306,8 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     resilience.  Every counterexample is re-validated, by a full oracle
     scan, before it is returned: the perturbation bounds must hold and the
     violating clustering must be optimal under d' and > epsilon from OPT.
-    Raises ValueError, before any scan, when ``budget`` is not a
-    non-negative integer, alpha * max d overflows or the table is not
+    Raises ValueError, before any scan, when ``budget`` or ``seed`` is not
+    a non-negative integer, alpha * max d overflows or the table is not
     square.
 
     Each covered d' is decided on the center sets that can be optimal for
@@ -331,9 +327,10 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     the base table, for a d' that is not covered (every d' when the kept
     sets pass KEPT_CELLS cells) and for the re-validation.
     """
-    if not (isinstance(budget, Integral) and budget >= 0):
-        raise ValueError("budget must be a non-negative integer, "
-                         f"got {budget!r}")
+    for name, value in (("budget", budget), ("seed", seed)):
+        if not (isinstance(value, Integral) and value >= 0):
+            raise ValueError(f"{name} must be a non-negative integer, "
+                             f"got {value!r}")
     d = _as_table(instance)
     _require_finite_scale(d, params.alpha)
     opt = brute_force_optimal(d, k, budget=oracle_budget)

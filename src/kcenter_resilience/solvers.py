@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Clustering, Instance, _as_table, components, cost,
-                   label_groups, mutual_within, symmetrized_set,
-                   threshold_components, voronoi_partition)
+from .core import (Clustering, Instance, _as_table, _require_k,
+                   _require_non_negative, components, cost, label_groups,
+                   mutual_within, symmetrized_set, threshold_components,
+                   voronoi_partition)
 
 
 PATCH_BUDGET = 5_000_000  # asymmetric_3eps's patch enumeration limit
@@ -46,9 +47,10 @@ class SolveOutcome:
                                "approximation-only")
 
 
-def _require_symmetric(instance):
+def _symmetric_table(instance):
     if isinstance(instance, Instance) and not instance.is_symmetric:
         raise AsymmetricInput("this solver requires a symmetric instance")
+    return _as_table(instance)
 
 
 def _one_center(d, members):
@@ -102,10 +104,8 @@ def farthest_first(instance, k: int):
     Seeds at point 0 for reproducibility; each next center is the point
     farthest from the chosen set (smallest index on ties).
     """
-    _require_symmetric(instance)
-    d = _as_table(instance)
-    if not 1 <= k <= d.shape[0]:
-        raise ValueError(f"need 1 <= k <= n, got k={k}")
+    d = _symmetric_table(instance)
+    _require_k(k, d.shape[0])
     return tuple(_traverse(lambda p: d[p], k)[0])
 
 
@@ -128,8 +128,7 @@ def hochbaum_shmoys_cover(instance, r: float, k: int):
     most k centers cover every point within 2r; k + 1 mean r is too small.
     The picks do not depend on k, which only decides where they stop.
     """
-    if not r >= 0:
-        raise ValueError("r must be >= 0")
+    _require_non_negative("r", r)
     d = _as_table(instance)
     return _greedy_cover(d.shape[0], lambda c: d[c] <= 2 * r, k)
 
@@ -207,8 +206,7 @@ def symmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     Exact under (3,eps)-perturbation resilience with optimal clusters
     larger than max(2*eps*n, 3).
     """
-    _require_symmetric(instance)
-    d = _as_table(instance)
+    d = _symmetric_table(instance)
     return _components_outcome(d, threshold_components(d, threshold=r_star),
                                k, 1.0)
 
@@ -329,11 +327,9 @@ def weak_proximity_linkage(instance, k: int,
     the edge merged is the first eligible one in rank order, the argmax of
     the eligibility mask over the tree.
     """
-    _require_symmetric(instance)
-    d = _as_table(instance)
+    d = _symmetric_table(instance)
     n = d.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _require_k(k, n)
     tree = _spanning_tree(d)
     labels = list(range(n))  # a component's label is its smallest member
     groups = {p: [p] for p in range(n)}  # label -> members, both ascending
@@ -400,8 +396,8 @@ def approx_stability_2eps(instance, k: int, r_star: float,
     components of that graph are the optimal clusters when all optimal
     clusters have more than eps*n points.
     """
-    _require_symmetric(instance)
-    d = _as_table(instance)
+    d = _symmetric_table(instance)
+    _require_non_negative("r_star", r_star)
     n = d.shape[0]
     # within[p] = membership mask of B_{2r*}(p); einsum's float64 loop
     # counts exactly (counts <= n) and, unlike a BLAS product, wakes no

@@ -1,6 +1,8 @@
 """CLI surface: file formats, exit codes, determinism."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,11 @@ import pytest
 
 from kcenter_resilience import (emit_instance, parse_clustering,
                                 parse_instance, solvers, validate_instance)
+from kcenter_resilience import cli
 from kcenter_resilience.cli import main
 from kcenter_resilience.generators import (gen_planted_asymmetric,
                                            gen_random_metric)
-from kcenter_resilience.kci import KciFormatError
+from kcenter_resilience.kci import KciFormatError, to_jsonable
 
 
 def run(args):
@@ -57,6 +60,39 @@ def test_kci_parse_errors_name_the_line():
         parse_instance(two + " \n0 5 6\ngarbage here\n")
     assert exc.value.line_no == 7
     assert parse_instance(two + "\n \t\n").n == 2
+
+
+def test_to_jsonable_converts_numpy_values():
+    report = {"count": np.int64(3), "ratio": np.float64(0.5),
+              "far": np.float64(np.inf), "sets": np.array([[0, 2], [1, 2]]),
+              "radii": np.array([1.5, np.inf]), 4: (np.intp(1), np.bool_(1))}
+    got = to_jsonable(report)
+    assert got == {"count": 3, "ratio": 0.5, "far": "inf",
+                   "sets": [[0, 2], [1, 2]], "radii": [1.5, "inf"],
+                   "4": [1, True]}
+    assert all(type(v) in (int, float, str, bool)
+               for v in (got["count"], got["ratio"], *got["4"]))
+    json.dumps(got, allow_nan=False)  # strict JSON
+
+
+@pytest.mark.parametrize("existing", [None, 0o640], ids=["new", "existing"])
+def test_written_files_take_the_mode_open_would_give(tmp_path, existing):
+    # mkstemp makes 0600 files and os.replace kept that mode
+    paths = [tmp_path / f"ps{suffix}"
+             for suffix in (".kci", ".truth.json", ".guarantee.json")]
+    if existing is not None:
+        for path in paths:
+            path.write_text("old\n")
+            path.chmod(existing)
+    umask = os.umask(0o022)
+    try:
+        gen_planted_files(tmp_path)
+    finally:
+        os.umask(umask)
+    want = 0o644 if existing is None else existing
+    assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == [want] * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        path.name for path in paths)  # no temp file left behind
 
 
 def test_generate_is_byte_identical_across_runs(tmp_path):
@@ -305,6 +341,33 @@ def test_bench_oracle_infeasible_row_blank_ratio(tmp_path):
     assert fields[7] == "exact-claim"
 
 
+def test_bench_ratio_uses_the_oracle_budget(tmp_path, monkeypatch):
+    # bench once kept its own C(n, k) <= budget check and then called the
+    # oracle with the default budget, so a budget above it gave error rows
+    budgets = []
+    oracle = cli.brute_force_optimal
+
+    def spy(table, k, budget):
+        budgets.append(budget)
+        return oracle(table, k, budget)
+
+    monkeypatch.setattr(cli, "brute_force_optimal", spy)
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps([{
+        "family": "planted-sym", "seed": 0, "solver": "thm3",
+        "params": {"n": 12, "k": 3, "r": 1.0, "alpha": 2.0}}]))
+    ratios = []
+    for budget in (220, 219):  # C(12, 3) = 220
+        out = tmp_path / f"b{budget}.csv"
+        assert run(["bench", "--manifest", str(mpath), "--out", str(out),
+                    "--no-timing", "--oracle-budget", str(budget)]) == 0
+        fields = out.read_text().splitlines()[1].split(",")
+        assert fields[7] == "exact-claim"
+        ratios.append(fields[5])
+    assert budgets == [220, 219]
+    assert float(ratios[0]) >= 1.0 and ratios[1] == ""
+
+
 def test_bench_failed_promise_row_is_not_resilient(tmp_path):
     # epsilon = 1 joins no pair, so alg4-2eps-as finds n components, not k
     manifest = [{"family": "planted-sym",
@@ -514,6 +577,15 @@ def _two_point_kci(entry):
     (["oracle", "{kci}", "--k", "1", "--slack", "inf"],
      b"kci 1\nmode symmetric\nn 3\n0 1 100\n5 0 1\n100 1 0\n",
      "argument --slack: must be a finite number >= 0, got inf"),
+    (["verify", "{kci}", "{ps}.truth.json", "--alpha", "2"], 5,
+     "truth has 12 points, instance 5"),
+    (["generate", "eps-padding"], None, "--base is required for eps-padding"),
+    (["bench", "--manifest", "{manifest}"], {"rows": []},
+     "manifest must be a JSON list of rows"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\nn x\n", "bad.kci: line 3: bad point count 'x'"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\nn 0\n", "bad.kci: line 3: n must be >= 1"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-alpha-inf", "verify-alpha-1e308",
         "verify-epsilon-above-1", "verify-negative-r",
@@ -538,17 +610,20 @@ def _two_point_kci(entry):
         "eps-padding-epsilon-inf", "eps-padding-epsilon-2",
         "planted-sym-r-1e300", "planted-sym-alpha-1e308",
         "verify-truth-deep-json", "bench-manifest-deep-json", "solve-r-inf",
-        "verify-r-1e400", "oracle-slack-inf"])
+        "verify-r-1e400", "oracle-slack-inf", "verify-truth-other-count",
+        "eps-padding-no-base", "bench-manifest-object", "kci-count-not-int",
+        "kci-count-0"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
-    # payload: manifest rows (a list), one KCI distance entry (a string),
-    # a whole KCI file (bytes) or the point count of a random symmetric KCI
-    # file (an int); {deep} is a JSON file nested 200000 lists deep
+    # payload: a manifest (a list of rows or an object), one KCI distance
+    # entry (a string), a whole KCI file (bytes) or the point count of a
+    # random symmetric KCI file (an int); {deep} is a JSON file nested
+    # 200000 lists deep
     prefix = gen_planted_files(tmp_path)
     manifest = tmp_path / "m.json"
     kci = tmp_path / "bad.kci"
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000)
-    if isinstance(payload, list):
+    if isinstance(payload, (list, dict)):
         manifest.write_text(json.dumps(payload))
     elif isinstance(payload, bytes):
         kci.write_bytes(payload)

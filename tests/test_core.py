@@ -3,6 +3,7 @@
 import ast
 import collections
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from kcenter_resilience import (
     validate_instance,
     voronoi_partition,
 )
+import kcenter_resilience as pkg
 from kcenter_resilience import core
 from kcenter_resilience.kci import clustering_to_dict
 from kcenter_resilience.generators import (
@@ -266,8 +268,11 @@ def test_validate_refuses_negative_or_nan_slack():
     (threshold_components, "threshold must be >= 0"),
     (symmetrized_set, "r_star must be >= 0"),
     (lambda d, r: ball(d, 0, r), "radius must be >= 0"),
+    # returned not-resilient with n singleton components
+    (lambda d, r: pkg.approx_stability_2eps(d, 2, r, 0.0),
+     "r_star must be >= 0"),
 ], ids=["hochbaum_shmoys_cover", "threshold_components", "symmetrized_set",
-        "ball"])
+        "ball", "approx_stability_2eps"])
 def test_radius_guards_refuse_negative_or_nan(guarded, message, value):
     # a NaN radius compares false everywhere: it would cover nothing
     with pytest.raises(ValueError, match=message):
@@ -283,6 +288,69 @@ def test_centers_outside_the_table_are_refused(center):
             call(d, [center, 1])
     assert cost(d, [0, 2]) == 1.0
     assert voronoi_partition(d, [2, 0]).centers == (2, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: validate_instance([[0, np.nan], [np.nan, 0]], "symmetric"),
+     "table entries must be finite"),
+    (lambda: validate_instance(1.0 - np.eye(2), "x"), "unknown mode 'x'"),
+    (lambda: cost(1.0 - np.eye(2), []), "centers must be nonempty"),
+    (lambda: voronoi_partition(1.0 - np.eye(3), [1, 1]),
+     "centers must be distinct"),
+    (lambda: epsilon_distance(_cl([0, 1], 2), _cl([0, 1, 1], 2)),
+     "point count mismatch: 2 vs 3"),
+    (lambda: pkg.farthest_first(1.0 - np.eye(3), 0),
+     re.escape("need 1 <= k <= n, got k=0, n=3")),
+    (lambda: pkg.farthest_first(1.0 - np.eye(3), 4),
+     re.escape("need 1 <= k <= n, got k=4, n=3")),
+    (lambda: gen_random_metric(3, "x", 0), "unknown mode 'x'"),
+], ids=["validate-nan", "validate-mode", "cost-no-centers",
+        "voronoi-repeated-center", "epsilon-distance-point-counts",
+        "farthest-first-k-0", "farthest-first-k-above-n", "random-mode"])
+def test_entry_guards_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+_ONE_CLUSTER = Clustering(k=1, centers=(0,), assignment=(0, 0), radius=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: validate_instance(d, "symmetric"),
+    lambda d: cost(d, [0]),
+    lambda d: voronoi_partition(d, [0]),
+    lambda d: ball(d, 0, 1.0),
+    lambda d: threshold_components(d, 1.0),
+    lambda d: symmetrized_set(d, 1.0),
+    lambda d: pkg.farthest_first(d, 1),
+    lambda d: hochbaum_shmoys_cover(d, 1.0, 1),
+    lambda d: pkg.symmetric_3eps(d, 1, 1.0),
+    lambda d: pkg.asymmetric_2pr(d, 1, 1.0),
+    lambda d: pkg.asymmetric_3eps(d, 1, 1.0),
+    lambda d: pkg.weak_proximity_linkage(d, 1, lambda members: 0.0),
+    lambda d: pkg.approx_stability_2eps(d, 1, 1.0, 0.0),
+    lambda d: pkg.sweep_radius(d, 1, pkg.symmetric_3eps),
+    lambda d: pkg.target_cost_verifier(d, 1.0),
+    lambda d: pkg.brute_force_optimal(d, 1),
+    lambda d: pkg.falsify_resilience(d, 1, pkg.StabilityParams(2.0, 0.0)),
+    lambda d: pkg.sample_perturbation(d, 2.0, 0),
+    lambda d: pkg.build_lemma1_perturbation(d, 1.0, 2.0, []),
+    lambda d: pkg.check_structure(d, _ONE_CLUSTER, 1.0),
+    lambda d: pkg.find_cluster_capturing_centers(d, _ONE_CLUSTER, 1.0),
+    lambda d: pkg.count_bad_centers_bound_check(d, _ONE_CLUSTER, 1.0),
+], ids=["validate_instance", "cost", "voronoi_partition", "ball",
+        "threshold_components", "symmetrized_set", "farthest_first",
+        "hochbaum_shmoys_cover", "symmetric_3eps", "asymmetric_2pr",
+        "asymmetric_3eps", "weak_proximity_linkage", "approx_stability_2eps",
+        "sweep_radius", "target_cost_verifier", "brute_force_optimal",
+        "falsify_resilience", "sample_perturbation",
+        "build_lemma1_perturbation", "check_structure",
+        "find_cluster_capturing_centers", "count_bad_centers_bound_check"])
+def test_every_entry_refuses_a_non_square_raw_table(call):
+    with pytest.raises(ValueError,
+                       match=re.escape("table must be square, got shape "
+                                       "(2, 3)")):
+        call(np.zeros((2, 3)))
 
 
 def test_cost_examples():

@@ -423,6 +423,7 @@ def test_skewed_planted_asymmetric_validates_one_table_per_attempt(
 
 
 _BASE3 = gen_random_metric(3, "symmetric", 0)
+_ASYM3 = gen_random_metric(3, "asymmetric", 0)
 
 
 @pytest.mark.parametrize("make, needle", [
@@ -452,11 +453,15 @@ _BASE3 = gen_random_metric(3, "symmetric", 0)
     (lambda: gen_from_dominating_set(2001, []), "n=2001 exceeds 2000 points"),
     (lambda: named_graph("complete10000000"),
      "n=10000000 exceeds 2000 points"),
+    (lambda: gen_random_metric(0, "symmetric", 0), "n must be >= 1"),
+    (lambda: gen_eps_padding(_ASYM3, 1, 2.0, 0.5), "base must be symmetric"),
+    (lambda: named_graph("star0"), "unknown graph name 'star0'"),
 ], ids=["sym-r-inf", "sym-r-nan", "sym-alpha-inf", "asym-alpha-nan",
         "asym-skew-inf", "asym-skew-nan", "bc18-alpha-inf", "bc18-alpha-nan",
         "pad-alpha-inf", "pad-alpha-below-1", "pad-epsilon-inf",
         "pad-epsilon-2", "sym-over-cap", "asym-over-cap", "random-sym-over-cap",
-        "random-asym-over-cap", "dom-set-over-cap", "named-graph-over-cap"])
+        "random-asym-over-cap", "dom-set-over-cap", "named-graph-over-cap",
+        "random-n-0", "pad-asymmetric-base", "named-graph-star0"])
 def test_non_finite_generator_params_raise_before_any_table(
         monkeypatch, make, needle):
     def no_call(*args):

@@ -1,7 +1,8 @@
 """Source hygiene: every module in src/ and tests/ uses each name it
 imports, every private module-level name in src/ has a use in src/, and
 src/ imports nothing beyond the standard library, numpy and scipy, and
-no thread, process or event-loop module."""
+no thread, process or event-loop module, and no two raise statements in
+src/ raise one exception class with one message."""
 
 import ast
 import sys
@@ -170,3 +171,63 @@ def test_src_starts_no_threads_processes_or_event_loops():
     pooled = [f"{path.relative_to(ROOT)}: {name}" for path in modules
               for name in _pool_imports(path.read_text())]
     assert pooled == []
+
+
+def _message_template(node):
+    """A raise's message as a template, each f-string field as ``{}``; None
+    when the first argument is not a string or an f-string, or when its
+    text outside the fields has no letter (``f"{path}: {e}"`` only passes
+    another message on)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        template = node.value
+    elif isinstance(node, ast.JoinedStr):
+        template = "".join(part.value if isinstance(part, ast.Constant)
+                           else "{}" for part in node.values)
+    else:
+        return None
+    return template if any(map(str.isalpha, template.replace("{}", ""))) \
+        else None
+
+
+def _repeated_raise_messages(sources):
+    """(exception class, message template) pairs raised from more than one
+    place: each rule of the package should have one owner."""
+    seen = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call) and node.exc.args):
+                continue
+            template = _message_template(node.exc.args[0])
+            if template is not None:
+                key = (ast.unparse(node.exc.func), template)
+                seen[key] = seen.get(key, 0) + 1
+    return sorted(key for key, count in seen.items() if count > 1)
+
+
+def test_repeated_raise_messages_detected():
+    a = ("def f(n, k, alpha):\n"
+         "    if k > n:\n"
+         "        raise ValueError(f'need k <= n, got k={k}')\n"
+         "    if alpha < 1:\n"
+         "        raise ValueError('alpha must be >= 1')\n"
+         "    raise errors.Bad('alpha must be >= 1')\n")
+    b = ("def g(m, j):\n"
+         "    if j > m:\n"
+         "        raise ValueError(f'need k <= n, got k={j}')\n"
+         "    raise KciFormatError(3, 'alpha must be >= 1')\n"
+         "    raise ValueError(msg)\n"
+         "    raise ValueError(msg)\n"
+         "    raise ValueError\n")
+    c = ("raise TypeError('alpha must be >= 1')\nraise TypeError('alpha')\n"
+         "raise TypeError(f'{path}: {e}')\n")
+    assert _repeated_raise_messages([a, b, c + c]) == [
+        ("TypeError", "alpha"), ("TypeError", "alpha must be >= 1"),
+        ("ValueError", "need k <= n, got k={}")]
+
+
+def test_each_raise_message_has_one_raise_site():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 5
+    assert _repeated_raise_messages(path.read_text()
+                                    for path in modules) == []

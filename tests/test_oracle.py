@@ -287,6 +287,8 @@ def test_perturbation_builders_refuse_overflowing_alpha():
 
         with pytest.raises(ValueError, match="alpha must be >= 1"):
             build_lemma1_perturbation(d, 1e-10, 0.5, [])
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            sample_perturbation(d, 0.5, 0)
 
 
 def test_one_voronoi_rule_labels_every_pair():
@@ -631,6 +633,28 @@ def test_falsifier_refuses_bad_budget(monkeypatch):
     for budget in (0, np.int64(2)):
         res = falsify_resilience(d, 2, StabilityParams(2.0, 0.0), budget=budget)
         assert res.tried <= budget
+
+
+def test_falsifier_refuses_bad_seed(monkeypatch):
+    # -1 failed in numpy's default_rng only after every capped
+    # perturbation was scanned, or passed unseen under a small budget; 1.5
+    # was a TypeError from SeedSequence
+    calls = []
+    monkeypatch.setattr(oracle, "brute_force_optimal",
+                        lambda *args, **kwargs: calls.append(args))
+    d = gen_planted_symmetric(9, 3, 1.0, 2.0, 0).instance
+    for seed in (-1, 1.5, "3", None):
+        for budget in (5, 200):
+            with pytest.raises(ValueError, match="seed must be a "
+                                                 "non-negative integer, got"):
+                falsify_resilience(d, 3, StabilityParams(2.0, 0.0),
+                                   budget=budget, seed=seed)
+    assert calls == []
+    monkeypatch.undo()
+    for seed in (0, np.int64(2)):
+        res = falsify_resilience(d, 3, StabilityParams(2.0, 0.0), budget=30,
+                                 seed=seed)
+        assert res.tried <= 30
 
 
 def test_falsifier_refuses_overflowing_alpha(monkeypatch):
