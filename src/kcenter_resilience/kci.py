@@ -137,8 +137,11 @@ def write_atomic(path: str, text: str):
     """Write via temp file + rename so failures never leave partial output.
 
     The file gets the mode open(path, "w") would give it, an existing
-    file's or else 0o666 under the umask, not mkstemp's 0o600."""
-    directory = os.path.dirname(os.path.abspath(path))
+    file's or else 0o666 under the umask, not mkstemp's 0o600.  As with
+    open, a symlinked path writes its target (made if dangling) and the
+    link stays."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     try:
         mode = os.stat(path).st_mode & 0o777
     except FileNotFoundError:

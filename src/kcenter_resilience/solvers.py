@@ -144,6 +144,13 @@ def exact_via_approximation(instance, k: int, alpha: float) -> SolveOutcome:
                         diagnostics={"alpha": alpha, "approx_cost": cl.radius})
 
 
+def _leaking_balls(sub, inball):
+    """Per ball of asymmetric_2pr: does a member lie closer to some A-point
+    outside the ball than to its center?  One column gather per ball."""
+    return np.array([((sub[:, row] < sub[i, row]).any(axis=1) & ~row).any()
+                     for i, row in enumerate(inball)], dtype=bool)
+
+
 def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
     """Ball-pruning algorithm for asymmetric k-center under 2-PR.
 
@@ -164,9 +171,7 @@ def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
     sub = d[np.ix_(a, a)]
     inball = sub <= r_star  # inball[i]: ball of a[i] restricted to A
 
-    # a ball leaks when a member is closer to some A-point outside it
-    leaks = np.array([(sub[~row][:, row] < sub[i, row]).any()
-                      for i, row in enumerate(inball)], dtype=bool)
+    leaks = _leaking_balls(sub, inball)
     alive = np.flatnonzero(~leaks)  # positions in A, ascending
     m = inball[alive].astype(float)  # einsum: see approx_stability_2eps
     inside = np.einsum("ij,kj->ik", m, 1.0 - m) == 0  # ball i within ball j
@@ -421,22 +426,26 @@ def sweep_radius(instance, k: int, solver):
     solver's status (not-resilient) where it failed, inconsistent where it
     succeeded without self-consistency.
 
+    Both paths start from the first candidate r with r * factor >=
+    _opt_lower_bound(d, k): an ok self-consistent outcome is a k-center
+    solution of cost <= r * factor, so OPT <= r * factor and no candidate
+    below that start could be returned.  This needs all of a solver's
+    outcomes to carry one factor; when the first carries none, no
+    candidate is skipped and the checks use factor 1.
+
     Outcomes with diagnostics["monotone"] promise that ok means
     diagnostics["component_count"] == k and that the count never rises
     with r.  While it is k no merge happens, so the partition is fixed and
-    self-consistency is monotone in r: the sweep bisects for the first
-    candidate with count <= k, then for the first whose factor * r covers
-    that partition's cost, and checks the solver's outcome there.  Its
-    failure log is what a call at every candidate gives: not-resilient
+    self-consistency is monotone in r.  The sweep probes the start; while
+    the count is above k it gallops up (steps 1, 2, 4, ...) and bisects
+    the last step.  Count k there fixes the partition, and the sweep
+    checks the solver's outcome at the first candidate whose factor * r
+    covers that partition's cost.  Only a failed sweep bisects the full
+    range, to write the log a call at every candidate gives: not-resilient
     below and above the candidates with count k, inconsistent among them.
 
     Any other solver is called at the first candidate and then in turn
-    from the first r with r * factor >= _opt_lower_bound(d, k): an ok
-    self-consistent outcome is a k-center solution of cost <= r * factor,
-    so OPT <= r * factor and no skipped candidate could be returned.
-    Skipped candidates are logged below-bound.  This needs all of a
-    solver's outcomes to carry one factor; when the first carries none,
-    no candidate is skipped and the checks use factor 1.
+    from the start; skipped candidates are logged below-bound.
     """
     d = _as_table(instance)
     n = d.shape[0]
@@ -445,11 +454,12 @@ def sweep_radius(instance, k: int, solver):
     candidates = (np.unique(np.append(off, 0.0)) + 0.0).tolist()
     first = solver(instance, k, candidates[0])
     factor = first.diagnostics.get("consistency_factor")
+    start = 0 if factor is None else bisect.bisect_left(
+        candidates, _opt_lower_bound(d, k), key=lambda r: r * factor)
     if first.diagnostics.get("monotone"):
         return _bisection_sweep(instance, d, k, solver, candidates, first,
-                                factor)
-    start = 1 if factor is None else max(1, bisect.bisect_left(
-        candidates, _opt_lower_bound(d, k), key=lambda r: r * factor))
+                                factor, start)
+    start = max(1, start)
     factor = 1.0 if factor is None else factor
     log = []
     for i, r in enumerate(candidates):
@@ -466,8 +476,9 @@ def sweep_radius(instance, k: int, solver):
     return _no_radius(log)
 
 
-def _bisection_sweep(instance, d, k, solver, candidates, first, factor):
-    """sweep_radius for a monotone solver: O(log m) calls on m candidates."""
+def _bisection_sweep(instance, d, k, solver, candidates, first, factor,
+                     start):
+    """sweep_radius for a monotone solver from candidate index start."""
     m = len(candidates)
     seen = {0: first}  # candidate index -> outcome; no index is solved twice
 
@@ -476,11 +487,18 @@ def _bisection_sweep(instance, d, k, solver, candidates, first, factor):
             seen[i] = solver(instance, k, candidates[i])
         return seen[i]
 
-    def first_index(lo, pred):  # first i in [lo, m) with pred(i), else m
-        return bisect.bisect_left(range(m), True, lo=lo, key=pred)
+    def first_index(lo, hi, pred):  # first i in [lo, hi) with pred(i), else hi
+        return bisect.bisect_left(range(m), True, lo=lo, hi=hi, key=pred)
 
-    lo = first_index(0, lambda i: at(i).diagnostics["component_count"] <= k)
-    hi = lo
+    def count(i):
+        return at(i).diagnostics["component_count"]
+
+    # lo: start, or the first candidate past it with count <= k
+    lo, step = start, 1
+    while lo < m and count(lo) > k:
+        below, lo, step = lo, min(lo + step, m), 2 * step
+    if lo > start:
+        lo = first_index(below + 1, lo, lambda i: count(i) <= k)
     if lo < m and at(lo).ok:
         j = bisect.bisect_left(candidates,
                                _consistency_cost(d, at(lo).clustering),
@@ -488,7 +506,10 @@ def _bisection_sweep(instance, d, k, solver, candidates, first, factor):
         if j < m and at(j).ok and (_consistency_cost(d, at(j).clustering)
                                    <= candidates[j] * factor):
             return at(j), candidates[j]
-        hi = first_index(lo, lambda i: at(i).diagnostics["component_count"] < k)
+    # failed: the log needs the count-k range [lo, hi) in full
+    lo = first_index(0, m, lambda i: count(i) <= k)
+    hi = (first_index(lo, m, lambda i: count(i) < k)
+          if lo < m and at(lo).ok else lo)
     return _no_radius([(r, "inconsistent" if lo <= i < hi else "not-resilient")
                        for i, r in enumerate(candidates)])
 

@@ -1,5 +1,6 @@
 """CLI surface: file formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import pytest
 
 from kcenter_resilience import (emit_instance, parse_clustering,
                                 parse_instance, solvers, validate_instance)
-from kcenter_resilience import cli
+from kcenter_resilience import cli, generators
 from kcenter_resilience.cli import main
 from kcenter_resilience.generators import (gen_planted_asymmetric,
                                            gen_random_metric)
@@ -93,6 +94,43 @@ def test_written_files_take_the_mode_open_would_give(tmp_path, existing):
     assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == [want] * 3
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         path.name for path in paths)  # no temp file left behind
+
+
+@pytest.mark.parametrize("dangling", [False, True],
+                         ids=["existing", "dangling"])
+def test_solve_out_writes_through_a_symlink(tmp_path, dangling):
+    # the link stays a link and its target, in another directory, gets the
+    # bytes and keeps its mode, as open(path, "w") would do
+    prefix = gen_planted_files(tmp_path)
+    (tmp_path / "links").mkdir()
+    (tmp_path / "targets").mkdir()
+    link, target = tmp_path / "links" / "l.json", tmp_path / "targets" / "t.json"
+    if not dangling:
+        target.write_text("old\n")
+        target.chmod(0o640)
+    link.symlink_to(target)
+    plain = tmp_path / "plain.json"
+    for out in (plain, link):
+        assert run(["solve", prefix + ".kci", "--algo", "thm5-3eps",
+                    "--k", "3", "--out", str(out)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == plain.read_bytes()
+    if not dangling:
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in (tmp_path / "targets").iterdir()] == ["t.json"]
+    assert [p.name for p in (tmp_path / "links").iterdir()] == ["l.json"]
+
+
+def test_generate_exits_1_when_a_construction_check_fails(tmp_path, capsys,
+                                                           monkeypatch):
+    oracle = generators.brute_force_optimal
+    monkeypatch.setattr(generators, "brute_force_optimal", lambda d, k: (
+        dataclasses.replace(oracle(d, k), optimal_radius=2.0)))
+    assert run(["generate", "bad-center-18", "--alpha", "2",
+                "--out-prefix", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: generation failed: oracle radius must be 1\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_is_byte_identical_across_runs(tmp_path):

@@ -1,5 +1,6 @@
 """Seeded generators: planted guarantees, explicit constructions, reductions."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -26,6 +27,7 @@ from kcenter_resilience import (
 )
 from kcenter_resilience import generators, kci
 from kcenter_resilience.generators import (
+    ConstructionCheckFailed,
     Guarantee,
     MAX_POINTS,
     InfeasibleParams,
@@ -104,6 +106,15 @@ def test_bad_center_18_other_alphas():
     for alpha in (1.5, 2.0, 4.0):
         planted = gen_bad_center_18(alpha)
         assert brute_force_optimal(planted.instance.dist, 3).optimal_radius == 1.0
+
+
+def test_bad_center_18_raises_when_a_construction_check_fails(monkeypatch):
+    oracle = generators.brute_force_optimal
+    monkeypatch.setattr(generators, "brute_force_optimal", lambda d, k: (
+        dataclasses.replace(oracle(d, k), optimal_radius=2.0)))
+    with pytest.raises(ConstructionCheckFailed,
+                       match="^oracle radius must be 1$"):
+        gen_bad_center_18(2.0)
 
 
 def test_dominating_set_star_and_path():

@@ -629,6 +629,28 @@ def test_asymmetric_2pr_matches_reference(asymmetric):
     assert calls > 1000 and mismatches == 0
 
 
+def _reference_leaks(sub, inball):
+    """The leak vector by two gathers per ball: the rows outside it, then
+    its columns."""
+    return np.array([(sub[~row][:, row] < sub[i, row]).any()
+                     for i, row in enumerate(inball)], dtype=bool)
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["sym", "asym"])
+def test_leaking_balls_match_reference_at_n_300(asymmetric):
+    planted = (gen_planted_asymmetric(300, 8, 1.0, 2.0, 1.2, 1) if asymmetric
+               else gen_planted_symmetric(300, 8, 1.0, 2.0, 1))
+    d, leaked, kept = planted.instance.dist, 0, 0
+    for r in (planted.truth.radius, 0.97 * planted.truth.radius):
+        nearest = symmetrized_set(d, r)
+        a = np.flatnonzero(nearest == np.arange(d.shape[0]))
+        sub = d[np.ix_(a, a)]
+        got = solvers._leaking_balls(sub, sub <= r)
+        assert np.array_equal(got, _reference_leaks(sub, sub <= r))
+        leaked, kept = leaked + got.sum(), kept + (~got).sum()
+    assert leaked > 0 and kept > 0
+
+
 class _CoverTooLarge(Exception):
     pass
 
@@ -788,6 +810,77 @@ def test_bisection_sweep_matches_linear_sweep():
             inconsistent += "'inconsistent'" in repr(want.diagnostics)
     assert calls == 53 * 5 + 3 * 3 and mismatches == 0
     assert inconsistent > 0
+
+
+def _scripted_monotone(d, k, factor, lo, hi, calls):
+    """A monotone solver on d's candidates: count k + 1 below index lo, k
+    on [lo, hi) and k - 1 from hi, ok iff k; the count-k partition is the
+    Voronoi cells of the optimal centers, of cost OPT."""
+    candidates = (np.unique(d) + 0.0).tolist()
+    centers = brute_force_optimal(d, k).optimal_center_sets[0]
+    partition = voronoi_partition(d, centers)
+
+    def solve(instance, kk, r):
+        i = candidates.index(r)
+        calls.append(i)
+        count = k + 1 if i < lo else k if i < hi else k - 1
+        diagnostics = {"component_count": count, "consistency_factor": factor,
+                       "monotone": True}
+        if count != k:
+            return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
+        return SolveOutcome(status="exact-claim", clustering=partition,
+                            diagnostics=diagnostics)
+    return solve
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+@pytest.mark.parametrize("case", [
+    "k-at-start", "k-at-start-then-fails", "above-k-gallops",
+    "above-k-everywhere", "below-k", "start-at-0"])
+def test_monotone_sweep_branches_match_linear_sweep(case, factor):
+    # s: the start (first candidate whose factor * r reaches the pair-cover
+    # bound); j: the first whose factor * r covers the partition's cost
+    d = gen_random_metric(10, "symmetric", 2).dist
+    k = 10 if case == "start-at-0" else 3
+    candidates = (np.unique(d) + 0.0).tolist()
+    m = len(candidates)
+    s = bisect.bisect_left(candidates, solvers._opt_lower_bound(d, k),
+                           key=lambda r: r * factor)
+    j = bisect.bisect_left(candidates, brute_force_optimal(d, k).optimal_radius,
+                           key=lambda r: r * factor)
+    assert (s, j) == ((0, 0) if case == "start-at-0" else
+                      (12, 14) if factor == 1.0 else (4, 7))
+    lo, hi = {"k-at-start": (s - 1, m), "k-at-start-then-fails": (s - 1, j),
+              "above-k-gallops": (s + 6, m), "above-k-everywhere": (m, m),
+              "below-k": (s - 2, s), "start-at-0": (0, m)}[case]
+    calls, linear_calls = [], []
+    got, r_got = sweep_radius(d, k, _scripted_monotone(d, k, factor, lo, hi,
+                                                       calls))
+    want, r_want = _linear_sweep(d, k, _scripted_monotone(d, k, factor, lo, hi,
+                                                          linear_calls))
+    assert repr(r_got) == repr(r_want)
+    assert _outcome_key(got) == _outcome_key(want)
+    assert len(calls) == len(set(calls))
+    assert calls[0] == 0 and (s == 0 or calls[1] == s)  # then the start
+    succeeded = case in ("k-at-start", "above-k-gallops", "start-at-0")
+    assert (r_got is not None) == succeeded
+    if case in ("k-at-start", "start-at-0"):
+        assert r_got == candidates[j] and len(calls) <= 3
+
+
+@pytest.mark.parametrize("n", [60, 80])
+def test_threshold_sweep_on_planted_tables_takes_three_calls(n):
+    # the count is k at the pair-cover start, so the first candidate, the
+    # start and the first r covering the partition's cost are all it needs
+    solve = SOLVERS["thm5-3eps"].solve
+    for seed in range(5):
+        planted = gen_planted_symmetric(n, 5, 1.0, 2.0, seed)
+        tried = []
+        out, chosen = sweep_radius(planted.instance, 5, lambda i, k, r: (
+            tried.append(r) or solve(i, k, r, None)))
+        assert out.clustering.canonical_partition() == \
+            planted.truth.canonical_partition()
+        assert chosen == tried[-1] and len(tried) <= 3, (seed, tried)
 
 
 # the non-monotone r*-parameterized solvers and their consistency factors
