@@ -37,6 +37,7 @@ from .oracle import (
     brute_force_optimal,
     build_lemma1_perturbation,
     falsify_resilience,
+    optimal_radius,
     sample_perturbation,
 )
 from .solvers import (

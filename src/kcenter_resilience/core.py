@@ -7,6 +7,7 @@ tie is broken toward the smallest point index.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -325,9 +326,39 @@ def symmetrized_set(instance, r_star: float):
     """
     _require_non_negative("r_star", r_star)
     d = _as_table(instance)
-    # p fails iff some q has d(q,p) <= r* but d(p,q) > r*
-    fails = np.any((d.T <= r_star) & (d > r_star), axis=1)
-    a_idx = np.flatnonzero(~fails)
+    a_idx = np.flatnonzero(_symmetrized_masks(d, [r_star])[0][0])
     if not a_idx.size:
         return None
     return a_idx[voronoi_labels(d[a_idx][None], a_idx[None])[0]]
+
+
+def _symmetrized_masks(d, radii):
+    """Membership masks of A at each of ``radii``, shape (B, n), and the
+    (B, n, n) masks d <= r they come from: p leaves A at r iff some q has
+    d(q,p) <= r but d(p,q) > r."""
+    r = np.asarray(radii, dtype=float)[:, None, None]
+    within = d <= r
+    return ~(within.transpose(0, 2, 1) & (d > r)).any(axis=2), within
+
+
+def _traverse(row, count):
+    """Farthest-first from point 0 under row(p), p's value to each point:
+    count picks, each farthest from the picks so far (smallest index on
+    ties), and each pick's gap, that least value (inf for point 0)."""
+    picks, gaps, gap = [0], [np.inf], np.inf
+    while len(picks) < count:
+        gap = np.minimum(gap, row(picks[-1]))
+        gap[picks[-1]] = -np.inf  # a pick is never picked again
+        picks.append(int(gap.argmax()))
+        gaps.append(float(gap[picks[-1]]))
+    return picks, gaps
+
+
+def _gallop(pred, lo, hi):
+    """The first i in [lo, hi) with pred(i), else hi, for a pred that is
+    False and then True: probes lo, lo + 1, lo + 3, lo + 7, ... and
+    bisects the last step."""
+    below, step = lo - 1, 1
+    while lo < hi and not pred(lo):
+        below, lo, step = lo, min(lo + step, hi), 2 * step
+    return bisect.bisect_left(range(hi), True, lo=below + 1, hi=lo, key=pred)

@@ -7,6 +7,7 @@ makes the optimal cost under d' exactly alpha * r*.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from math import comb, isfinite
@@ -15,8 +16,8 @@ from numbers import Integral
 import numpy as np
 
 from .core import (SCAN_CELLS, Clustering, StabilityParams, _as_table,
-                   _require_k, epsilon_distance, set_costs, voronoi_labels,
-                   voronoi_partition)
+                   _gallop, _require_k, _traverse, epsilon_distance, set_costs,
+                   voronoi_labels, voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 # the falsifier keeps at most this many cells (sets times k) of base-table
@@ -164,6 +165,84 @@ def brute_force_optimal(table, k: int,
     return OracleResult(optimal_radius=float(best),
                         optimal_center_sets=tuple(map(tuple, mins.tolist())),
                         partitions=tuple(first.values()))
+
+
+def _opt_lower_bound(d, k):
+    """A lower bound on the optimal k-center radius of any square table.
+
+    Farthest-first from point 0 under the pair-cover value
+    c2(p, q) = min_c max(d[c, p], d[c, q]), k + 1 picks; returns the
+    smallest c2 between two picks (inf for k = 0), 0.0 when k >= n.  Two
+    of any k + 1 points share an optimal center c, and c2 of that pair is
+    at most max(d[c, p], d[c, q]) <= OPT: neither symmetry nor the
+    triangle inequality is used.
+    """
+    if k >= d.shape[0]:
+        return 0.0
+    return min(_traverse(lambda p: np.maximum(d[:, [p]], d).min(axis=0),
+                         k + 1)[1])
+
+
+def _covers(within, k, spend):
+    """Do k centers cover every point, c covering p where within[c, p]?
+
+    A search tree: branch on the centers covering the uncovered point with
+    the fewest of them, those covering more uncovered points first.  Prune
+    when the k_left largest covers of the uncovered points add up to fewer
+    than them, or when k_left + 1 uncovered points share no center pairwise
+    (picked greedily, fewest centers first).  spend() is called once per
+    node."""
+    def search(uncovered, left):
+        spend()
+        if not uncovered.any():
+            return True
+        sub = within[:, uncovered]
+        counts, fewest = sub.sum(axis=1), sub.sum(axis=0)
+        if left == 0 or np.sort(counts)[-left:].sum() < len(fewest):
+            return False
+        free = fewest.astype(float)  # inf once it shares a center with a pick
+        for _ in range(left + 1):
+            p = int(free.argmin())
+            if free[p] == np.inf:
+                break
+            free[sub[sub[:, p]].any(axis=0)] = free[p] = np.inf
+        else:
+            return False
+        options = np.flatnonzero(sub[:, fewest.argmin()])
+        options = options[np.argsort(-counts[options], kind="stable")]
+        return any(search(uncovered & ~within[c], left - 1)
+                   for c in options.tolist())
+    return search(np.ones(within.shape[0], dtype=bool), k)
+
+
+def optimal_radius(table, k: int, budget: int) -> float:
+    """The optimal k-center radius of any square table, exactly, by search.
+
+    OPT is an entry of the table.  Over the distinct entries from
+    _opt_lower_bound(d, k) up, it gallops (steps 1, 2, 4, ...) and bisects
+    the last step for the first t at which k centers cover every point
+    within t (d[c, p] <= t), a dominating-set question on the threshold
+    graph (Hochbaum & Shmoys 1985) decided by _covers; the largest entry
+    needs no search.  Every search node counts against ``budget``; past it
+    raises BudgetExceeded, never a guess.  Raises ValueError, as
+    brute_force_optimal does, on a bad k or a non-square table, and on a
+    NaN entry.
+    """
+    d = _as_table(table)
+    _require_k(k, d.shape[0])
+    if np.isnan(d).any():
+        raise ValueError("table entries must not be NaN")
+    candidates = np.unique(d).tolist()
+    nodes = itertools.count(1)
+
+    def spend():
+        if next(nodes) > budget:
+            raise BudgetExceeded(f"search passed {budget} nodes")
+
+    lo = bisect.bisect_left(candidates, _opt_lower_bound(d, k))
+    best = _gallop(lambda i: _covers(d <= candidates[i], k, spend),
+                   lo, len(candidates) - 1)
+    return candidates[best] + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def _require_finite_scale(d, alpha):

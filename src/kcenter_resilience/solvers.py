@@ -22,13 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Clustering, Instance, _as_table, _require_k,
-                   _require_non_negative, components, cost, label_groups,
-                   mutual_within, symmetrized_set, threshold_components,
-                   voronoi_partition)
+from .core import (SCAN_CELLS, Clustering, Instance, _as_table, _gallop,
+                   _require_k, _require_non_negative, _symmetrized_masks,
+                   _traverse, components, cost, label_groups,
+                   symmetrized_set, threshold_components, voronoi_partition)
+from .oracle import BudgetExceeded, _opt_lower_bound, optimal_radius
 
 
 PATCH_BUDGET = 5_000_000  # asymmetric_3eps's patch enumeration limit
+SEARCH_BUDGET = 2_000  # sweep_radius's node limit for optimal_radius
 
 
 class AsymmetricInput(ValueError):
@@ -85,19 +87,6 @@ def _components_outcome(d, comps, k, factor):
                         diagnostics=diagnostics)
 
 
-def _traverse(row, count):
-    """Farthest-first from point 0 under row(p), p's value to each point:
-    count picks, each farthest from the picks so far (smallest index on
-    ties), and each pick's gap, that least value (inf for point 0)."""
-    picks, gaps, gap = [0], [np.inf], np.inf
-    while len(picks) < count:
-        gap = np.minimum(gap, row(picks[-1]))
-        gap[picks[-1]] = -np.inf  # a pick is never picked again
-        picks.append(int(gap.argmax()))
-        gaps.append(float(gap[picks[-1]]))
-    return picks, gaps
-
-
 def farthest_first(instance, k: int):
     """Gonzalez farthest-first traversal; 2-approximation on symmetric metrics.
 
@@ -109,16 +98,19 @@ def farthest_first(instance, k: int):
     return tuple(_traverse(lambda p: d[p], k)[0])
 
 
-def _greedy_cover(n, covered_by, k):
-    """Pick the smallest uncovered point c, then mark covered_by(c), a mask
-    over the n points; stop when all are covered or at the (k+1)-th pick."""
-    uncovered = np.ones(n, dtype=bool)
-    centers = []
-    while uncovered.any() and len(centers) <= k:
-        c = int(uncovered.argmax())  # smallest uncovered index
-        centers.append(c)
-        uncovered &= ~covered_by(c)
-    return tuple(centers)
+def _greedy_cover(uncovered, covered_by, k):
+    """Per row of the (B, n) mask ``uncovered``: pick the smallest uncovered
+    point c, then clear covered_by(c), (B,) picks -> (B, n) masks; stop when
+    a row is covered or at its (k+1)-th pick.  Returns each row's picks."""
+    uncovered = uncovered.copy()
+    picks = []  # one list per pick, -1 in the rows already covered
+    while len(picks) <= k and uncovered.any():
+        c = uncovered.argmax(axis=1)  # smallest uncovered index
+        picks.append(np.where(uncovered.any(axis=1), c, -1).tolist())
+        uncovered &= ~covered_by(c)  # a covered row picks 0 and clears nothing
+    if not picks:
+        return [()] * len(uncovered)
+    return [tuple(c for c in row if c >= 0) for row in zip(*picks)]
 
 
 def hochbaum_shmoys_cover(instance, r: float, k: int):
@@ -130,7 +122,8 @@ def hochbaum_shmoys_cover(instance, r: float, k: int):
     """
     _require_non_negative("r", r)
     d = _as_table(instance)
-    return _greedy_cover(d.shape[0], lambda c: d[c] <= 2 * r, k)
+    return _greedy_cover(np.ones((1, d.shape[0]), dtype=bool),
+                         lambda c: d[c] <= 2 * r, k)[0]
 
 
 def exact_via_approximation(instance, k: int, alpha: float) -> SolveOutcome:
@@ -216,6 +209,24 @@ def symmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                                k, 1.0)
 
 
+# every asymmetric_3eps outcome: ok only where A(r) is nonempty and its hop
+# cover (_hop_covers) has at most k centers, which sweep_radius screens by
+_HOP_COVER_PROMISE = {"consistency_factor": 3.0, "needs_hop_cover": True}
+
+
+def _hop_covers(in_a, within, k):
+    """asymmetric_3eps's greedy cover of A in its hop metric, per row of
+    _symmetrized_masks' masks (one per radius r), as global indices: one
+    hop is one mutual r edge inside A, and a center covers the A points
+    within 2 hops.  A's points ascend, so picking the smallest uncovered
+    index is picking the smallest uncovered position in A."""
+    step = ((within & within.transpose(0, 2, 1))
+            | np.eye(in_a.shape[1], dtype=bool)) & in_a[:, None, :]
+    rows = np.arange(len(in_a))
+    return _greedy_cover(
+        in_a, lambda c: (step[rows, c][:, :, None] & step).any(axis=1), k)
+
+
 def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     """Cover-and-patch algorithm for asymmetric k-center under (3,eps)-PR.
 
@@ -226,24 +237,19 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     distances.  The Voronoi partition of the patched centers is
     epsilon-close to optimal under the promise.
     """
+    _require_non_negative("r_star", r_star)
     d = _as_table(instance)
     n = d.shape[0]
-    nearest = symmetrized_set(instance, r_star)
-    if nearest is None:
+    in_a, within = _symmetrized_masks(d, [r_star])
+    if not in_a.any():
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "empty symmetrized set",
-                                         "consistency_factor": 3.0})
-    a = np.flatnonzero(nearest == np.arange(n)).tolist()
-    sub = d[np.ix_(a, a)]
-    # one hop = one r* edge; a center covers the points within 2 hops
-    step = mutual_within(sub, r_star) | np.eye(len(a), dtype=bool)
-    cover_local = _greedy_cover(
-        len(a), lambda c: step[step[c]].any(axis=0), k)
-    if len(cover_local) > k:
+                                         **_HOP_COVER_PROMISE})
+    c_set = _hop_covers(in_a, within, k)[0]
+    if len(c_set) > k:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "no hop cover for any k' <= k",
-                                         "consistency_factor": 3.0})
-    c_set = tuple(a[i] for i in cover_local)
+                                         **_HOP_COVER_PROMISE})
     # (x, centers): k - x kept from c_set, x others added
     patches = ((x, list(kept) + list(extra))
                for x in range(0, min(6, k) + 1)
@@ -262,8 +268,7 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                   else f"patch enumeration exceeded budget {PATCH_BUDGET}")
     # the greedy's picks do not depend on k, so k' is the first that fits
     diagnostics = {"k_prime": max(len(c_set), k - 6, 1), "hop_cover": c_set,
-                   "x": x_used, "patch_work": work,
-                   "consistency_factor": 3.0}
+                   "x": x_used, "patch_work": work, **_HOP_COVER_PROMISE}
     if chosen is None:
         return SolveOutcome(status="not-resilient",
                             diagnostics={**diagnostics, "reason": reason})
@@ -445,7 +450,20 @@ def sweep_radius(instance, k: int, solver):
     below and above the candidates with count k, inconsistent among them.
 
     Any other solver is called at the first candidate and then in turn
-    from the start; skipped candidates are logged below-bound.
+    from the start; skipped candidates are logged below-bound.  Two
+    certified skips go further, each with the result a call at every
+    candidate gives:
+
+    - factor 1 declared and the call at the start failed: optimal_radius
+      (at most SEARCH_BUDGET search nodes) gives OPT, and the sweep goes on
+      from the first candidate >= OPT, logging the start below-bound too.
+      Past the budget, or on a table the search refuses, it keeps the
+      start.
+    - outcomes with diagnostics["needs_hop_cover"] (asymmetric_3eps)
+      promise ok only where A(r) is nonempty and its greedy 2-hop cover has
+      at most k centers.  The sweep computes that cover for blocks of
+      candidates at once (_hop_cover_screen), calls the solver only where
+      it fits and logs not-resilient, the solver's status, elsewhere.
     """
     d = _as_table(instance)
     n = d.shape[0]
@@ -460,11 +478,17 @@ def sweep_radius(instance, k: int, solver):
         return _bisection_sweep(instance, d, k, solver, candidates, first,
                                 factor, start)
     start = max(1, start)
+    search_at = start if factor == 1.0 else None  # a declared factor 1 only
     factor = 1.0 if factor is None else factor
+    fits = (_hop_cover_screen(d, k, candidates)
+            if first.diagnostics.get("needs_hop_cover") else lambda i: True)
     log = []
     for i, r in enumerate(candidates):
         if 0 < i < start:
             log.append((r, "below-bound"))
+            continue
+        if i and not fits(i):
+            log.append((r, "not-resilient"))
             continue
         outcome = solver(instance, k, r) if i else first
         if not outcome.ok:
@@ -473,7 +497,37 @@ def sweep_radius(instance, k: int, solver):
             return outcome, r
         else:
             log.append((r, "inconsistent"))
+        if i == search_at:
+            try:
+                opt = optimal_radius(d, k, SEARCH_BUDGET)
+            except (BudgetExceeded, ValueError):  # keep the bound's start
+                continue
+            start = bisect.bisect_left(candidates, opt)
+            if start > i:
+                log[-1] = (r, "below-bound")
     return _no_radius(log)
+
+
+def _hop_cover_screen(d, k, candidates):
+    """i -> False where asymmetric_3eps cannot succeed at candidates[i]: A(r)
+    is empty or its hop cover needs more than k centers.  Decided for
+    blocks of candidates from i on, of 1, 2, 4, ... radii, each at most
+    SCAN_CELLS cells (one radius past that).  A radius that is not >= 0
+    passes, so the solver refuses it as it would."""
+    verdicts, size = {}, 1
+    most = max(1, SCAN_CELLS // max(1, d.size))
+
+    def fits(i):
+        nonlocal size
+        if i not in verdicts:
+            radii = np.array(candidates[i:i + size])
+            in_a, within = _symmetrized_masks(d, radii)
+            cover = np.array([len(c) for c in _hop_covers(in_a, within, k)])
+            ok = (in_a.any(axis=1) & (cover <= k)) | ~(radii >= 0)
+            verdicts.update(enumerate(ok.tolist(), i))
+            size = min(2 * size, most)
+        return verdicts[i]
+    return fits
 
 
 def _bisection_sweep(instance, d, k, solver, candidates, first, factor,
@@ -493,12 +547,7 @@ def _bisection_sweep(instance, d, k, solver, candidates, first, factor,
     def count(i):
         return at(i).diagnostics["component_count"]
 
-    # lo: start, or the first candidate past it with count <= k
-    lo, step = start, 1
-    while lo < m and count(lo) > k:
-        below, lo, step = lo, min(lo + step, m), 2 * step
-    if lo > start:
-        lo = first_index(below + 1, lo, lambda i: count(i) <= k)
+    lo = _gallop(lambda i: count(i) <= k, start, m)
     if lo < m and at(lo).ok:
         j = bisect.bisect_left(candidates,
                                _consistency_cost(d, at(lo).clustering),
@@ -512,22 +561,6 @@ def _bisection_sweep(instance, d, k, solver, candidates, first, factor,
           if lo < m and at(lo).ok else lo)
     return _no_radius([(r, "inconsistent" if lo <= i < hi else "not-resilient")
                        for i, r in enumerate(candidates)])
-
-
-def _opt_lower_bound(d, k):
-    """A lower bound on the optimal k-center radius of any square table.
-
-    Farthest-first from point 0 under the pair-cover value
-    c2(p, q) = min_c max(d[c, p], d[c, q]), k + 1 picks; returns the
-    smallest c2 between two picks (inf for k = 0), 0.0 when k >= n.  Two
-    of any k + 1 points share an optimal center c, and c2 of that pair is
-    at most max(d[c, p], d[c, q]) <= OPT: neither symmetry nor the
-    triangle inequality is used.
-    """
-    if k >= d.shape[0]:
-        return 0.0
-    return min(_traverse(lambda p: np.maximum(d[:, [p]], d).min(axis=0),
-                         k + 1)[1])
 
 
 def _no_radius(log):

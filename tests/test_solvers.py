@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import floyd_warshall
 
 from kcenter_resilience import (
     AsymmetricInput,
+    BudgetExceeded,
     SOLVERS,
     SolveOutcome,
     approx_stability_2eps,
@@ -21,6 +22,7 @@ from kcenter_resilience import (
     exact_via_approximation,
     farthest_first,
     hochbaum_shmoys_cover,
+    optimal_radius,
     sweep_radius,
     symmetric_3eps,
     symmetrized_set,
@@ -668,6 +670,19 @@ def _reference_cover(d, r, k):
     return tuple(centers)
 
 
+HOP_COVER_PROMISE = {"consistency_factor": 3.0, "needs_hop_cover": True}
+
+
+def _reference_hops(d, a, r):
+    """Hop distances between the points a of A (one hop = one r* edge)."""
+    sub = d[np.ix_(a, a)]
+    hops = np.where((sub <= r) & (sub.T <= r), 1.0, np.inf)  # r* edges
+    np.fill_diagonal(hops, 0.0)
+    for m in range(len(a)):  # Floyd-Warshall
+        hops = np.minimum(hops, hops[:, [m]] + hops[[m], :])
+    return hops
+
+
 def _reference_3eps(d, k, r):
     """Cover-and-patch, trying the hop cover for each k' = k-6 ... k."""
     n = d.shape[0]
@@ -675,12 +690,8 @@ def _reference_3eps(d, k, r):
     if not a:
         return SolveOutcome(status="not-resilient",
                             diagnostics={"reason": "empty symmetrized set",
-                                         "consistency_factor": 3.0})
-    sub = d[np.ix_(a, a)]
-    hops = np.where((sub <= r) & (sub.T <= r), 1.0, np.inf)  # r* edges
-    np.fill_diagonal(hops, 0.0)
-    for m in range(len(a)):  # Floyd-Warshall
-        hops = np.minimum(hops, hops[:, [m]] + hops[[m], :])
+                                         **HOP_COVER_PROMISE})
+    hops = _reference_hops(d, a, r)
     for k_prime in range(max(1, k - 6), k + 1):
         try:
             cover_local = _reference_cover(hops, 1.0, k_prime)
@@ -689,7 +700,7 @@ def _reference_3eps(d, k, r):
         break
     else:
         return SolveOutcome(status="not-resilient", diagnostics={
-            "reason": "no hop cover for any k' <= k", "consistency_factor": 3.0})
+            "reason": "no hop cover for any k' <= k", **HOP_COVER_PROMISE})
     c_set = tuple(a[i] for i in cover_local)
     patches = ((x, list(kept) + list(extra))
                for x in range(0, min(6, k) + 1)
@@ -708,7 +719,7 @@ def _reference_3eps(d, k, r):
             chosen, x_used = tuple(sorted(cand)), x
             break
     diagnostics = {"k_prime": k_prime, "hop_cover": c_set, "x": x_used,
-                   "patch_work": work, "consistency_factor": 3.0}
+                   "patch_work": work, **HOP_COVER_PROMISE}
     if chosen is None:
         return SolveOutcome(status="not-resilient",
                             diagnostics={**diagnostics, "reason": reason})
@@ -744,6 +755,86 @@ def test_asymmetric_3eps_matches_k_prime_loop(monkeypatch, asymmetric):
     assert cases > 1000 and mismatches == 0
     assert len(covers) == searched  # one cover call per call past A
     assert k_minus_6 > 0  # the k - 6 bound, not the cover size, set k'
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["sym", "asym"])
+def test_batched_hop_cover_matches_reference_cover(asymmetric):
+    # every candidate radius, empty A included: the batched greedy cover
+    # (64 radii at a time) equals the reference's 2-hop cover of A, and the
+    # sweep's screen, in its own blocks, passes exactly the radii where A is
+    # nonempty and that cover has at most k centers
+    tables = list(ASYM_TABLES if asymmetric else SYM_TABLES)
+    if asymmetric:
+        tables += [gen_planted_asymmetric(n, 4, 1.0, 2.0, 1.2, n).instance.dist
+                   for n in (20, 32, 44)]
+    checked = empty = screened = 0
+    for d in tables:
+        n = d.shape[0]
+        radii = sorted(set([0.0] + d[~np.eye(n, dtype=bool)].tolist()))
+        covers = []
+        for s in range(0, len(radii), 64):
+            in_a, within = solvers._symmetrized_masks(d, radii[s:s + 64])
+            covers += solvers._hop_covers(in_a, within, n)
+            for r, row in zip(radii[s:s + 64], in_a):
+                assert np.flatnonzero(row).tolist() == \
+                    _reference_symmetrized_set(d, r)[0]
+        screens = {k: solvers._hop_cover_screen(d, k, radii)
+                   for k in range(1, 5)}
+        for i, (r, cover) in enumerate(zip(radii, covers)):
+            a, _ = _reference_symmetrized_set(d, r)
+            want = tuple(a[c] for c in _reference_cover(_reference_hops(d, a, r),
+                                                        1.0, len(a)))
+            assert cover == want, (n, r)
+            for k, fits in screens.items():
+                assert fits(i) == (bool(a) and len(want) <= k), (n, r, k)
+                screened += not fits(i)
+            checked += 1
+            empty += not a
+    assert checked > (2000 if asymmetric else 300) and screened > checked
+    assert (empty > 0) == asymmetric  # on a symmetric table A is every point
+
+
+@pytest.mark.parametrize("n", [32, 44])
+def test_asymmetric_sweeps_on_planted_tables_take_three_calls(n):
+    # alg1-2pr: the pair-cover start, then the first candidate >= OPT;
+    # alg2-3eps-asym: the first candidate, then the first one that passes
+    # the hop-cover screen
+    for seed in range(5):
+        planted = gen_planted_asymmetric(n, 4, 1.0, 2.0, 1.2, seed)
+        for solver_id in ("alg1-2pr", "alg2-3eps-asym"):
+            solve, tried = SOLVERS[solver_id].solve, []
+            out, chosen = sweep_radius(planted.instance, 4, lambda i, k, r: (
+                tried.append(r) or solve(i, k, r, None)))
+            assert out.ok and chosen == tried[-1]
+            assert len(tried) <= 3, (seed, solver_id, tried)
+
+
+@pytest.mark.parametrize("solver_id", ["alg1-2pr", "alg2-3eps-asym"])
+def test_sweep_of_a_nan_table_raises_as_its_solver_does(solver_id):
+    # both solvers fail at every other candidate of these tables, so a call
+    # at every candidate reaches the NaN one, last, and refuses r* = NaN:
+    # neither the search nor the screen may skip it
+    solve = SOLVERS[solver_id].solve
+    for seed in range(3):
+        d = gen_random_metric(7, "asymmetric", seed).dist.copy()
+        d[1, 2] = np.nan
+        with pytest.raises(ValueError, match="r_star must be >= 0, got nan"):
+            sweep_radius(d, 3, lambda i, k, r: solve(i, k, r, None))
+
+
+@pytest.mark.parametrize("n,k", [(32, 4), (44, 4), (60, 5), (120, 5), (300, 8)])
+def test_exact_claim_radii_equal_optimal_radius(n, k):
+    for seed in range(3):
+        asym = gen_planted_asymmetric(n, k, 1.0, 2.0, 1.2, seed).instance
+        sym = gen_planted_symmetric(n, k, 1.0, 2.0, seed).instance
+        for inst, solver_id in ((asym, "alg1-2pr"), (sym, "alg1-2pr"),
+                                (sym, "thm5-3eps")):
+            solve = SOLVERS[solver_id].solve
+            out, chosen = sweep_radius(inst, k, lambda i, kk, r:
+                                       solve(i, kk, r, None))
+            assert out.status == "exact-claim"
+            assert chosen == optimal_radius(inst.dist, k, 10**5), \
+                (seed, solver_id)
 
 
 def test_weak_proximity_linkage_rescans_after_each_merge():
@@ -912,6 +1003,40 @@ def test_opt_lower_bound_never_exceeds_optimum():
     assert cases > 400 and positive > cases // 2
 
 
+def test_optimal_radius_matches_brute_force():
+    tables = [gen_random_metric(n, mode, s).dist for n in (3, 6, 8, 10, 12)
+              for mode in ("symmetric", "asymmetric") for s in (0, 1, 2)]
+    tables += [_random_table(n, s) for n in (2, 5, 7, 10) for s in (0, 1)]
+    tables += SYM_TABLES + ASYM_TABLES + [_negative_zero_table()]
+    cases = 0
+    for d in tables:
+        for k in range(1, d.shape[0] + 1):
+            got = optimal_radius(d, k, 10**6)
+            assert got == brute_force_optimal(d, k).optimal_radius, (d, k)
+            assert repr(got) != "-0.0"
+            cases += 1
+    assert cases == 500
+
+
+def test_optimal_radius_budget_and_refusals():
+    d = SYM_TABLES[0]
+    assert optimal_radius(d, 3, 100) == brute_force_optimal(d, 3).optimal_radius
+    with pytest.raises(BudgetExceeded, match="search passed 1 nodes"):
+        optimal_radius(d, 3, 1)
+    # brute_force_optimal's errors, word for word
+    for table, k in ((d, 0), (d, d.shape[0] + 1), (d[:, :4], 2),
+                     (np.zeros(4), 1)):
+        with pytest.raises(ValueError) as want:
+            brute_force_optimal(table, k)
+        with pytest.raises(ValueError) as got:
+            optimal_radius(table, k, 100)
+        assert str(got.value) == str(want.value)
+    nan = d.copy()
+    nan[0, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        optimal_radius(nan, 3, 100)
+
+
 def test_solver_outcomes_share_one_consistency_factor():
     # every outcome at every candidate radius: the bounded sweep reads the
     # factor off the first outcome and applies it to the rest
@@ -958,12 +1083,21 @@ def test_approx_stability_2eps_matches_integer_counts():
     assert checked > 100
 
 
-@pytest.mark.parametrize("solver_id", sorted(BOUNDED_SWEEPS))
-def test_bounded_sweep_matches_linear_sweep(monkeypatch, solver_id):
+@pytest.mark.parametrize(
+    "solver_id,search_budget",
+    [(sid, None) for sid in sorted(BOUNDED_SWEEPS)] + [("alg1-2pr", 1)],
+    ids=sorted(BOUNDED_SWEEPS) + ["alg1-2pr-search-budget-1"])
+def test_bounded_sweep_matches_linear_sweep(monkeypatch, solver_id,
+                                            search_budget):
     # every k on the small tables (the patch budget bounds alg2-3eps-asym
     # at large k), planted n=20-44, and a non-metric table accepted under
-    # slack; a failed sweep logs below-bound where it skipped the solver
+    # slack; a failed sweep logs below-bound where it skipped the solver.
+    # alg1-2pr (factor 1) starts at the first candidate >= OPT once the
+    # call at the pair-cover start fails; at search budget 1 it keeps the
+    # pair-cover start
     monkeypatch.setattr(solvers, "PATCH_BUDGET", 100)
+    if search_budget is not None:
+        monkeypatch.setattr(solvers, "SEARCH_BUDGET", search_budget)
     factor = BOUNDED_SWEEPS[solver_id]
     rng = np.random.default_rng(5)
     loose = rng.uniform(1.0, 2.5, size=(12, 12))
@@ -979,7 +1113,7 @@ def test_bounded_sweep_matches_linear_sweep(monkeypatch, solver_id):
     cases += [(validate_instance(loose, "asymmetric", slack=0.5), k)
               for k in (2, 3, 4)]
     solve = SOLVERS[solver_id].solve
-    found = skipped = skipped_failures = 0
+    found = skipped = skipped_failures = certified = fell_back = 0
     for inst, k in cases:
         got, r_got = sweep_radius(inst, k, lambda i, kk, r: solve(i, kk, r, None))
         want, r_want = _linear_sweep(inst, k,
@@ -988,6 +1122,15 @@ def test_bounded_sweep_matches_linear_sweep(monkeypatch, solver_id):
         start = max(1, bisect.bisect_left(
             candidates, solvers._opt_lower_bound(inst.dist, k),
             key=lambda r: r * factor))
+        if factor == 1.0 and r_want != candidates[start]:  # the call failed
+            if search_budget is None:
+                opt = brute_force_optimal(inst.dist, k).optimal_radius
+                certified += bisect.bisect_left(candidates, opt) > start
+                start = max(start, bisect.bisect_left(candidates, opt))
+            else:
+                with pytest.raises(BudgetExceeded):
+                    optimal_radius(inst.dist, k, search_budget)
+                fell_back += 1
         skipped += start > 1
         assert repr(r_got) == repr(r_want), (inst.n, k)
         if r_want is not None:
@@ -999,10 +1142,15 @@ def test_bounded_sweep_matches_linear_sweep(monkeypatch, solver_id):
         assert log[0] == want_log[0] and log[start:] == want_log[start:]
         assert log[1:start] == tuple((r, "below-bound")
                                      for r in candidates[1:start])
+        assert repr(log) == repr(want_log[:1] + log[1:start] + want_log[start:])
         skipped_failures += start > 1
     assert found > 0 and skipped > 0
     # hs and alg2-3eps-asym succeed at a large enough r on every table
     assert skipped_failures > 0 or solver_id != "alg1-2pr"
+    # the search moved the start past the pair-cover bound, or fell back
+    searched = solver_id == "alg1-2pr" and search_budget is None
+    assert (certified > 0) == searched
+    assert (fell_back > 0) == (search_budget is not None)
 
 
 def _reference_farthest_first(d, k):
