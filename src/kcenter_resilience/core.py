@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, floyd_warshall
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -155,9 +155,10 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
     pair/triple in row-major scan order.  ``slack`` loosens symmetry and
     triangle comparisons for externally supplied data (default exact).
     Symmetry is compared in the triangle scan's row blocks, and not at all
-    when the table equals its transpose exactly.
+    when the table equals its transpose exactly.  The C-contiguous float
+    table that the Instance keeps is made once, at entry, and scanned.
 
-    The triangle check takes O(n^3) time in blocks of p rows, each at most
+    The triangle scan takes O(n^3) time in blocks of p rows, each at most
     ``SCAN_CELLS`` cells (one row when n^2 is larger), so memory stays
     O(n^2) beside the table: any n that fits in memory can be read.  Each
     block compares d(p,q) with the shortest two-hop path
@@ -165,10 +166,24 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
     monotone in x, so some s violates exactly when the minimum does.  When
     the table equals its transpose exactly, a violation (p,s,q) mirrors to
     (q,s,p), so the first violating row holds one with q >= p, and a block
-    scans only the columns from its first row on.  The first violating
-    row is then rescanned whole for its first (s, q).
+    scans only the columns from its first row on, reading d(s,q) as the
+    contiguous row d(q,s).  The first violating row is then rescanned
+    whole for its first (s, q).
+
+    Any other table at slack 0 with n^2 over ``SCAN_CELLS`` passes
+    without a scan when its Floyd-Warshall closure equals it (Floyd 1962).
+    That is exact: the closure changes an entry only when
+    fl(d(i,k) + d(k,j)) < d(i,j), the scan's predicate, first on original
+    values, and a sum that overflows changes nothing.  On a mismatch the
+    scan runs and names the violation.  The scan also takes smaller
+    tables, where scipy's input conversion costs more than it, tables
+    with an off-diagonal zero, which scipy reads as "no edge", so that
+    their closure never matches, and slack > 0, which a failed closure
+    does not decide.
     """
-    d = _as_table(raw_table)
+    d = np.ascontiguousarray(_as_table(raw_table))
+    if not d.size:
+        raise ValueError("table must hold at least one point")
     if not np.all(np.isfinite(d)):
         raise ValueError("table entries must be finite")
     if mode not in (SYMMETRIC, ASYMMETRIC):
@@ -186,7 +201,7 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
         q = int(negative[p].argmax())
         raise NegativeDistance(p, q, d[p, q])
     n = d.shape[0]
-    rows = max(1, SCAN_CELLS // max(1, n * n))
+    rows = max(1, SCAN_CELLS // (n * n))
     mirrored = np.array_equal(d, d.T)
     if mode == SYMMETRIC and not mirrored:
         for start in range(0, n, rows):
@@ -195,12 +210,19 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
             if bad.size:
                 p, q = bad[0]
                 raise SymmetryViolation(start + int(p), int(q))
+    if (not mirrored and slack == 0 and n * n > SCAN_CELLS
+            and np.count_nonzero(d) == n * (n - 1)
+            and np.array_equal(floyd_warshall(d), d)):
+        return Instance(mode=mode, dist=d)
     # a sum that overflows to +inf exceeds every finite d(p,q): exact
     with np.errstate(over="ignore"):
         for start in range(0, n, rows):
             blk = d[start:start + rows]
             lo = start if mirrored else 0
-            two_hop = (blk[:, :, None] + d[None, :, lo:]).min(axis=1)
+            if mirrored:  # d(s,q) = d(q,s): reduce along contiguous rows
+                two_hop = (blk[:, None, :] + d[None, lo:]).min(axis=2)
+            else:
+                two_hop = (blk[:, :, None] + d[None]).min(axis=1)
             hit = (blk[:, lo:] > two_hop + slack).any(axis=1)
             if hit.any():
                 p = start + int(hit.argmax())

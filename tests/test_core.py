@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import floyd_warshall
 
 from kcenter_resilience import (
     GRID,
@@ -112,7 +113,8 @@ def _reference_validate(raw_table, mode, slack=0.0):
         if bad.size:
             p, q = bad[0]
             raise SymmetryViolation(int(p), int(q))
-    viol = d[:, None, :] > (d[:, :, None] + d[None, :, :]) + slack
+    with np.errstate(over="ignore"):  # inf exceeds every finite entry
+        viol = d[:, None, :] > (d[:, :, None] + d[None, :, :]) + slack
     bad = np.argwhere(viol)
     if bad.size:
         p, s, q = bad[0]
@@ -191,22 +193,54 @@ def _validation_cases():
         np.fill_diagonal(raw, 0.0)
         cases += [(raw, "asymmetric", 0.0),
                   (np.minimum(raw, raw.T), "symmetric", 0.0)]
+    # for the closure certificate: random positive tables (mostly violating)
+    # and their closures (valid), tables with entries near the largest
+    # double, whose two-hop sums overflow to inf, and their closures; each
+    # also as an F-ordered transposed view, and with slack
+    for s in range(30):
+        raw = rng.integers(1, 6, size=(11, 11)) / 2.0
+        huge = rng.choice([1.0, 2.0, 0.9e308, 1.7e308], size=(8, 8))
+        for table in (raw, huge):
+            np.fill_diagonal(table, 0.0)
+            for t in (table, floyd_warshall(table)):
+                cases += [(t, "asymmetric", 0.0),
+                          (np.ascontiguousarray(t.T).T, "asymmetric", 0.0),
+                          (t, "asymmetric", 1.0)]
     return cases
+
+
+def _counted_closure(monkeypatch, closures):
+    """Patch core's floyd_warshall to count closures that certify the
+    table (key True) and that send it on to the scan (key False)."""
+    def counted(table):
+        closure = floyd_warshall(table)
+        closures[np.array_equal(closure, table)] += 1
+        return closure
+    monkeypatch.setattr(core, "floyd_warshall", counted)
 
 
 def test_validate_matches_whole_cube_reference(monkeypatch):
     cases = _validation_cases()
     mismatches = 0
     kinds = collections.Counter()
+    closures = collections.Counter()
+    _counted_closure(monkeypatch, closures)
+    default = core.SCAN_CELLS
     for d, mode, slack in cases:
         want = _validation_key(_reference_validate, d, mode, slack)
         n = d.shape[0]
-        # default blocks, one row per block, three rows per block
-        for cap in (core.SCAN_CELLS, 1, 3 * n * n):
+        # default blocks, one row per block, three rows per block; only one
+        # row per block opens the certificate's gate at these sizes
+        for cap in (default, 1, 3 * n * n):
             monkeypatch.setattr(core, "SCAN_CELLS", cap)
             mismatches += _validation_key(validate_instance, d, mode,
                                           slack) != want
-        monkeypatch.undo()
+        monkeypatch.setattr(core, "SCAN_CELLS", default)
+        if not np.array_equal(d, d.T):
+            kinds.update(zero=int(slack == 0
+                                  and np.count_nonzero(d) < n * n - n),
+                         overflow=int(d.max() > 1e308),
+                         f_ordered=int(not d.flags.c_contiguous))
         if want[0] == "TriangleViolation":
             hit = ast.literal_eval(want[1])
             mirrored = np.array_equal(d, d.T)
@@ -221,6 +255,29 @@ def test_validate_matches_whole_cube_reference(monkeypatch):
     assert kinds["triangles"] > 1000 and kinds["offset_rows"] > 500
     assert kinds["back_witness"] > 50
     assert kinds["mirrored_asym"] > 200 and kinds["within_slack"] > 200
+    assert kinds["zero"] > 20 and kinds["overflow"] > 50
+    assert kinds["f_ordered"] > 100
+    assert closures[True] > 100 and closures[False] > 100
+
+
+def test_validate_at_the_real_gate_matches_the_scan(monkeypatch):
+    # n^2 > SCAN_CELLS at n = 260: the certificate's gate opens unpatched
+    d = np.array(gen_planted_asymmetric(260, 8, 1.0, 2.0, 1.2, 0).instance.dist)
+    raised, zeroed = d.copy(), d.copy()
+    raised[130, 7] = 3 * d.max()  # above every two-hop path
+    zeroed[40, 200] = 0.0
+    closures = collections.Counter()
+    _counted_closure(monkeypatch, closures)
+    got = [_validation_key(validate_instance, t, "asymmetric", 0.0)
+           for t in (d, raised, zeroed)]
+    assert closures == {True: 1, False: 1}  # the zero closes the gate
+    monkeypatch.setattr(core, "SCAN_CELLS", d.size)  # scan only
+    want = [_validation_key(validate_instance, t, "asymmetric", 0.0)
+            for t in (d, raised, zeroed)]
+    assert closures == {True: 1, False: 1}
+    assert got == want
+    assert [key[0] for key in got] == ["ok", "TriangleViolation",
+                                       "TriangleViolation"]
 
 
 def test_symmetry_violation_is_first_in_row_major_order(monkeypatch):
@@ -294,6 +351,9 @@ def test_centers_outside_the_table_are_refused(center):
     (lambda: validate_instance([[0, np.nan], [np.nan, 0]], "symmetric"),
      "table entries must be finite"),
     (lambda: validate_instance(1.0 - np.eye(2), "x"), "unknown mode 'x'"),
+    # its KCI text "n 0" would not parse back
+    (lambda: validate_instance(np.zeros((0, 0)), "asymmetric"),
+     "table must hold at least one point"),
     (lambda: cost(1.0 - np.eye(2), []), "centers must be nonempty"),
     (lambda: voronoi_partition(1.0 - np.eye(3), [1, 1]),
      "centers must be distinct"),
@@ -304,7 +364,8 @@ def test_centers_outside_the_table_are_refused(center):
     (lambda: pkg.farthest_first(1.0 - np.eye(3), 4),
      re.escape("need 1 <= k <= n, got k=4, n=3")),
     (lambda: gen_random_metric(3, "x", 0), "unknown mode 'x'"),
-], ids=["validate-nan", "validate-mode", "cost-no-centers",
+], ids=["validate-nan", "validate-mode", "validate-empty",
+        "cost-no-centers",
         "voronoi-repeated-center", "epsilon-distance-point-counts",
         "farthest-first-k-0", "farthest-first-k-above-n", "random-mode"])
 def test_entry_guards_refuse_bad_input(call, message):

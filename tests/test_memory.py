@@ -2,11 +2,16 @@
 cells, whatever n^3 or C(n, k) is."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
+import pytest
+from scipy.sparse.csgraph import floyd_warshall
 
-from kcenter_resilience import (StabilityParams, brute_force_optimal,
-                                falsify_resilience, validate_instance)
+from kcenter_resilience import (StabilityParams, TriangleViolation,
+                                brute_force_optimal, falsify_resilience,
+                                validate_instance)
+from kcenter_resilience import core
 from kcenter_resilience.generators import gen_planted_symmetric
 
 
@@ -20,14 +25,52 @@ def _peak_bytes(fn, *args):
 
 
 def test_validate_peak_is_a_few_tables():
-    # every triangle holds: the scan runs to the end, over half the columns
-    # of the symmetric table and every column of the asymmetric one
+    # every triangle holds: the scan runs to the end over half the columns
+    # of the symmetric table, and the asymmetric one passes by its closure
     d = 1.0 - np.eye(500)
     skew = d.copy()
     skew[0, 1] = 0.5
     for table, mode in ((d, "symmetric"), (skew, "asymmetric")):
         # the whole-cube scan held 9 bytes per triple, 562 tables at n = 500
         assert _peak_bytes(validate_instance, table, mode) < 4 * table.nbytes
+
+
+def _violating_table():
+    bad = 1.0 - np.eye(500)
+    bad[250, 3] = 2.5  # > d(250, s) + d(s, 3) = 2: the closure fails
+    return bad
+
+
+def _located(bad):
+    with pytest.raises(TriangleViolation) as exc:
+        validate_instance(bad, "asymmetric")
+    assert (exc.value.p, exc.value.s, exc.value.q) == (250, 0, 3)
+
+
+def test_validate_peak_is_a_few_tables_when_the_closure_fails():
+    bad = _violating_table()
+    assert _peak_bytes(_located, bad) < 4 * bad.nbytes
+
+
+def test_validate_frees_a_failed_closure_before_the_scan(monkeypatch):
+    # the peak cannot show it (the closure's own conversion holds more than
+    # the closure beside a one-row block), so the closure is watched by a
+    # weak reference, which must be dead when the scan names the violation
+    watched = []
+
+    def closure(table):
+        out = floyd_warshall(table)
+        watched.append(weakref.ref(out))
+        return out
+
+    class Located(TriangleViolation):
+        def __init__(self, *witness):
+            assert len(watched) == 1 and watched[0]() is None
+            super().__init__(*witness)
+
+    monkeypatch.setattr(core, "floyd_warshall", closure)
+    monkeypatch.setattr(core, "TriangleViolation", Located)
+    _located(_violating_table())
 
 
 def test_validate_symmetric_mode_peak_is_under_one_and_a_half_tables():
