@@ -16,8 +16,9 @@ from numbers import Integral
 import numpy as np
 
 from .core import (SCAN_CELLS, Clustering, StabilityParams, _as_table,
-                   _gallop, _require_k, _traverse, epsilon_distance, set_costs,
-                   voronoi_labels, voronoi_partition)
+                   _frozen_table, _gallop, _require_k, _traverse,
+                   epsilon_distance, set_costs, voronoi_labels,
+                   voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 # the falsifier keeps at most this many cells (sets times k) of base-table
@@ -50,8 +51,7 @@ class Perturbation:
 
     def __post_init__(self):
         d = np.ascontiguousarray(self.dprime, dtype=float)
-        d.flags.writeable = False
-        object.__setattr__(self, "dprime", d)
+        object.__setattr__(self, "dprime", _frozen_table(d, self.dprime))
 
     def bounds_ok(self) -> bool:
         d = self.base

@@ -7,15 +7,17 @@ import re
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import floyd_warshall
+from scipy.sparse.csgraph import connected_components, floyd_warshall
 
 from kcenter_resilience import (
     GRID,
     Clustering,
+    Instance,
     InstanceViolation,
     MismatchedK,
     NegativeDistance,
     NonzeroDiagonal,
+    Perturbation,
     SymmetryViolation,
     TriangleViolation,
     ball,
@@ -40,6 +42,7 @@ from kcenter_resilience.generators import (
     gen_random_metric,
     named_graph,
 )
+from test_solvers import ASYM_TABLES, SYM_TABLES
 
 
 def test_validate_two_point_symmetric():
@@ -494,11 +497,11 @@ def test_epsilon_distance_basics():
 
 def _epsilon_by_permutations(a, b):
     n = a.n
-    clusters_a = a.clusters()
-    clusters_b = b.clusters()
+    clusters_a = list(map(set, a.clusters()))
+    clusters_b = list(map(set, b.clusters()))
     best = n
     for perm in itertools.permutations(range(b.k)):
-        moved = sum(len(set(clusters_a[i]) - set(clusters_b[perm[i]]))
+        moved = sum(len(clusters_a[i] - clusters_b[perm[i]])
                     for i in range(a.k))
         best = min(best, moved)
     return best / n
@@ -517,6 +520,84 @@ def test_epsilon_distance_matches_permutation_enumeration():
             assert got == pytest.approx(_epsilon_by_permutations(a, b))
             assert got == pytest.approx(epsilon_distance(b, a))
             assert 0.0 <= got <= 1.0
+
+
+def _epsilon_by_assignment(a, b):
+    """Reference: scipy's optimal assignment on the overlap matrix."""
+    from scipy.optimize import linear_sum_assignment
+    k = a.k
+    overlap = np.zeros((k, k), dtype=int)
+    np.add.at(overlap, (list(a.assignment), list(b.assignment)), 1)
+    rows, cols = linear_sum_assignment(-overlap)
+    return (a.n - int(overlap[rows, cols].sum())) / a.n
+
+
+def _epsilon_cases(rng):
+    """(a, b) pairs at k = 1..40: random clusterings, many with empty
+    clusters, and each one against itself and a relabelling of itself."""
+    cases = [(_cl([0, 0, 1, 1, 0], 3), _cl([2, 0, 1, 1, 0], 3))]  # empty
+    for k in range(1, 41):
+        for _ in range(8 if k <= 7 else 2):
+            n = int(rng.integers(1, 4 * k + 3))
+            a, b = (_cl(rng.integers(0, k, size=n).tolist(), k)
+                    for _ in range(2))
+            relabel = rng.permutation(k)
+            moved = _cl(relabel[list(a.assignment)].tolist(), k)
+            cases += [(a, b), (b, a), (a, a), (a, moved)]
+    return cases
+
+
+def test_epsilon_distance_matches_bijections_and_assignment(monkeypatch):
+    runs = collections.Counter()
+
+    def counted(name):
+        fn = getattr(core, name)
+
+        def wrapper(*args):
+            runs[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_bijections", "min_weight_full_bipartite_matching"):
+        monkeypatch.setattr(core, name, counted(name))
+    cases = _epsilon_cases(np.random.default_rng(3))
+    for a, b in cases:
+        got = epsilon_distance(a, b)
+        assert got == _epsilon_by_assignment(a, b)
+        if a.k <= 7:
+            assert got == _epsilon_by_permutations(a, b)
+        if a.canonical_partition() == b.canonical_partition():
+            assert got == 0.0
+    assert cases[0][0].clusters()[2] == []
+    # each method ran on more than 100 cases; k <= ENUMERATED_K enumerates
+    assert runs["_bijections"] > 100
+    assert runs["min_weight_full_bipartite_matching"] > 100
+    assert runs["_bijections"] + runs[
+        "min_weight_full_bipartite_matching"] == len(cases)
+
+
+def test_tables_are_copied_only_from_writeable_caller_arrays():
+    d = 1.0 - np.eye(3)
+    inst = validate_instance(d, "symmetric")
+    d[0, 1] = 2  # the caller's array stays writeable
+    assert inst.dist[0, 1] == 1.0 and not inst.dist.flags.writeable
+    rows = np.concatenate([1.0 - np.eye(3)] * 2)
+    view = validate_instance(rows[:3], "symmetric")  # a view of the caller's
+    rows[0, 1] = 2
+    assert view.dist[0, 1] == 1.0
+    direct = Instance("symmetric", d)
+    d[0, 1] = 3
+    assert direct.dist[0, 1] == 2.0
+    dprime = 2.0 * inst.dist
+    pert = Perturbation(base=inst.dist, alpha=2.0, dprime=dprime)
+    dprime[0, 1] = 1.5
+    assert pert.dprime[0, 1] == 2.0 and not pert.dprime.flags.writeable
+    # a read-only table is held as it is, and a fresh conversion is frozen
+    assert validate_instance(inst, "symmetric").dist is inst.dist
+    assert Instance("symmetric", inst.dist).dist is inst.dist
+    assert Perturbation(inst.dist, 2.0, pert.dprime).dprime is pert.dprime
+    listed = validate_instance([[0, 1], [1, 0]], "symmetric").dist
+    assert listed.flags.owndata and not listed.flags.writeable
 
 
 def test_ball():
@@ -586,6 +667,30 @@ def test_components_matches_bfs_reference(n):
             assert components(adj) == _components_by_bfs(adj.tolist())
     assert components(np.ones((n, n), dtype=bool)) == [list(range(n))]
     assert components(np.zeros((n, n), dtype=bool)) == [[p] for p in range(n)]
+
+
+def _components_dense(adj):
+    """Reference: scipy's connected components of the dense mask, read as
+    undirected, the call components made before it built its CSR graph."""
+    _, labels = connected_components(adj, directed=False)
+    return core.label_groups(labels)
+
+
+def test_components_matches_the_dense_scipy_call():
+    rng = np.random.default_rng(11)
+    masks = []
+    for n in range(1, 41):
+        for density in (0.0, 1.0 / n, 3.0 / n, 0.3):
+            one_way = rng.random((n, n)) < density
+            masks += [one_way, one_way | one_way.T]
+    # the threshold graphs of the solver tests' tables at each distance,
+    # both ways and (asymmetric) one way
+    for d in SYM_TABLES + ASYM_TABLES:
+        for t in np.unique(d):
+            masks += [core.mutual_within(d, t), d <= t]
+    assert sum(not np.array_equal(m, m.T) for m in masks) > 200
+    for adj in masks:
+        assert components(adj) == _components_dense(adj)
 
 
 def test_symmetrized_set_symmetric_is_everything():

@@ -1,10 +1,13 @@
 """Source hygiene: every module in src/ and tests/ uses each name it
 imports, every private module-level name in src/ has a use in src/, and
-src/ imports nothing beyond the standard library, numpy and scipy, and
-no thread, process or event-loop module, and no two raise statements in
-src/ raise one exception class with one message."""
+src/ imports nothing beyond the standard library, numpy and
+scipy.sparse with its csgraph, and no thread, process or event-loop
+module, and no two raise statements in src/ raise one exception class
+with one message."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,18 +101,25 @@ def test_no_unused_private_names_in_src():
     assert _unused_privates(path.read_text() for path in modules) == []
 
 
+# the scipy modules src/ may import: every other one costs start-up time
+# and memory in each process (scipy.optimize alone took ~0.25 s and ~17 MB)
+SCIPY_MODULES = {"scipy.sparse", "scipy.sparse.csgraph"}
+
+
 def _foreign_imports(source, package):
-    """Top-level modules imported that are not in the standard library,
-    not numpy or scipy and not the package itself (relative imports are
-    the package)."""
-    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", package}
+    """Modules imported that are not in the standard library, not numpy,
+    not one of SCIPY_MODULES and not the package itself (relative imports
+    are the package): top-level names, and whole names under scipy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", package}
     imported = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            imported += [alias.name.split(".")[0] for alias in node.names]
+            imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.append(node.module.split(".")[0])
-    return [name for name in imported if name not in allowed]
+            imported.append(node.module)
+    return [name if top == "scipy" else top for name in imported
+            for top in [name.split(".")[0]]
+            if top not in allowed and name not in SCIPY_MODULES]
 
 
 def test_foreign_imports_detected():
@@ -117,8 +127,14 @@ def test_foreign_imports_detected():
               "import heapq, os.path, requests\nimport numpy as np\n"
               "from scipy.sparse import csgraph\nfrom . import core\n"
               "from .core import cost\nfrom pkg import cli\n"
-              "from pandas.api import types\n")
-    assert _foreign_imports(source, "pkg") == ["requests", "pandas"]
+              "from pandas.api import types\n"
+              "from scipy.sparse.csgraph import floyd_warshall\n"
+              "from scipy.optimize import linear_sum_assignment\n"
+              "import scipy.sparse.linalg, numpy.linalg\n"
+              "from scipy import optimize\nimport scipy\n")
+    assert _foreign_imports(source, "pkg") == [
+        "requests", "pandas", "scipy.optimize", "scipy.sparse.linalg",
+        "scipy", "scipy"]
 
 
 def test_src_imports_only_stdlib_numpy_scipy():
@@ -128,6 +144,17 @@ def test_src_imports_only_stdlib_numpy_scipy():
                for name in _foreign_imports(path.read_text(),
                                             "kcenter_resilience")]
     assert foreign == []
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # a fresh process: the test run itself may have imported it
+    code = ("import sys, kcenter_resilience.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] == ['scipy', 'optimize']))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 # src/ batches its vectorised work rather than spreading it over threads,
