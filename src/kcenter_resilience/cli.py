@@ -10,6 +10,7 @@ files are written via temp-and-rename so a crash never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -303,7 +304,13 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The `kcenter-pr` argparse tree, built once per process.
+
+    `main` reuses it on every call: each parse makes its own Namespace,
+    every default is immutable and nothing writes the tree after this.
+    """
     parser = _Parser(
         prog="kcenter-pr",
         description="k-center clustering under perturbation resilience")

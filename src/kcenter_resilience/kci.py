@@ -62,6 +62,7 @@ def parse_instance(text: str, slack: float = 0.0) -> Instance:
         except ValueError:
             raise KciFormatError(4 + i, "non-numeric distance entry")
     table = np.asarray(rows)
+    table.flags.writeable = False  # handed over: the Instance keeps it
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise KciFormatError(4 + int(bad[0]), "non-finite distance entry")

@@ -272,6 +272,7 @@ def build_lemma1_perturbation(instance, r_star: float, alpha: float,
         if d[p, q] > bound:
             raise CapTooTight(p, q, d[p, q], bound)
         dprime[p, q] = min(alpha * d[p, q], bound)
+    dprime.flags.writeable = False  # handed over: Perturbation keeps it
     return Perturbation(base=d, alpha=alpha, dprime=dprime)
 
 
@@ -279,11 +280,19 @@ def sample_perturbation(instance, alpha: float, seed: int) -> Perturbation:
     """Each off-diagonal entry scaled by an independent uniform [1, alpha] draw."""
     d = _as_table(instance)
     _require_finite_scale(d, alpha)
+    return _random_perturbation(d, alpha, seed)
+
+
+def _random_perturbation(d, alpha, seed):
+    """sample_perturbation on a table already checked by _as_table and
+    _require_finite_scale."""
     n = d.shape[0]
     rng = np.random.default_rng(seed)
     u = rng.uniform(1.0, alpha, size=(n, n))
     np.fill_diagonal(u, 1.0)
-    return Perturbation(base=d, alpha=alpha, dprime=d * u)
+    dprime = d * u
+    dprime.flags.writeable = False  # handed over: Perturbation keeps it
+    return Perturbation(base=d, alpha=alpha, dprime=dprime)
 
 
 @dataclass(frozen=True)
@@ -424,7 +433,8 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     stream = itertools.chain(
         (build_lemma1_perturbation(d, r_star, alpha, pairs)
          for pairs in capped),
-        (sample_perturbation(d, alpha, seed + i) for i in itertools.count()))
+        (_random_perturbation(d, alpha, seed + i)
+         for i in itertools.count()))
     kept = _kept_sets(d, k, bound)
     # a batch of B tables scored on chunk kept sets at a time holds
     # B n^2 + B chunk k n <= SCAN_CELLS cells, or one table past that

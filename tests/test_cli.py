@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,11 @@ from kcenter_resilience import (emit_instance, parse_clustering,
 from kcenter_resilience import cli, generators
 from kcenter_resilience.cli import main
 from kcenter_resilience.generators import (gen_planted_asymmetric,
+                                           gen_planted_symmetric,
                                            gen_random_metric)
 from kcenter_resilience.kci import KciFormatError, to_jsonable
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -793,3 +798,117 @@ def test_verify_overflowing_alpha_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --alpha:") and err.count("\n") == 1
     assert not (tmp_path / "rep.json").exists()
+
+
+# main reuses one parser per process: no flag, default or error may carry
+# over from one call to the next
+
+def test_shared_parser_forgets_epsilon_between_calls(tmp_path, capsys):
+    prefix = gen_planted_files(tmp_path)
+    solve = ["solve", prefix + ".kci", "--algo", "alg4-2eps-as", "--k", "3",
+             "--out", str(tmp_path / "sol.json")]
+    assert run(solve + ["--epsilon", "0.05"]) == 0
+    capsys.readouterr()
+    assert run(solve) == 1
+    assert capsys.readouterr() == (
+        "", "error: solver alg4-2eps-as needs --epsilon in [0, 1]\n")
+
+
+def test_shared_parser_restores_verify_defaults(tmp_path):
+    prefix = gen_planted_files(tmp_path)
+    verify = ["verify", prefix + ".kci", prefix + ".truth.json",
+              "--alpha", "2"]
+    reports = []
+    for flags in ([], ["--budget", "3", "--seed", "5"], []):
+        out = tmp_path / f"rep{len(reports)}.json"
+        assert run(verify + flags + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[2] == reports[0] != reports[1]
+    assert json.loads(reports[1])["falsifier"]["tried"] == 3
+
+
+def test_usage_error_leaves_the_next_command_unchanged(tmp_path, capsys):
+    prefix = gen_planted_files(tmp_path)
+    out = tmp_path / "opt.json"
+    oracle = ["oracle", prefix + ".kci", "--k", "3", "--out", str(out)]
+    capsys.readouterr()
+    assert run(oracle) == 0
+    first = (capsys.readouterr(), out.read_bytes())
+    for bad in (["oracle", prefix + ".kci"],
+                ["oracle", prefix + ".kci", "--k", "x"],
+                ["oracle", prefix + ".kci", "--k", "3", "--bogus"],
+                ["solve", prefix + ".kci", "--algo", "nope", "--k", "3"],
+                ["nope"]):
+        assert run(bad) == 1
+        assert capsys.readouterr().err.startswith("error: kcenter-pr")
+        out.unlink()
+        assert run(oracle) == 0
+        assert (capsys.readouterr(), out.read_bytes()) == first
+
+
+def test_main_builds_its_parser_at_most_once(tmp_path, monkeypatch, capsys):
+    # the tree may already be built by an earlier call in this process
+    prefix = gen_planted_files(tmp_path)
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for argv in ([], ["oracle", prefix + ".kci", "--k", "3"],
+                 ["solve", "--k"],
+                 ["generate", "random", "--n", "4",
+                  "--out-prefix", str(tmp_path / "g")]):
+        main(argv)
+    assert built.count("kcenter-pr") <= 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_in_process_commands_match_fresh_processes(tmp_path, capsys,
+                                                   monkeypatch):
+    radius = gen_planted_symmetric(12, 3, 1.0, 2.0, 7).truth.radius
+    manifest = json.dumps([{"family": "planted-sym", "seed": 3,
+                            "params": {"n": 12, "k": 3, "r": 1.0,
+                                       "alpha": 2.0},
+                            "solver": "thm5-3eps"}])
+    commands = [
+        ["generate", "planted-sym", "--n", "12", "--k", "3", "--r", "1",
+         "--alpha", "2", "--seed", "7", "--out-prefix", "ps"],
+        ["solve", "ps.kci", "--algo", "thm5-3eps", "--k", "3",
+         "--r", repr(radius), "--out", "fixed.json"],
+        ["solve", "ps.kci", "--algo", "alg1-2pr", "--k", "3"],
+        ["oracle", "ps.kci", "--k", "3", "--out", "opt.json"],
+        ["verify", "ps.kci", "ps.truth.json", "--alpha", "2",
+         "--budget", "20"],
+        ["bench", "--manifest", "manifest.json", "--no-timing"],
+        ["solve", "ps.kci", "--algo", "nope", "--k", "3"],
+        ["oracle", "missing.kci", "--k", "3"],
+    ]
+    runs = {}
+    for side in ("in-process", "fresh"):
+        work = tmp_path / side
+        work.mkdir()
+        (work / "manifest.json").write_text(manifest)
+        results = []
+        for argv in commands:
+            if side == "fresh":
+                done = subprocess.run(
+                    [sys.executable, "-m", "kcenter_resilience.cli", *argv],
+                    cwd=work, capture_output=True, text=True,
+                    env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+                results.append((done.returncode, done.stdout, done.stderr))
+            else:
+                monkeypatch.chdir(work)
+                capsys.readouterr()
+                rc = main(argv)
+                results.append((rc, *capsys.readouterr()))
+        files = {path.name: path.read_bytes() for path in work.iterdir()}
+        runs[side] = results, files
+    assert [rc for rc, _, _ in runs["fresh"][0]] == [0, 0, 0, 0, 0, 0, 1, 1]
+    assert runs["in-process"] == runs["fresh"]
+    assert sorted(runs["fresh"][1]) == [
+        "fixed.json", "manifest.json", "opt.json", "ps.guarantee.json",
+        "ps.kci", "ps.kci.clustering.json", "ps.kci.report.json",
+        "ps.truth.json"]

@@ -32,8 +32,9 @@ from kcenter_resilience import (
     voronoi_partition,
 )
 import kcenter_resilience as pkg
-from kcenter_resilience import core
-from kcenter_resilience.kci import clustering_to_dict
+from kcenter_resilience import core, oracle
+from kcenter_resilience.kci import (clustering_to_dict, emit_instance,
+                                    parse_instance)
 from kcenter_resilience.generators import (
     gen_bad_center_18,
     gen_from_dominating_set,
@@ -598,6 +599,32 @@ def test_tables_are_copied_only_from_writeable_caller_arrays():
     assert Perturbation(inst.dist, 2.0, pert.dprime).dprime is pert.dprime
     listed = validate_instance([[0, 1], [1, 0]], "symmetric").dist
     assert listed.flags.owndata and not listed.flags.writeable
+
+
+def test_fresh_package_tables_are_handed_over_read_only(monkeypatch):
+    # parse_instance and the perturbation builders own the array they hand
+    # over, so _frozen_table holds that array as it is instead of a copy
+    text = emit_instance(gen_planted_symmetric(12, 3, 1.0, 2.0, 7).instance)
+    inst = parse_instance(text)
+    diameter = float(inst.dist.max())
+    seen = []
+    frozen = core._frozen_table
+
+    def spy(table, source):
+        held = frozen(table, source)
+        seen.append(isinstance(source, np.ndarray) and held is source
+                    and not source.flags.writeable)
+        return held
+
+    monkeypatch.setattr(core, "_frozen_table", spy)
+    monkeypatch.setattr(oracle, "_frozen_table", spy)
+    for build in (lambda: parse_instance(text),
+                  lambda: pkg.sample_perturbation(inst, 2.0, 0),
+                  lambda: pkg.build_lemma1_perturbation(inst, diameter, 2.0,
+                                                        [(0, 1), (1, 0)])):
+        seen.clear()
+        build()
+        assert seen and all(seen)
 
 
 def test_ball():

@@ -2,8 +2,8 @@
 imports, every private module-level name in src/ has a use in src/, and
 src/ imports nothing beyond the standard library, numpy and
 scipy.sparse with its csgraph, and no thread, process or event-loop
-module, and no two raise statements in src/ raise one exception class
-with one message."""
+module, no two raise statements in src/ raise one exception class
+with one message, and only cli.build_parser builds argparse parsers."""
 
 import ast
 import os
@@ -258,3 +258,52 @@ def test_each_raise_message_has_one_raise_site():
     assert len(modules) > 5
     assert _repeated_raise_messages(path.read_text()
                                     for path in modules) == []
+
+
+# `kcenter-pr`'s argparse tree is built once per process, by the cached
+# cli.build_parser; a parser built anywhere else would be rebuilt per call
+PARSER_CALLS = {"_Parser", "ArgumentParser", "add_subparsers", "add_parser"}
+
+
+def _parser_builds(source):
+    """(enclosing function or None, callee) of each call in source that
+    builds an argparse parser or subparser."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in PARSER_CALLS:
+                found.append((function, callee))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_parser_builds_detected():
+    source = ("import argparse\n"
+              "PARSER = argparse.ArgumentParser(prog='x')\n"
+              "def build_parser():\n"
+              "    p = _Parser(prog='x')\n"
+              "    sub = p.add_subparsers(dest='c')\n"
+              "    sub.add_parser('a').add_argument('--k')\n"
+              "def main(argv):\n"
+              "    def inner():\n"
+              "        return _Parser()\n"
+              "    return build_parser().parse_args(argv)\n")
+    assert _parser_builds(source) == [
+        (None, "ArgumentParser"), ("build_parser", "_Parser"),
+        ("build_parser", "add_subparsers"), ("build_parser", "add_parser"),
+        ("inner", "_Parser")]
+
+
+def test_src_builds_parsers_only_in_cli_build_parser():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 5
+    builds = {(path.name, function) for path in modules
+              for function, _ in _parser_builds(path.read_text())}
+    assert builds == {("cli.py", "build_parser")}

@@ -264,6 +264,20 @@ def test_sample_perturbation_deterministic_and_bounded():
     assert np.array_equal(sample_perturbation(inst, 1.0, 0).dprime, inst.dist)
 
 
+@pytest.mark.parametrize("planted", [
+    lambda seed: gen_planted_symmetric(14, 3, 1.0, 2.0, seed),
+    lambda seed: gen_planted_asymmetric(14, 3, 1.0, 2.0, 1.2, seed)],
+    ids=["planted-sym", "planted-asym"])
+def test_falsifier_random_builder_matches_sample_perturbation(planted):
+    # the falsifier's stream skips the entry checks it already ran, not bytes
+    for seed in range(50):
+        d = planted(seed).instance.dist
+        built = oracle._random_perturbation(d, 2.0, seed)
+        sampled = sample_perturbation(d, 2.0, seed)
+        assert built.dprime.tobytes() == sampled.dprime.tobytes()
+        assert built.dprime.dtype == sampled.dprime.dtype
+
+
 def _huge_table():
     """Two pairs 1e-10 apart, 1e308 between them: 2 * d overflows."""
     d = np.full((4, 4), 1e308)
@@ -550,7 +564,7 @@ def _counting(monkeypatch):
     (their sizes and cells) and the d' it checks, flagged by the screen or
     scanned in full, that are not falsified there."""
     seen = {"built": 0, "batches": [], "passed": 0}
-    for name in ("build_lemma1_perturbation", "sample_perturbation"):
+    for name in ("build_lemma1_perturbation", "_random_perturbation"):
         def counted(*args, _build=getattr(oracle, name)):
             seen["built"] += 1
             return _build(*args)
@@ -876,8 +890,9 @@ def test_falsifier_scans_in_full_when_dprime_passes_alpha_d(monkeypatch):
     # alpha r*, the kept sets' bound, and the third such d' has an optimal
     # set whose base cost is above alpha r*
     d = gen_random_metric(9, "symmetric", 0).dist
-    monkeypatch.setattr(oracle, "sample_perturbation",
-                        lambda inst, alpha, seed: sample_perturbation(inst, 4.0, seed))
+    draw = oracle._random_perturbation
+    monkeypatch.setattr(oracle, "_random_perturbation",
+                        lambda d, alpha, seed: draw(d, 4.0, seed))
     calls = _recording_oracle(monkeypatch)
     decisions = _recording_screen(monkeypatch)
     T = _capped_count(validate_instance(d, "symmetric"), 3, 2.0)
