@@ -8,8 +8,6 @@ tie is broken toward the smallest point index.
 from __future__ import annotations
 
 import bisect
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,12 +25,6 @@ GRID = 2.0 ** -20
 # Most cells one vectorised scan holds at once: validate_instance's triangle
 # blocks and brute_force_optimal's subset chunks stay under it.
 SCAN_CELLS = 1 << 16
-
-# epsilon_distance scores every bijection up to this k (6! = 720 of them)
-# and solves a matching above it.  Per call at n = 60 on a 2-vCPU host the
-# enumeration took 20-25 us up to k = 5, 45-49 us at k = 6 and 208-218 us
-# at k = 7; the matching took 177-207 us at every k from 4 to 8.
-ENUMERATED_K = 6
 
 
 def snap_up(values):
@@ -303,28 +295,15 @@ def voronoi_partition(instance, centers: Sequence[int]) -> Clustering:
                       assignment=tuple(order[pos].tolist()), radius=radius)
 
 
-@functools.cache
-def _bijections(k):
-    """Every bijection sigma of k labels, one row each, as the flat indices
-    i * k + sigma(i) of a k x k matrix."""
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-    flat = perms + np.arange(0, k * k, k)
-    flat.flags.writeable = False
-    return flat
-
-
 def epsilon_distance(a: Clustering, b: Clustering) -> float:
     """Fraction of points clustered differently under the best label matching.
 
     Equals (1/n) min over bijections sigma of sum_i |A_i \\ B_sigma(i)|,
     that is 1 - (1/n) max_sigma sum_i overlap[i, sigma(i)] on the k x k
-    overlap matrix.  Up to k = ``ENUMERATED_K`` every bijection is scored
-    in one gather, which is the definition itself.  Above it the best
-    sigma is a minimum-weight full bipartite matching (scipy's csgraph) of
-    the costs n + 1 - overlap.  That is exact: every cost is at least 1,
-    so none is read as "no edge", the complete bipartite graph always has
-    a full matching, and the costs and their sums are integers below
-    2^53, which floating point adds exactly.
+    overlap matrix, found as a minimum-weight full bipartite matching
+    (scipy's csgraph) of the costs n + 1 - overlap.  That is exact: every
+    cost is at least 1, so none is read as "no edge", and the costs and
+    their sums are integers below 2^53, which floating point adds exactly.
     """
     if a.k != b.k:
         raise MismatchedK(f"k mismatch: {a.k} vs {b.k}")
@@ -333,16 +312,13 @@ def epsilon_distance(a: Clustering, b: Clustering) -> float:
     n, k = a.n, a.k
     overlap = np.bincount(np.asarray(a.assignment) * k + b.assignment,
                           minlength=k * k)
-    if k <= ENUMERATED_K:
-        matched = overlap[_bijections(k)].sum(axis=1).max()
-    else:
-        # every row holds all k columns; built from its parts, the CSR
-        # array skips scipy's conversion of a dense input
-        indices = np.tile(np.arange(k, dtype=np.int32), k)
-        indptr = np.arange(0, k * k + 1, k, dtype=np.int32)
-        rows, cols = min_weight_full_bipartite_matching(
-            csr_array((n + 1.0 - overlap, indices, indptr), shape=(k, k)))
-        matched = overlap[rows * k + cols].sum()
+    # every row holds all k columns; built from its parts, the CSR array
+    # skips scipy's conversion of a dense input
+    indices = np.tile(np.arange(k, dtype=np.int32), k)
+    indptr = np.arange(0, k * k + 1, k, dtype=np.int32)
+    rows, cols = min_weight_full_bipartite_matching(
+        csr_array((n + 1.0 - overlap, indices, indptr), shape=(k, k)))
+    matched = overlap[rows * k + cols].sum()
     return (n - int(matched)) / n
 
 

@@ -85,6 +85,7 @@ def _euclidean(coords):
         diff = coords[:, None, :] - coords[None, :, :]
         d = snap_up(np.sqrt((diff ** 2).sum(axis=-1)))
     np.fill_diagonal(d, 0.0)
+    d.flags.writeable = False  # handed over: the Instance keeps it
     return d
 
 
@@ -155,6 +156,7 @@ def gen_planted_asymmetric(n, k, r, alpha, skew, seed) -> PlantedInstance:
         skewed = snap_up(table * u)
         np.fill_diagonal(skewed, 0.0)
         d = floyd_warshall(skewed)
+        d.flags.writeable = False  # handed over: the Instance keeps it
         try:
             instance = validate_instance(d, ASYMMETRIC)
         except ValueError:
@@ -201,6 +203,7 @@ def gen_bad_center_18(alpha) -> PlantedInstance:
     d = floyd_warshall(d)
     d = snap_up(d)
     np.fill_diagonal(d, 0.0)
+    d.flags.writeable = False  # handed over: the Instance keeps it
     instance = validate_instance(d, ASYMMETRIC)
 
     centers = (c_x, c_y, c_z)
@@ -252,6 +255,7 @@ def gen_from_dominating_set(n_vertices, edges) -> Instance:
         if u == v:
             continue
         d[u, v] = d[v, u] = 1.0
+    d.flags.writeable = False  # handed over: the Instance keeps it
     return validate_instance(d, SYMMETRIC)
 
 
@@ -290,6 +294,7 @@ def gen_eps_padding(base: Instance, k, alpha, epsilon) -> PlantedInstance:
     d = np.full((total, total), pad_dist)
     d[:n, :n] = base.dist
     np.fill_diagonal(d, 0.0)
+    d.flags.writeable = False  # handed over: the Instance keeps it
     instance = validate_instance(d, SYMMETRIC)
     k_prime = k + n_pad
     truth = voronoi_partition(d, tuple(base_cl.centers)
@@ -321,6 +326,7 @@ def gen_random_metric(n, mode, seed) -> Instance:
         d = snap_up(rng.uniform(0.5, 2.0, size=(n, n)))
         np.fill_diagonal(d, 0.0)
         d = floyd_warshall(d)
+        d.flags.writeable = False  # handed over: the Instance keeps it
         return validate_instance(d, ASYMMETRIC)
     raise InfeasibleParams(f"unknown mode {mode!r}")
 

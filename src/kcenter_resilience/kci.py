@@ -24,7 +24,7 @@ class KciFormatError(ValueError):
 
 
 def emit_instance(instance: Instance) -> str:
-    lines = [f"kci 1", f"mode {instance.mode}", f"n {instance.n}"]
+    lines = ["kci 1", f"mode {instance.mode}", f"n {instance.n}"]
     for row in instance.dist:
         lines.append(" ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"

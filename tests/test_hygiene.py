@@ -3,7 +3,8 @@ imports, every private module-level name in src/ has a use in src/, and
 src/ imports nothing beyond the standard library, numpy and
 scipy.sparse with its csgraph, and no thread, process or event-loop
 module, no two raise statements in src/ raise one exception class
-with one message, and only cli.build_parser builds argparse parsers."""
+with one message, only cli.build_parser builds argparse parsers, and
+no f-string in src/ or tests/ lacks a placeholder."""
 
 import ast
 import os
@@ -307,3 +308,33 @@ def test_src_builds_parsers_only_in_cli_build_parser():
     builds = {(path.name, function) for path in modules
               for function, _ in _parser_builds(path.read_text())}
     assert builds == {("cli.py", "build_parser")}
+
+
+def _placeholderless_fstrings(source):
+    """Line of each f-string with no placeholder.  A format spec's inner
+    string (the ``>8`` of ``f"{x:>8}"``) is not an f-string of its own."""
+    tree = ast.parse(source)
+    specs = {id(node.format_spec) for node in ast.walk(tree)
+             if isinstance(node, ast.FormattedValue) and node.format_spec}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.JoinedStr) and id(node) not in specs
+                  and not any(isinstance(part, ast.FormattedValue)
+                              for part in node.values))
+
+
+def test_placeholderless_fstrings_detected():
+    source = ('a = f"kci 1"\n'
+              'b = f"{x:>8} {y!r}" + f"{x:{w}.2f}"\n'
+              'c = (f"no "\n     "field")\n'
+              'd = "plain " f"{z}"\n'
+              'e = [f"", "f{x}"]\n')
+    assert _placeholderless_fstrings(source) == [1, 3, 6]
+
+
+def test_every_fstring_has_a_placeholder():
+    modules = sorted(path for top in ("src", "tests")
+                     for path in (ROOT / top).rglob("*.py"))
+    assert len(modules) > 10
+    bare = [f"{path.relative_to(ROOT)}:{line}" for path in modules
+            for line in _placeholderless_fstrings(path.read_text())]
+    assert bare == []
