@@ -8,6 +8,7 @@ tie is broken toward the smallest point index.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -95,8 +96,7 @@ class StabilityParams:
     def __post_init__(self):
         if not 1 <= self.alpha < np.inf:  # alpha * 0 must stay 0
             raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
-        if not 0 <= self.epsilon <= 1:
-            raise ValueError(f"epsilon must be in [0,1], got {self.epsilon}")
+        _require_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,11 @@ def _frozen_table(table, source):
 def _require_k(k, n):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
+def _require_epsilon(epsilon):
+    if not (isinstance(epsilon, numbers.Real) and 0 <= epsilon <= 1):  # NaN too
+        raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
 
 
 def _require_non_negative(name, value):

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (SCAN_CELLS, Clustering, Instance, _as_table, _gallop,
-                   _require_k, _require_non_negative, _symmetrized_masks,
-                   _traverse, components, cost, label_groups,
-                   symmetrized_set, threshold_components, voronoi_partition)
+                   _require_epsilon, _require_k, _require_non_negative,
+                   _symmetrized_masks, _traverse, components, cost,
+                   label_groups, symmetrized_set, threshold_components,
+                   voronoi_partition)
 from .oracle import BudgetExceeded, _opt_lower_bound, optimal_radius
 
 
@@ -407,6 +408,7 @@ def approx_stability_2eps(instance, k: int, r_star: float,
     clusters have more than eps*n points.
     """
     d = _symmetric_table(instance)
+    _require_epsilon(epsilon)
     _require_non_negative("r_star", r_star)
     n = d.shape[0]
     # within[p] = membership mask of B_{2r*}(p); einsum's float64 loop
@@ -436,7 +438,7 @@ def sweep_radius(instance, k: int, solver):
     solution of cost <= r * factor, so OPT <= r * factor and no candidate
     below that start could be returned.  This needs all of a solver's
     outcomes to carry one factor; when the first carries none, no
-    candidate is skipped and the checks use factor 1.
+    candidate is skipped and the checks on both paths use factor 1.
 
     Outcomes with diagnostics["monotone"] promise that ok means
     diagnostics["component_count"] == k and that the count never rises
@@ -454,11 +456,10 @@ def sweep_radius(instance, k: int, solver):
     certified skips go further, each with the result a call at every
     candidate gives:
 
-    - factor 1 declared and the call at the start failed: optimal_radius
-      (at most SEARCH_BUDGET search nodes) gives OPT, and the sweep goes on
-      from the first candidate >= OPT, logging the start below-bound too.
-      Past the budget, or on a table the search refuses, it keeps the
-      start.
+    - factor 1 declared: OPT <= r wherever the sweep could return r, so
+      before its second call it asks optimal_radius (at most SEARCH_BUDGET
+      search nodes) for OPT and starts at the first candidate >= OPT; past
+      the budget, or on a table the search refuses, at the bound's start.
     - outcomes with diagnostics["needs_hop_cover"] (asymmetric_3eps)
       promise ok only where A(r) is nonempty and its greedy 2-hop cover has
       at most k centers.  The sweep computes that cover for blocks of
@@ -466,20 +467,24 @@ def sweep_radius(instance, k: int, solver):
       it fits and logs not-resilient, the solver's status, elsewhere.
     """
     d = _as_table(instance)
-    n = d.shape[0]
-    off = d[~np.eye(n, dtype=bool)]
+    off = d[~np.eye(len(d), dtype=bool)]
     # + 0.0 turns -0.0 into 0.0; tolist keeps each r a Python float
     candidates = (np.unique(np.append(off, 0.0)) + 0.0).tolist()
     first = solver(instance, k, candidates[0])
-    factor = first.diagnostics.get("consistency_factor")
-    start = 0 if factor is None else bisect.bisect_left(
+    declared = first.diagnostics.get("consistency_factor")
+    factor = 1.0 if declared is None else declared
+    start = 0 if declared is None else bisect.bisect_left(
         candidates, _opt_lower_bound(d, k), key=lambda r: r * factor)
     if first.diagnostics.get("monotone"):
         return _bisection_sweep(instance, d, k, solver, candidates, first,
                                 factor, start)
     start = max(1, start)
-    search_at = start if factor == 1.0 else None  # a declared factor 1 only
-    factor = 1.0 if factor is None else factor
+    if declared == 1.0:
+        try:
+            start = max(start, bisect.bisect_left(
+                candidates, optimal_radius(d, k, SEARCH_BUDGET)))
+        except (BudgetExceeded, ValueError):  # keep the bound's start
+            pass
     fits = (_hop_cover_screen(d, k, candidates)
             if first.diagnostics.get("needs_hop_cover") else lambda i: True)
     log = []
@@ -497,35 +502,24 @@ def sweep_radius(instance, k: int, solver):
             return outcome, r
         else:
             log.append((r, "inconsistent"))
-        if i == search_at:
-            try:
-                opt = optimal_radius(d, k, SEARCH_BUDGET)
-            except (BudgetExceeded, ValueError):  # keep the bound's start
-                continue
-            start = bisect.bisect_left(candidates, opt)
-            if start > i:
-                log[-1] = (r, "below-bound")
     return _no_radius(log)
 
 
 def _hop_cover_screen(d, k, candidates):
     """i -> False where asymmetric_3eps cannot succeed at candidates[i]: A(r)
-    is empty or its hop cover needs more than k centers.  Decided for
-    blocks of candidates from i on, of 1, 2, 4, ... radii, each at most
-    SCAN_CELLS cells (one radius past that).  A radius that is not >= 0
-    passes, so the solver refuses it as it would."""
-    verdicts, size = {}, 1
-    most = max(1, SCAN_CELLS // max(1, d.size))
+    is empty or its hop cover needs more than k centers.  Decided for a
+    block of candidates from i on, SCAN_CELLS cells (one radius past that);
+    asked only for i >= 1, so the table is not empty.  A radius that is not
+    >= 0 passes, so the solver refuses it as it would."""
+    verdicts = {}
 
     def fits(i):
-        nonlocal size
         if i not in verdicts:
-            radii = np.array(candidates[i:i + size])
+            radii = np.array(candidates[i:i + max(1, SCAN_CELLS // d.size)])
             in_a, within = _symmetrized_masks(d, radii)
             cover = np.array([len(c) for c in _hop_covers(in_a, within, k)])
             ok = (in_a.any(axis=1) & (cover <= k)) | ~(radii >= 0)
             verdicts.update(enumerate(ok.tolist(), i))
-            size = min(2 * size, most)
         return verdicts[i]
     return fits
 

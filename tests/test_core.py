@@ -368,10 +368,22 @@ def test_centers_outside_the_table_are_refused(center):
     (lambda: pkg.farthest_first(1.0 - np.eye(3), 4),
      re.escape("need 1 <= k <= n, got k=4, n=3")),
     (lambda: gen_random_metric(3, "x", 0), "unknown mode 'x'"),
+    # each returned not-resilient or ended in a TypeError traceback
+    *[(lambda eps=eps: pkg.approx_stability_2eps(1.0 - np.eye(3), 2, 1.0,
+                                                 eps),
+       re.escape(f"epsilon must be in [0,1], got {eps}"))
+      for eps in (None, float("nan"), -0.1, 1.5)],
+    *[(lambda eps=eps: pkg.StabilityParams(2.0, eps),
+       re.escape(f"epsilon must be in [0,1], got {eps}"))
+      for eps in (None, "0.5")],
 ], ids=["validate-nan", "validate-mode", "validate-empty",
         "cost-no-centers",
         "voronoi-repeated-center", "epsilon-distance-point-counts",
-        "farthest-first-k-0", "farthest-first-k-above-n", "random-mode"])
+        "farthest-first-k-0", "farthest-first-k-above-n", "random-mode",
+        "approx-stability-epsilon-none", "approx-stability-epsilon-nan",
+        "approx-stability-epsilon-negative",
+        "approx-stability-epsilon-above-1", "stability-params-epsilon-none",
+        "stability-params-epsilon-string"])
 def test_entry_guards_refuse_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -129,6 +129,12 @@ def test_dominating_set_star_and_path():
     assert brute_force_optimal(inst.dist, 2).optimal_radius == 1.0
 
 
+def test_dominating_set_skips_self_loops():
+    # a self-loop adds no edge: the diagonal stays 0
+    looped = gen_from_dominating_set(4, [(0, 0), (0, 1), (2, 2)])
+    assert np.array_equal(looped.dist, gen_from_dominating_set(4, [(0, 1)]).dist)
+
+
 def test_dominating_set_edgeless():
     n, edges = named_graph("empty5")
     inst = gen_from_dominating_set(n, edges)
@@ -431,6 +437,44 @@ def test_skewed_planted_asymmetric_validates_one_table_per_attempt(
         gen_planted_asymmetric(12, 3, 1.0, 2.0, 1.2, 3)
     attempts = 1 + generators.SKEW_ATTEMPTS
     assert calls == {"validate": attempts, "closure": attempts}
+
+
+def test_skew_attempt_rejected_by_any_check_draws_again(monkeypatch):
+    # the first attempt fails validation, keeps no planted Voronoi
+    # partition, or fails the structure check: each time the next check
+    # never sees it, and the second attempt's table is returned
+    names = ("validate_instance", "voronoi_partition", "check_structure")
+    real = {name: getattr(generators, name) for name in names}
+    # the first call inside the attempt loop; _planted's Voronoi call is 1
+    loop_call = {"validate_instance": 1, "voronoi_partition": 2,
+                 "check_structure": 1}
+    first = gen_planted_asymmetric(12, 3, 1.0, 2.0, 1.2, 3).instance.dist
+    tables, counts = [], []
+    for rejecter in names:
+        calls = dict.fromkeys(names, 0)
+
+        def spy(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                out = real[name](*args, **kwargs)
+                if name != rejecter or calls[name] != loop_call[name]:
+                    return out
+                if name == "validate_instance":
+                    raise ValueError("rejected")
+                if name == "voronoi_partition":
+                    return dataclasses.replace(
+                        out, assignment=out.assignment[::-1])
+                return types.SimpleNamespace(property1=False)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(generators, name, spy(name))
+        tables.append(gen_planted_asymmetric(12, 3, 1.0, 2.0, 1.2, 3)
+                      .instance.dist)
+        counts.append(tuple(calls.values()))
+    assert counts == [(2, 2, 1), (2, 3, 1), (2, 3, 2)]
+    assert not np.array_equal(tables[0], first)
+    assert all(np.array_equal(t, tables[0]) for t in tables)
 
 
 _BASE3 = gen_random_metric(3, "symmetric", 0)

@@ -795,18 +795,38 @@ def test_batched_hop_cover_matches_reference_cover(asymmetric):
 
 
 @pytest.mark.parametrize("n", [32, 44])
-def test_asymmetric_sweeps_on_planted_tables_take_three_calls(n):
-    # alg1-2pr: the pair-cover start, then the first candidate >= OPT;
-    # alg2-3eps-asym: the first candidate, then the first one that passes
-    # the hop-cover screen
+def test_asymmetric_sweeps_on_planted_tables_take_two_calls(n):
+    # alg1-2pr: the first candidate, then OPT, found by the search before
+    # the second call; alg2-3eps-asym: the first candidate, then the first
+    # one that passes the hop-cover screen
     for seed in range(5):
         planted = gen_planted_asymmetric(n, 4, 1.0, 2.0, 1.2, seed)
+        opt = optimal_radius(planted.instance.dist, 4, 10**5)
         for solver_id in ("alg1-2pr", "alg2-3eps-asym"):
             solve, tried = SOLVERS[solver_id].solve, []
             out, chosen = sweep_radius(planted.instance, 4, lambda i, k, r: (
                 tried.append(r) or solve(i, k, r, None)))
             assert out.ok and chosen == tried[-1]
-            assert len(tried) <= 3, (seed, solver_id, tried)
+            assert len(tried) == 2, (seed, solver_id, tried)
+            if solver_id == "alg1-2pr":
+                assert tried == [0.0, opt], seed
+
+
+def test_hop_covers_of_empty_symmetrized_sets_are_empty():
+    # no row of the block picks a center: each row's cover is still there,
+    # empty, and the screen fails a block of such radii
+    for b, n in ((1, 3), (4, 5)):
+        assert solvers._hop_covers(np.zeros((b, n), dtype=bool),
+                                   np.ones((b, n, n), dtype=bool), 2) == [()] * b
+    blocks = 0
+    for d in ASYM_TABLES:
+        empty = [r for r in np.unique(d).tolist()
+                 if r > 0 and not _reference_symmetrized_set(d, r)[0]]
+        if empty:
+            fits = solvers._hop_cover_screen(d, 1, [0.0] + empty)
+            assert not any(fits(i) for i in range(1, len(empty) + 1))
+            blocks += 1
+    assert blocks > 0
 
 
 @pytest.mark.parametrize("solver_id", ["alg1-2pr", "alg2-3eps-asym"])
@@ -873,6 +893,27 @@ def _linear_sweep(instance, k, solver):
         log.append((r, "inconsistent"))
     return SolveOutcome(status="not-resilient", diagnostics={
         "reason": "no candidate radius works", "sweep_log": tuple(log)}), None
+
+
+def test_monotone_sweep_without_a_factor_matches_linear_sweep():
+    # outcomes that declare no consistency factor: no candidate is skipped,
+    # and both paths check self-consistency with factor 1
+    def solve(instance, k, r):
+        out = symmetric_3eps(instance, k, r)
+        diagnostics = {key: value for key, value in out.diagnostics.items()
+                       if key != "consistency_factor"}
+        return SolveOutcome(out.status, out.clustering, diagnostics)
+
+    cases = found = 0
+    for d in SYM_TABLES:
+        for k in range(1, d.shape[0] + 1):
+            got, r_got = sweep_radius(d, k, solve)
+            want, r_want = _linear_sweep(d, k, solve)
+            assert repr(r_got) == repr(r_want), (d.shape[0], k)
+            assert _outcome_key(got) == _outcome_key(want), (d.shape[0], k)
+            cases += 1
+            found += r_want is not None
+    assert cases == 106 and 0 < found < cases
 
 
 MONOTONE_SWEEPS = [("thm5-3eps", None)] + [
