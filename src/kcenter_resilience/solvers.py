@@ -76,11 +76,9 @@ def _clustering_from_groups(d, groups):
                       assignment=tuple(assignment), radius=max(costs))
 
 
-def _components_outcome(d, comps, k, factor):
-    """Exact when the components number k, else not-resilient.  The one
-    writer of "monotone": the sweep's ok iff component_count == k."""
-    diagnostics = {"component_count": len(comps), "consistency_factor": factor,
-                   "monotone": True}
+def _components_outcome(d, comps, k):
+    """Exact when the components number k, else not-resilient."""
+    diagnostics = {"component_count": len(comps)}
     if len(comps) != k:
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
     return SolveOutcome(status="exact-claim",
@@ -127,7 +125,7 @@ def hochbaum_shmoys_cover(instance, r: float, k: int):
                          lambda c: d[c] <= 2 * r, k)[0]
 
 
-def exact_via_approximation(instance, k: int, alpha: float) -> SolveOutcome:
+def exact_via_approximation(instance, k: int, alpha=2.0) -> SolveOutcome:
     """Voronoi partition of the farthest-first centers.
 
     Under alpha-perturbation resilience this partition is the optimal
@@ -159,8 +157,7 @@ def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
     nearest = symmetrized_set(instance, r_star)
     if nearest is None:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "empty symmetrized set",
-                                         "consistency_factor": 1.0})
+                            diagnostics={"reason": "empty symmetrized set"})
     a = np.flatnonzero(nearest == np.arange(d.shape[0]))
     sub = d[np.ix_(a, a)]
     inball = sub <= r_star  # inball[i]: ball of a[i] restricted to A
@@ -182,7 +179,6 @@ def asymmetric_2pr(instance, k: int, r_star: float) -> SolveOutcome:
         "pruned_subset": len(alive) - len(survivors),
         "ball_sizes_restricted": dict(zip(centers, restricted)),
         "ball_sizes_unrestricted": dict(zip(centers, unrestricted)),
-        "consistency_factor": 1.0,
     }
     if len(survivors) != k:
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
@@ -206,13 +202,7 @@ def symmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     larger than max(2*eps*n, 3).
     """
     d = _symmetric_table(instance)
-    return _components_outcome(d, threshold_components(d, threshold=r_star),
-                               k, 1.0)
-
-
-# every asymmetric_3eps outcome: ok only where A(r) is nonempty and its hop
-# cover (_hop_covers) has at most k centers, which sweep_radius screens by
-_HOP_COVER_PROMISE = {"consistency_factor": 3.0, "needs_hop_cover": True}
+    return _components_outcome(d, threshold_components(d, threshold=r_star), k)
 
 
 def _hop_covers(in_a, within, k):
@@ -244,13 +234,11 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
     in_a, within = _symmetrized_masks(d, [r_star])
     if not in_a.any():
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "empty symmetrized set",
-                                         **_HOP_COVER_PROMISE})
+                            diagnostics={"reason": "empty symmetrized set"})
     c_set = _hop_covers(in_a, within, k)[0]
     if len(c_set) > k:
-        return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "no hop cover for any k' <= k",
-                                         **_HOP_COVER_PROMISE})
+        return SolveOutcome(status="not-resilient", diagnostics={
+            "reason": "no hop cover for any k' <= k"})
     # (x, centers): k - x kept from c_set, x others added
     patches = ((x, list(kept) + list(extra))
                for x in range(0, min(6, k) + 1)
@@ -269,7 +257,7 @@ def asymmetric_3eps(instance, k: int, r_star: float) -> SolveOutcome:
                   else f"patch enumeration exceeded budget {PATCH_BUDGET}")
     # the greedy's picks do not depend on k, so k' is the first that fits
     diagnostics = {"k_prime": max(len(c_set), k - 6, 1), "hop_cover": c_set,
-                   "x": x_used, "patch_work": work, **_HOP_COVER_PROMISE}
+                   "x": x_used, "patch_work": work}
     if chosen is None:
         return SolveOutcome(status="not-resilient",
                             diagnostics={**diagnostics, "reason": reason})
@@ -310,13 +298,14 @@ def _spanning_tree(d):
     return tree
 
 
-def weak_proximity_linkage(instance, k: int,
-                           verifier: Callable[[list], float]) -> SolveOutcome:
+def weak_proximity_linkage(instance, k: int, verifier=None) -> SolveOutcome:
     """Guarded single linkage for any center-based objective.
 
     ``verifier`` is any callable f(members) -> float on a list of point
     indices: f < 0 strictly inside an optimal cluster, f >= 0 on supersets
-    of one (see equal_size_verifier and target_cost_verifier).
+    of one (see equal_size_verifier and target_cost_verifier).  None means
+    equal_size_verifier(n, k), whose promise of n/k-point clusters cannot
+    hold when k does not divide n: then nothing is merged.
 
     Repeatedly runs single linkage on the current components, refusing to
     merge two components that both verify (f >= 0), until every component
@@ -341,15 +330,19 @@ def weak_proximity_linkage(instance, k: int,
     d = _symmetric_table(instance)
     n = d.shape[0]
     _require_k(k, n)
-    tree = _spanning_tree(d)
-    labels = list(range(n))  # a component's label is its smallest member
-    groups = {p: [p] for p in range(n)}  # label -> members, both ascending
     committed = []
 
     def stuck(reason):
         return SolveOutcome(status="not-resilient", diagnostics={
             "reason": reason, "committed_edges": tuple(committed)})
 
+    if verifier is None:
+        if n % k:
+            return stuck("the equal-size promise needs k to divide n")
+        verifier = equal_size_verifier(n, k)
+    tree = _spanning_tree(d)
+    labels = list(range(n))  # a component's label is its smallest member
+    groups = {p: [p] for p in range(n)}  # label -> members, both ascending
     while len(groups) > k:
         scratch, comps = labels.copy(), dict(groups)
         neg = {root for root, members in comps.items()
@@ -395,8 +388,7 @@ def weak_proximity_linkage(instance, k: int,
     return SolveOutcome(status="exact-claim",
                         clustering=_clustering_from_groups(
                             d, list(groups.values())),
-                        diagnostics={"committed_edges": tuple(committed),
-                                     "consistency_factor": np.inf})
+                        diagnostics={"committed_edges": tuple(committed)})
 
 
 def approx_stability_2eps(instance, k: int, r_star: float,
@@ -416,7 +408,7 @@ def approx_stability_2eps(instance, k: int, r_star: float,
     # threads: on a busy 2-vCPU host that wake-up took ~8 ms at n = 80
     within = (d <= 2 * r_star).astype(float)
     counts = np.einsum("ij,kj->ik", within, within)
-    return _components_outcome(d, components(counts > epsilon * n), k, 2.0)
+    return _components_outcome(d, components(counts > epsilon * n), k)
 
 
 def sweep_radius(instance, k: int, solver):
@@ -437,8 +429,9 @@ def sweep_radius(instance, k: int, solver):
     _opt_lower_bound(d, k): an ok self-consistent outcome is a k-center
     solution of cost <= r * factor, so OPT <= r * factor and no candidate
     below that start could be returned.  This needs all of a solver's
-    outcomes to carry one factor; when the first carries none, no
-    candidate is skipped and the checks on both paths use factor 1.
+    outcomes to carry one factor, as Solver.solve writes its promise on
+    each; when the first carries none (a raw layer), no candidate is
+    skipped and the checks on both paths use factor 1.
 
     Outcomes with diagnostics["monotone"] promise that ok means
     diagnostics["component_count"] == k and that the count never rises
@@ -460,7 +453,7 @@ def sweep_radius(instance, k: int, solver):
       before its second call it asks optimal_radius (at most SEARCH_BUDGET
       search nodes) for OPT and starts at the first candidate >= OPT; past
       the budget, or on a table the search refuses, at the bound's start.
-    - outcomes with diagnostics["needs_hop_cover"] (asymmetric_3eps)
+    - outcomes with diagnostics["needs_hop_cover"] (alg2-3eps-asym's)
       promise ok only where A(r) is nonempty and its greedy 2-hop cover has
       at most k centers.  The sweep computes that cover for blocks of
       candidates at once (_hop_cover_screen), calls the solver only where
@@ -567,53 +560,58 @@ def _consistency_cost(d, clustering):
     return max(_one_center(d, g)[1] for g in clustering.clusters() if g)
 
 
-def _approximation(instance, centers):
-    """Voronoi partition of 2-approximate centers, claiming nothing more."""
+def _approximation(instance, k, centers=None):
+    """Voronoi partition of 2-approximate centers, farthest-first's when
+    none are given, claiming nothing more."""
+    if centers is None:
+        centers = farthest_first(instance, k)
     return SolveOutcome(status="approximation-only",
-                        clustering=voronoi_partition(instance, centers),
-                        diagnostics={"consistency_factor": 2.0})
+                        clustering=voronoi_partition(instance, centers))
 
 
-def _hs(instance, k, r_star, epsilon):
+def _hs(instance, k, r_star):
     centers = hochbaum_shmoys_cover(instance, r_star, k)
     if len(centers) > k:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"needed": len(centers),
-                                         "consistency_factor": 2.0})
-    return _approximation(instance, centers)
+                            diagnostics={"needed": len(centers)})
+    return _approximation(instance, k, centers)
 
 
 @dataclass(frozen=True)
 class Solver:
-    """solve(instance, k, r_star, epsilon) -> SolveOutcome for one solver id.
+    """One solver id's contract: solve runs layer(instance, k), plus r*
+    when needs_r (swept when r is absent) and epsilon when needs_epsilon
+    (which must be given), then writes the sweep_radius promise onto the
+    outcome's diagnostics.  Symmetric-only layers raise AsymmetricInput
+    before any work.  solve looks the layer up by name at call time, so
+    patching that name reaches it."""
 
-    needs_r: takes r*, so it is swept when r is absent; needs_epsilon:
-    epsilon must be given.  Symmetric-only solvers raise AsymmetricInput
-    before any work.  solve looks its layer function up by name at call
-    time, so patching that name reaches it.
-    """
-
-    solve: Callable[..., SolveOutcome]
+    layer: Callable[..., SolveOutcome]
     needs_r: bool = False
     needs_epsilon: bool = False
+    promise: dict = field(default_factory=dict)
+
+    def solve(self, instance, k: int, r_star=None,
+              epsilon=None) -> SolveOutcome:
+        args = (r_star,) * self.needs_r + (epsilon,) * self.needs_epsilon
+        outcome = globals()[self.layer.__name__](instance, k, *args)
+        outcome.diagnostics.update(self.promise)
+        return outcome
 
 
 # Stable solver identifiers for the CLI and bench harness.
 SOLVERS = {
-    "ff2": Solver(lambda inst, k, r, eps:
-                  _approximation(inst, farthest_first(inst, k))),
-    "hs": Solver(_hs, needs_r=True),
-    "thm3": Solver(lambda inst, k, r, eps:
-                   exact_via_approximation(inst, k, alpha=2.0)),
-    "alg1-2pr": Solver(lambda inst, k, r, eps: asymmetric_2pr(inst, k, r),
-                       needs_r=True),
-    "thm5-3eps": Solver(lambda inst, k, r, eps: symmetric_3eps(inst, k, r),
-                        needs_r=True),
-    "alg2-3eps-asym": Solver(lambda inst, k, r, eps:
-                             asymmetric_3eps(inst, k, r), needs_r=True),
-    "alg3-linkage": Solver(lambda inst, k, r, eps: weak_proximity_linkage(
-        inst, k, equal_size_verifier(_as_table(inst).shape[0], k))),
-    "alg4-2eps-as": Solver(lambda inst, k, r, eps:
-                           approx_stability_2eps(inst, k, r, eps),
-                           needs_r=True, needs_epsilon=True),
+    "ff2": Solver(_approximation),
+    "hs": Solver(_hs, needs_r=True, promise={"consistency_factor": 2.0}),
+    "thm3": Solver(exact_via_approximation),
+    "alg1-2pr": Solver(asymmetric_2pr, needs_r=True,
+                       promise={"consistency_factor": 1.0}),
+    "thm5-3eps": Solver(symmetric_3eps, needs_r=True,
+                        promise={"consistency_factor": 1.0, "monotone": True}),
+    "alg2-3eps-asym": Solver(asymmetric_3eps, needs_r=True, promise={
+        "consistency_factor": 3.0, "needs_hop_cover": True}),
+    "alg3-linkage": Solver(weak_proximity_linkage),
+    "alg4-2eps-as": Solver(approx_stability_2eps, needs_r=True,
+                           needs_epsilon=True, promise={
+                               "consistency_factor": 2.0, "monotone": True}),
 }

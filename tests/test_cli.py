@@ -195,11 +195,27 @@ def test_solve_sweep_without_working_radius_prints_reason(tmp_path, capsys):
     # the bisection sees no candidate with 2 components in 3 calls on 4
     tried = []
     out, chosen = solvers.sweep_radius(
-        parse_instance(path.read_text()), 2,
-        lambda inst, k, r: tried.append(r) or solvers.symmetric_3eps(inst, k, r))
+        parse_instance(path.read_text()), 2, lambda inst, k, r: (
+            tried.append(r) or solvers.SOLVERS["thm5-3eps"].solve(inst, k, r)))
     assert chosen is None and len(tried) == 3
     assert out.diagnostics["sweep_log"] == tuple(
         (r, "not-resilient") for r in (0.0, 1.0, 2.0, 3.0))
+
+
+def test_linkage_claims_nothing_when_k_does_not_divide_n(tmp_path, capsys):
+    # n/k-point clusters cannot exist at n = 13, k = 3: the linkage used to
+    # claim exact at radius 6.37 where the unique optimum is 0.819
+    prefix = str(tmp_path / "ps13")
+    assert run(["generate", "planted-sym", "--n", "13", "--k", "3",
+                "--r", "1", "--alpha", "2", "--seed", "1",
+                "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out.json")
+    assert run(["solve", prefix + ".kci", "--algo", "alg3-linkage",
+                "--k", "3", "--out", out]) == 2
+    assert capsys.readouterr().out == ("status not-resilient (the equal-size"
+                                       " promise needs k to divide n)\n")
+    assert not os.path.exists(out)
 
 
 def test_solve_patch_budget_prints_reason(tmp_path, capsys, monkeypatch):

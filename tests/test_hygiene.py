@@ -3,8 +3,10 @@ imports, every private module-level name in src/ has a use in src/, and
 src/ imports nothing beyond the standard library, numpy and
 scipy.sparse with its csgraph, and no thread, process or event-loop
 module, no two raise statements in src/ raise one exception class
-with one message, only cli.build_parser builds argparse parsers, and
-no f-string in src/ or tests/ lacks a placeholder."""
+with one message, only cli.build_parser builds argparse parsers, no
+f-string in src/ or tests/ lacks a placeholder, and solvers.SOLVERS
+holds no lambda and is the one place in src/ that writes a sweep
+promise key."""
 
 import ast
 import os
@@ -338,3 +340,67 @@ def test_every_fstring_has_a_placeholder():
     bare = [f"{path.relative_to(ROOT)}:{line}" for path in modules
             for line in _placeholderless_fstrings(path.read_text())]
     assert bare == []
+
+
+# each solver's contract is written once, on its solvers.SOLVERS record: the
+# record holds its layer function, not a lambda adapter, and the sweep
+# promise's keys are written nowhere else, so no layer claims one per call
+PROMISE_KEYS = {"consistency_factor", "monotone", "needs_hop_cover"}
+
+
+def _registry_faults(source):
+    """(line, fault) of each lambda inside a module-level ``SOLVERS = ...``
+    and of each promise key written outside it: a ``{...}`` key, a keyword
+    (``dict(monotone=True)``) or a subscript assignment."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+              and any(getattr(t, "id", None) == "SOLVERS" for t in top.targets)
+              for node in ast.walk(top)}
+    faults = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            if isinstance(node, ast.Lambda):
+                faults.append((node.lineno, "lambda"))
+            continue
+        if isinstance(node, ast.Dict):
+            written = [(key.lineno, key.value) for key in node.keys
+                       if isinstance(key, ast.Constant)]
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.slice, ast.Constant)):
+            written = [(node.lineno, node.slice.value)]
+        elif isinstance(node, ast.keyword):
+            written = [(node.lineno, node.arg)]
+        else:
+            continue
+        faults += [(line, key) for line, key in written if key in PROMISE_KEYS]
+    return sorted(faults)
+
+
+def test_registry_faults_detected():
+    source = ("SOLVERS = {\n"
+              "    'a': Solver(lambda i, k, r, e: f(i, k), promise={\n"
+              "        'monotone': True}),\n"
+              "    'b': Solver(g, promise=dict(consistency_factor=2.0)),\n"
+              "}\n"
+              "def f(i, k):\n"
+              "    out = {'component_count': k, 'needs_hop_cover': True}\n"
+              "    out['consistency_factor'] = 1.0\n"
+              "    out.update(monotone=True)\n"
+              "    return out.get('monotone'), lambda x: x\n"
+              "OTHER = {'x': Solver(lambda i, k: i)}\n")
+    assert _registry_faults(source) == [
+        (2, "lambda"), (7, "needs_hop_cover"), (8, "consistency_factor"),
+        (9, "monotone")]
+
+
+def test_solver_contract_written_only_on_the_registry():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 5
+    faults = [f"{path.relative_to(ROOT)}:{line}: {fault}" for path in modules
+              for line, fault in _registry_faults(path.read_text())]
+    assert faults == []
+    registry = ast.parse((ROOT / "src/kcenter_resilience/solvers.py")
+                         .read_text())
+    assert any(getattr(t, "id", None) == "SOLVERS" for top in registry.body
+               if isinstance(top, ast.Assign) for t in top.targets)

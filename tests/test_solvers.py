@@ -1,6 +1,7 @@
 """Recovery algorithms against the oracle and the planted generators."""
 
 import bisect
+import inspect
 import itertools
 import math
 
@@ -230,6 +231,22 @@ def test_weak_proximity_linkage_single_component_stuck():
     assert out.diagnostics["committed_edges"] == ()
 
 
+def test_weak_proximity_linkage_default_verifier_needs_k_to_divide_n(
+        monkeypatch):
+    # equal_size_verifier promises n/k-point clusters: none when k does not
+    # divide n; an explicit verifier still runs there
+    monkeypatch.setattr(solvers, "_spanning_tree", None)  # never reached
+    inst = gen_planted_symmetric(13, 3, 1.0, 2.0, 1).instance
+    out = weak_proximity_linkage(inst, 3)
+    assert out.status == "not-resilient"
+    assert out.diagnostics == {
+        "reason": "the equal-size promise needs k to divide n",
+        "committed_edges": ()}
+    monkeypatch.undo()
+    assert weak_proximity_linkage(inst, 1).status == "exact-claim"
+    assert weak_proximity_linkage(inst, 3, lambda b: len(b) - 4).ok
+
+
 @pytest.mark.parametrize("k", [-1, 0, 13])
 def test_weak_proximity_linkage_rejects_k_outside_1_to_n(monkeypatch, k):
     inst = gen_random_metric(12, "symmetric", 3)
@@ -270,7 +287,7 @@ def test_approx_stability_trivial():
 def test_sweep_radius_finds_planted_radius():
     planted = gen_planted_symmetric(12, 3, 1.0, 2.0, 9)
     out, chosen = sweep_radius(planted.instance, 3,
-                               lambda inst, k, r: symmetric_3eps(inst, k, r))
+                               SOLVERS["thm5-3eps"].solve)
     assert out.clustering.canonical_partition() == \
         planted.truth.canonical_partition()
     r_star = brute_force_optimal(planted.instance.dist, 3).optimal_radius
@@ -279,8 +296,7 @@ def test_sweep_radius_finds_planted_radius():
 
 def test_sweep_radius_k_equals_n_picks_zero():
     inst = gen_random_metric(5, "symmetric", 4)
-    out, chosen = sweep_radius(inst, 5,
-                               lambda i, k, r: symmetric_3eps(i, k, r))
+    out, chosen = sweep_radius(inst, 5, SOLVERS["thm5-3eps"].solve)
     assert chosen == 0.0
     assert out.clustering.k == 5
 
@@ -335,7 +351,7 @@ def test_sweep_radius_logs_inconsistent_radii():
     inst = validate_instance(np.abs(pts[:, None] - pts), "symmetric")
     tried = []
     out, chosen = sweep_radius(inst, 2, lambda i, k, r: (
-        tried.append(r) or symmetric_3eps(i, k, r)))
+        tried.append(r) or SOLVERS["thm5-3eps"].solve(i, k, r)))
     assert chosen is None
     assert out.diagnostics["sweep_log"] == (
         (0.0, "not-resilient"), (1.0, "inconsistent"), (2.0, "not-resilient"),
@@ -463,8 +479,7 @@ def _reference_linkage(d, k, verifier, revived=None):
     return SolveOutcome(status="exact-claim",
                         clustering=solvers._clustering_from_groups(
                             d, label_groups(labels)),
-                        diagnostics={"committed_edges": tuple(committed),
-                                     "consistency_factor": np.inf})
+                        diagnostics={"committed_edges": tuple(committed)})
 
 
 def _reference_symmetrized_set(d, r):
@@ -482,8 +497,7 @@ def _reference_2pr(d, k, r):
     a, nearest = _reference_symmetrized_set(d, r)
     if not a:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "empty symmetrized set",
-                                         "consistency_factor": 1.0})
+                            diagnostics={"reason": "empty symmetrized set"})
     balls = {c: {q for q in a if d[c, q] <= r} for c in a}
     leak = [c for c in a
             if any(d[q, p] < d[c, p] for p in balls[c]
@@ -501,7 +515,6 @@ def _reference_2pr(d, k, r):
         "ball_sizes_unrestricted": {
             c: sum(1 for q in range(d.shape[0]) if d[c, q] <= r)
             for c in survivors},
-        "consistency_factor": 1.0,
     }
     if len(survivors) != k:
         return SolveOutcome(status="not-resilient", diagnostics=diagnostics)
@@ -670,9 +683,6 @@ def _reference_cover(d, r, k):
     return tuple(centers)
 
 
-HOP_COVER_PROMISE = {"consistency_factor": 3.0, "needs_hop_cover": True}
-
-
 def _reference_hops(d, a, r):
     """Hop distances between the points a of A (one hop = one r* edge)."""
     sub = d[np.ix_(a, a)]
@@ -689,8 +699,7 @@ def _reference_3eps(d, k, r):
     a, _ = _reference_symmetrized_set(d, r)
     if not a:
         return SolveOutcome(status="not-resilient",
-                            diagnostics={"reason": "empty symmetrized set",
-                                         **HOP_COVER_PROMISE})
+                            diagnostics={"reason": "empty symmetrized set"})
     hops = _reference_hops(d, a, r)
     for k_prime in range(max(1, k - 6), k + 1):
         try:
@@ -700,7 +709,7 @@ def _reference_3eps(d, k, r):
         break
     else:
         return SolveOutcome(status="not-resilient", diagnostics={
-            "reason": "no hop cover for any k' <= k", **HOP_COVER_PROMISE})
+            "reason": "no hop cover for any k' <= k"})
     c_set = tuple(a[i] for i in cover_local)
     patches = ((x, list(kept) + list(extra))
                for x in range(0, min(6, k) + 1)
@@ -719,7 +728,7 @@ def _reference_3eps(d, k, r):
             chosen, x_used = tuple(sorted(cand)), x
             break
     diagnostics = {"k_prime": k_prime, "hop_cover": c_set, "x": x_used,
-                   "patch_work": work, **HOP_COVER_PROMISE}
+                   "patch_work": work}
     if chosen is None:
         return SolveOutcome(status="not-resilient",
                             diagnostics={**diagnostics, "reason": reason})
@@ -899,7 +908,7 @@ def test_monotone_sweep_without_a_factor_matches_linear_sweep():
     # outcomes that declare no consistency factor: no candidate is skipped,
     # and both paths check self-consistency with factor 1
     def solve(instance, k, r):
-        out = symmetric_3eps(instance, k, r)
+        out = SOLVERS["thm5-3eps"].solve(instance, k, r)
         diagnostics = {key: value for key, value in out.diagnostics.items()
                        if key != "consistency_factor"}
         return SolveOutcome(out.status, out.clustering, diagnostics)
@@ -1079,31 +1088,55 @@ def test_optimal_radius_budget_and_refusals():
 
 
 def test_solver_outcomes_share_one_consistency_factor():
-    # every outcome at every candidate radius: the bounded sweep reads the
-    # factor off the first outcome and applies it to the rest
+    # the sweep reads the factor off the first outcome and applies it to
+    # the rest: each swept record declares one, and solve writes it on all
+    swept = {sid: record.promise for sid, record in SOLVERS.items()
+             if record.needs_r}
+    assert all("consistency_factor" in promise for promise in swept.values())
+    assert BOUNDED_SWEEPS == {sid: promise["consistency_factor"]
+                              for sid, promise in swept.items()
+                              if not promise.get("monotone")}
+
+
+PROMISE_KEYS = {"consistency_factor", "monotone", "needs_hop_cover"}
+
+
+def test_layer_outcomes_hold_no_promise_keys():
+    # a layer's outcome holds per-call facts only, on every family, k and
+    # candidate r; the record's solve adds its promise and nothing else
     instances = [gen_random_metric(7, mode, seed)
                  for mode in ("symmetric", "asymmetric") for seed in (0, 1)]
     instances += [gen_planted_symmetric(9, 3, 1.0, 2.0, 2).instance,
                   gen_planted_asymmetric(9, 3, 1.0, 2.0, 1.2, 2).instance]
-    swept = [sid for sid in sorted(SOLVERS) if SOLVERS[sid].needs_r]
-    assert set(BOUNDED_SWEEPS) < set(swept)
-    for solver_id in swept:
-        solve, factors, statuses = SOLVERS[solver_id].solve, set(), set()
+    for solver_id, record in sorted(SOLVERS.items()):
+        statuses = set()
         for inst in instances:
-            if not inst.is_symmetric and solver_id in ("thm5-3eps",
-                                                       "alg4-2eps-as"):
-                continue
             d = inst.dist
-            for r in sorted(set([0.0] + d[~np.eye(inst.n, dtype=bool)]
-                                .tolist())):
+            radii = (sorted(set([0.0] + d[~np.eye(inst.n, dtype=bool)]
+                                .tolist())) if record.needs_r else [None])
+            for r in radii:
                 for k in (1, 2, 3):
-                    out = solve(inst, k, r, 0.1)
-                    factors.add(out.diagnostics.get("consistency_factor"))
+                    args = (r,) * record.needs_r + (0.1,) * record.needs_epsilon
+                    try:
+                        out = record.layer(inst, k, *args)
+                    except AsymmetricInput:
+                        continue
+                    assert not PROMISE_KEYS & set(out.diagnostics), solver_id
+                    got = record.solve(inst, k, r, 0.1)
+                    assert _outcome_key(got) == _outcome_key(SolveOutcome(
+                        out.status, out.clustering,
+                        {**out.diagnostics, **record.promise}))
                     statuses.add(out.ok)
-        assert len(factors) == 1 and None not in factors, (solver_id, factors)
-        assert statuses == {True, False}
-        if solver_id in BOUNDED_SWEEPS:
-            assert factors == {BOUNDED_SWEEPS[solver_id]}
+        assert statuses >= ({True, False} if record.needs_r else {True})
+
+
+def test_record_arguments_match_layer_signature():
+    # solve passes r* and epsilon only to a layer whose signature asks
+    for solver_id, record in SOLVERS.items():
+        required = [p.name for p in inspect.signature(
+            record.layer).parameters.values() if p.default is p.empty]
+        assert required == (["instance", "k"] + ["r_star"] * record.needs_r
+                            + ["epsilon"] * record.needs_epsilon), solver_id
 
 
 def test_approx_stability_2eps_matches_integer_counts():
