@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -154,6 +155,8 @@ def _frozen_table(table, source):
 
 
 def _require_k(k, n):
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
@@ -164,8 +167,19 @@ def _require_epsilon(epsilon):
 
 
 def _require_non_negative(name, value):
+    if not isinstance(value, numbers.Real):  # None too
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not value >= 0:  # NaN fails too
         raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _center_ids(centers):
+    """Center ids as Python ints by operator.index: numpy integers pass,
+    and an id such as 0.7, which int() would truncate, is refused."""
+    try:
+        return tuple(map(operator.index, centers))
+    except TypeError:
+        raise ValueError(f"center ids must be integers, got {centers!r}")
 
 
 def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
@@ -257,7 +271,7 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
 
 def cost(instance, centers: Iterable[int]) -> float:
     """k-center objective: max over points of distance from nearest center."""
-    centers = sorted(set(int(c) for c in centers))
+    centers = sorted(set(_center_ids(centers)))
     if not centers:
         raise ValueError("centers must be nonempty")
     d = _as_table(instance)
@@ -289,7 +303,7 @@ def voronoi_partition(instance, centers: Sequence[int]) -> Clustering:
     """Assign each point to its closest center under ``voronoi_labels``'
     tie rule, so no cluster is empty."""
     d = _as_table(instance)
-    centers = tuple(int(c) for c in centers)
+    centers = _center_ids(centers)
     if len(set(centers)) != len(centers):
         raise ValueError("centers must be distinct")
     radius = cost(d, centers)  # refuses centers outside 0..n-1
@@ -336,11 +350,6 @@ def ball(instance, center: int, radius: float, domain=None):
     return tuple(q for q in sorted(domain) if d[center, q] <= radius)
 
 
-def mutual_within(d, threshold: float) -> np.ndarray:
-    """Pairs within ``threshold`` of each other in both directions."""
-    return (d <= threshold) & (d.T <= threshold)
-
-
 def label_groups(labels):
     """Points grouped by label: index-sorted lists, ordered by smallest member."""
     groups = {}
@@ -373,7 +382,8 @@ def threshold_components(instance, threshold: float = 0.0):
     in both directions.
     """
     _require_non_negative("threshold", threshold)
-    return components(mutual_within(_as_table(instance), threshold))
+    d = _as_table(instance)
+    return components((d <= threshold) & (d.T <= threshold))
 
 
 def symmetrized_set(instance, r_star: float):

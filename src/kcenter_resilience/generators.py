@@ -89,6 +89,18 @@ def _euclidean(coords):
     return d
 
 
+def _closure(table):
+    """Shortest-path closure of the table snapped to the grid, with a zero
+    diagonal, handed over read-only.  Grid values are closed under
+    addition, so the closed table satisfies the directed triangle
+    inequality exactly."""
+    d = snap_up(table)
+    np.fill_diagonal(d, 0.0)
+    d = floyd_warshall(d)
+    d.flags.writeable = False  # handed over: the Instance keeps it
+    return d
+
+
 def _min_cross_distance(d, assignment):
     a = np.asarray(assignment)
     mask = a[:, None] != a[None, :]
@@ -149,14 +161,7 @@ def gen_planted_asymmetric(n, k, r, alpha, skew, seed) -> PlantedInstance:
     table, planted, _ = _planted(n, k, r, alpha, seed, skew)
     rng = np.random.default_rng(seed)
     for _ in range(SKEW_ATTEMPTS):
-        u = rng.uniform(1.0, skew, size=(n, n))
-        np.fill_diagonal(u, 1.0)
-        # snap before the closure: grid values are closed under addition,
-        # so the closed table satisfies the triangle inequality exactly
-        skewed = snap_up(table * u)
-        np.fill_diagonal(skewed, 0.0)
-        d = floyd_warshall(skewed)
-        d.flags.writeable = False  # handed over: the Instance keeps it
+        d = _closure(table * rng.uniform(1.0, skew, size=(n, n)))
         try:
             instance = validate_instance(d, ASYMMETRIC)
         except ValueError:
@@ -197,13 +202,9 @@ def gen_bad_center_18(alpha) -> PlantedInstance:
     far = float(math.ceil(alpha)) + 1.0
 
     d = np.full((n, n), far)
-    np.fill_diagonal(d, 0.0)
     d[c_x, xs] = d[c_y, ys] = d[c_z, zs] = 1.0
     d[np.ix_(xs + zs, ys + [c_y])] = g
-    d = floyd_warshall(d)
-    d = snap_up(d)
-    np.fill_diagonal(d, 0.0)
-    d.flags.writeable = False  # handed over: the Instance keeps it
+    d = _closure(d)  # every entry is on the grid, so the snap keeps it
     instance = validate_instance(d, ASYMMETRIC)
 
     centers = (c_x, c_y, c_z)
@@ -323,11 +324,8 @@ def gen_random_metric(n, mode, seed) -> Instance:
         return validate_instance(
             _euclidean(rng.uniform(0.0, 1.0, size=(n, 2))), SYMMETRIC)
     if mode == ASYMMETRIC:
-        d = snap_up(rng.uniform(0.5, 2.0, size=(n, n)))
-        np.fill_diagonal(d, 0.0)
-        d = floyd_warshall(d)
-        d.flags.writeable = False  # handed over: the Instance keeps it
-        return validate_instance(d, ASYMMETRIC)
+        return validate_instance(
+            _closure(rng.uniform(0.5, 2.0, size=(n, n))), ASYMMETRIC)
     raise InfeasibleParams(f"unknown mode {mode!r}")
 
 

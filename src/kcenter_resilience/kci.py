@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -31,6 +32,15 @@ def emit_instance(instance: Instance) -> str:
 
 
 def parse_instance(text: str, slack: float = 0.0) -> Instance:
+    """KCI text to a validated Instance.  The text must be ASCII without
+    '_', which int and float would read inside numbers (1_0, Arabic-Indic
+    digits); the error names the first line breaking that rule, a break
+    that only splitlines takes (NEL, U+2028, U+2029) on the line it ends."""
+    if not text.isascii() or "_" in text:
+        at = re.search(r"[^\x00-\x7f]|_", text).start()
+        raise KciFormatError(len((text[:at] + "x").splitlines()),
+                             f"{ascii(text[at])} is not allowed: KCI text "
+                             "is ASCII without '_'")
     lines = text.splitlines()
     if not lines or lines[0].strip() != "kci 1":
         raise KciFormatError(1, "expected header 'kci 1'")

@@ -21,6 +21,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .core import (SCAN_CELLS, Clustering, Instance, _as_table, _gallop,
                    _require_epsilon, _require_k, _require_non_negative,
@@ -280,22 +282,22 @@ def target_cost_verifier(instance, target: float):
 def _spanning_tree(d):
     """Minimum spanning tree of the table as a list of edges (p, q), by rank.
 
-    A pair ranks by its first entry in the table's entries sorted by
-    (d[p, q], p, q), the order of a row-major argmin; the order is strict,
-    so the tree is unique.  Kruskal with a label array.
+    Entries rank 1, 2, ... in the order (d[p, q], p, q) of a row-major
+    argmin, and a pair by its first entry; the order is strict, so the
+    tree is unique.  scipy's minimum_spanning_tree takes each pair's rank
+    on the upper triangle (no rank is 0, scipy's "no edge"), and each tree
+    edge is listed as its pair's first entry.
     """
     n = d.shape[0]
-    labels = np.arange(n)
-    tree = []
-    for flat in np.argsort(d, axis=None, kind="stable").tolist():
-        if len(tree) == n - 1:
-            break
-        p, q = divmod(flat, n)
-        lp, lq = labels[p], labels[q]
-        if lp != lq:
-            tree.append((p, q))
-            labels[labels == max(lp, lq)] = min(lp, lq)
-    return tree
+    order = np.argsort(d, axis=None, kind="stable")
+    rank = np.empty(d.size)
+    rank[order] = np.arange(1, d.size + 1)
+    rank = rank.reshape(n, n)
+    p, q = np.triu_indices(n, 1)  # built as CSR: no dense conversion
+    tree = minimum_spanning_tree(csr_array(
+        (np.minimum(rank, rank.T)[p, q], (p, q)), shape=(n, n)))
+    first = order[np.sort(tree.data).astype(np.intp) - 1]
+    return [divmod(flat, n) for flat in first.tolist()]
 
 
 def weak_proximity_linkage(instance, k: int, verifier=None) -> SolveOutcome:
@@ -579,12 +581,13 @@ def _hs(instance, k, r_star):
 
 @dataclass(frozen=True)
 class Solver:
-    """One solver id's contract: solve runs layer(instance, k), plus r*
-    when needs_r (swept when r is absent) and epsilon when needs_epsilon
-    (which must be given), then writes the sweep_radius promise onto the
-    outcome's diagnostics.  Symmetric-only layers raise AsymmetricInput
-    before any work.  solve looks the layer up by name at call time, so
-    patching that name reaches it."""
+    """One solver id's contract: solve refuses a k that is not an integer
+    in 1..n, runs layer(instance, k), plus r* when needs_r and epsilon when
+    needs_epsilon (each must be given: a missing one raises ValueError),
+    then writes the sweep_radius promise onto the outcome's diagnostics.
+    An unknown r* is sweep_radius's to find, not solve's.  Symmetric-only
+    layers raise AsymmetricInput before any work.  solve looks the layer up
+    by name at call time, so patching that name reaches it."""
 
     layer: Callable[..., SolveOutcome]
     needs_r: bool = False
@@ -593,6 +596,7 @@ class Solver:
 
     def solve(self, instance, k: int, r_star=None,
               epsilon=None) -> SolveOutcome:
+        _require_k(k, _as_table(instance).shape[0])
         args = (r_star,) * self.needs_r + (epsilon,) * self.needs_epsilon
         outcome = globals()[self.layer.__name__](instance, k, *args)
         outcome.diagnostics.update(self.promise)

@@ -645,6 +645,24 @@ def _two_point_kci(entry):
      b"kci 1\nmode symmetric\nn x\n", "bad.kci: line 3: bad point count 'x'"),
     (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
      b"kci 1\nmode symmetric\nn 0\n", "bad.kci: line 3: n must be >= 1"),
+    # were read by int and float as 2, 10.0 and 1.0, with exit 0
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\nn 0_2\n0 1\n1 0\n",
+     "bad.kci: line 3: '_' is not allowed"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "1_0",
+     "bad.kci: line 4: '_' is not allowed"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "\u0661",
+     "bad.kci: line 4: '\\u0661' is not allowed"),
+    # splitlines breaks a line at each of these: the first two files were
+    # read as valid, with exit 0
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     "kci 1\x85mode symmetric\nn 1\n0\n".encode(),
+     "bad.kci: line 1: '\\x85' is not allowed"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     "kci 1\nmode symmetric\nn 1\n0\n\u2029".encode(),
+     "bad.kci: line 5: '\\u2029' is not allowed"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "1\u20281",
+     "bad.kci: line 4: '\\u2028' is not allowed"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-alpha-inf", "verify-alpha-1e308",
         "verify-epsilon-above-1", "verify-negative-r",
@@ -671,7 +689,9 @@ def _two_point_kci(entry):
         "verify-truth-deep-json", "bench-manifest-deep-json", "solve-r-inf",
         "verify-r-1e400", "oracle-slack-inf", "verify-truth-other-count",
         "eps-padding-no-base", "bench-manifest-object", "kci-count-not-int",
-        "kci-count-0"])
+        "kci-count-0", "kci-count-underscore", "kci-entry-underscore",
+        "kci-entry-arabic-indic-digit", "kci-next-line",
+        "kci-paragraph-separator", "kci-line-separator"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     # payload: a manifest (a list of rows or an object), one KCI distance
     # entry (a string), a whole KCI file (bytes) or the point count of a

@@ -340,6 +340,30 @@ def test_radius_guards_refuse_negative_or_nan(guarded, message, value):
         guarded(1.0 - np.eye(3), value)
 
 
+@pytest.mark.parametrize("value", [None, "1.0"])
+def test_radius_guards_refuse_a_value_that_is_not_real(value):
+    # None was a TypeError from the comparison, and "1.0" compared as well
+    d = 1.0 - np.eye(3)
+    for guarded in (lambda r: hochbaum_shmoys_cover(d, r, 2),
+                    lambda r: threshold_components(d, r),
+                    lambda r: symmetrized_set(d, r),
+                    lambda r: validate_instance(d, "symmetric", r)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"must be a real number, got "
+                                           f"{value!r}")):
+            guarded(value)
+
+
+def test_integer_inputs_take_numpy_integers():
+    d = gen_random_metric(6, "symmetric", 1).dist
+    assert pkg.farthest_first(d, np.int64(3)) == pkg.farthest_first(d, 3)
+    assert (pkg.brute_force_optimal(d, np.int32(2)).optimal_radius
+            == pkg.brute_force_optimal(d, 2).optimal_radius)
+    assert cost(d, np.array([0, 4])) == cost(d, [0, 4])
+    assert (voronoi_partition(d, np.array([4, 0], dtype=np.int32))
+            == voronoi_partition(d, [4, 0]))
+
+
 @pytest.mark.parametrize("center", [-1, 3])
 def test_centers_outside_the_table_are_refused(center):
     # numpy would read -1 as row n - 1 and raise IndexError on n
@@ -368,6 +392,15 @@ def test_centers_outside_the_table_are_refused(center):
     (lambda: pkg.farthest_first(1.0 - np.eye(3), 4),
      re.escape("need 1 <= k <= n, got k=4, n=3")),
     (lambda: gen_random_metric(3, "x", 0), "unknown mode 'x'"),
+    # returned 3 centers, a bare TypeError, a cost and a center at point 0
+    (lambda: pkg.farthest_first(1.0 - np.eye(5), 2.5),
+     "k must be an integer, got 2.5"),
+    (lambda: pkg.brute_force_optimal(1.0 - np.eye(5), 2.5),
+     "k must be an integer, got 2.5"),
+    (lambda: cost(1.0 - np.eye(5), [0.7, 4]),
+     re.escape("center ids must be integers, got [0.7, 4]")),
+    (lambda: voronoi_partition(1.0 - np.eye(5), [0.7, 4]),
+     re.escape("center ids must be integers, got [0.7, 4]")),
     # each returned not-resilient or ended in a TypeError traceback
     *[(lambda eps=eps: pkg.approx_stability_2eps(1.0 - np.eye(3), 2, 1.0,
                                                  eps),
@@ -380,6 +413,8 @@ def test_centers_outside_the_table_are_refused(center):
         "cost-no-centers",
         "voronoi-repeated-center", "epsilon-distance-point-counts",
         "farthest-first-k-0", "farthest-first-k-above-n", "random-mode",
+        "farthest-first-k-float", "brute-force-k-float", "cost-float-center",
+        "voronoi-float-center",
         "approx-stability-epsilon-none", "approx-stability-epsilon-nan",
         "approx-stability-epsilon-negative",
         "approx-stability-epsilon-above-1", "stability-params-epsilon-none",
@@ -726,7 +761,7 @@ def test_components_matches_the_dense_scipy_call():
     # both ways and (asymmetric) one way
     for d in SYM_TABLES + ASYM_TABLES:
         for t in np.unique(d):
-            masks += [core.mutual_within(d, t), d <= t]
+            masks += [(d <= t) & (d.T <= t), d <= t]
     assert sum(not np.array_equal(m, m.T) for m in masks) > 200
     for adj in masks:
         assert components(adj) == _components_dense(adj)

@@ -399,8 +399,22 @@ def test_planted_generators_emit_the_hand_built_truths_bytes():
         == _emitted(_ref_planted_symmetric, 300, 8, 1.0, 2.0, 1)
 
 
+def _ref_random_asymmetric(n, seed):
+    """gen_random_metric's asymmetric table, snapped, zeroed and closed."""
+    d = snap_up(np.random.default_rng(seed).uniform(0.5, 2.0, size=(n, n)))
+    np.fill_diagonal(d, 0.0)
+    return floyd_warshall(d)
+
+
+def test_random_asymmetric_metric_keeps_its_bytes():
+    for n, seed in itertools.product((1, 2, 5, 9, 30), range(3)):
+        assert (gen_random_metric(n, "asymmetric", seed).dist.tobytes()
+                == _ref_random_asymmetric(n, seed).tobytes())
+
+
 def test_bad_center_18_and_eps_padding_emit_the_hand_built_truths_bytes():
-    for alpha in (1.01, 1.5, 2.0, 3.0, 7.5):
+    # the reference closes the table before it snaps it
+    for alpha in (1.01, 1.1, 1.5, 2.0, 3.0, 3.7, 7.5, 100.0):
         assert (_emitted(gen_bad_center_18, alpha)
                 == _emitted(_ref_bad_center_18, alpha))
     with pytest.raises(InfeasibleParams, match=r"alpha must be in \(1, inf\)"):

@@ -570,6 +570,42 @@ def _tie_table(n, seed, symmetric):
     return t
 
 
+def _kruskal_tree(d):
+    """Reference: Kruskal over the entries in (d[p, q], p, q) order with a
+    label array, each tree edge as the first entry of its pair."""
+    n = d.shape[0]
+    labels = np.arange(n)
+    tree = []
+    for flat in np.argsort(d, axis=None, kind="stable").tolist():
+        if len(tree) == n - 1:
+            break
+        p, q = divmod(flat, n)
+        lp, lq = labels[p], labels[q]
+        if lp != lq:
+            tree.append((p, q))
+            labels[labels == max(lp, lq)] = min(lp, lq)
+    return tree
+
+
+def test_spanning_tree_matches_kruskal():
+    rng = np.random.default_rng(5)
+    with_nan = rng.random((9, 9))
+    with_nan[rng.random((9, 9)) < 0.2] = np.nan
+    tables = ([_tie_table(n, s, symmetric) for n in range(1, 16)
+               for s in (0, 1) for symmetric in (True, False)]
+              + [_grid_table(n, s, directed) for n in (1, 2, 7, 10, 16)
+                 for s in (0, 1) for directed in (False, True)]
+              + SYM_TABLES + ASYM_TABLES
+              + [rng.random((n, n)) for n in (1, 2, 5, 12, 30)]
+              + [with_nan, np.zeros((1, 1)), np.zeros((2, 2)),
+                 np.array([[0.0, 2.0], [1.0, 0.0]])])
+    for d in tables:
+        tree = solvers._spanning_tree(d)
+        assert tree == _kruskal_tree(d)
+        assert len(tree) == d.shape[0] - 1
+    assert any(np.isnan(d).any() for d in tables)
+
+
 def _verifiers(d, n, k):
     off = np.sort(d[~np.eye(n, dtype=bool)])
     return [equal_size_verifier(n, k),
@@ -1137,6 +1173,36 @@ def test_record_arguments_match_layer_signature():
             record.layer).parameters.values() if p.default is p.empty]
         assert required == (["instance", "k"] + ["r_star"] * record.needs_r
                             + ["epsilon"] * record.needs_epsilon), solver_id
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_record_refuses_a_bad_k_before_its_layer(monkeypatch, solver_id):
+    # at k = 0, ff2, thm3 and alg3-linkage raised while the other five
+    # returned not-resilient, and hs answered approximation-only at n + 1
+    record = SOLVERS[solver_id]
+    monkeypatch.setattr(solvers, record.layer.__name__, None)  # never reached
+    for mode in ("symmetric", "asymmetric"):
+        inst = gen_random_metric(6, mode, 0)
+        for k in (0, 7):
+            with pytest.raises(ValueError,
+                               match=f"need 1 <= k <= n, got k={k}, n=6"):
+                record.solve(inst, k, 1.0, 0.1)
+        with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+            record.solve(inst, 2.5, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("solver_id", sorted(
+    sid for sid, record in SOLVERS.items() if record.needs_r))
+def test_record_that_needs_r_refuses_a_missing_r_star(solver_id):
+    # was TypeError: '>=' not supported between 'NoneType' and 'int';
+    # sweep_radius is the one that finds an unknown r*
+    record = SOLVERS[solver_id]
+    planted = gen_planted_symmetric(12, 3, 1.0, 2.0, 2)
+    with pytest.raises(ValueError, match="must be a real number, got None"):
+        record.solve(planted.instance, 3, None, 0.1)
+    out, r = sweep_radius(planted.instance, 3,
+                          lambda inst, k, r: record.solve(inst, k, r, 0.1))
+    assert out.ok and r is not None
 
 
 def test_approx_stability_2eps_matches_integer_counts():
