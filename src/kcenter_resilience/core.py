@@ -278,14 +278,19 @@ def cost(instance, centers: Iterable[int]) -> float:
     if centers[0] < 0 or centers[-1] >= len(d):
         raise ValueError(f"centers must be in 0..{len(d) - 1}, "
                          f"got {centers[0]}..{centers[-1]}")
-    return float(set_costs(d, np.array([centers]))[0])
+    return float(d[centers].min(axis=0).max())
 
 
-def set_costs(d, subsets):
-    """k-center cost under each row of ``subsets`` (center sets): the
-    largest distance from a point's closest center to the point.  A stack
-    of tables d, shape (B, n, n), gives one row of costs per table."""
-    return d[..., subsets, :].min(axis=-2).max(axis=-1)
+def set_costs(cols, subsets):
+    """k-center cost under each row of ``subsets`` (center sets) on tables
+    given by columns, ``cols[..., p, c] = d[..., c, p]``: the largest
+    distance from a point's closest center to the point, one row of costs
+    per table of a stack.  One take per center slot folds into a running
+    minimum: both reductions run across rows, in two (B, n, m) arrays."""
+    best = np.take(cols, subsets[:, 0], axis=-1)
+    for slot in subsets.T[1:]:
+        np.minimum(best, np.take(cols, slot, axis=-1), out=best)
+    return best.max(axis=-2)
 
 
 def voronoi_labels(rows, subsets):

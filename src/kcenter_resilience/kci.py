@@ -34,13 +34,19 @@ def emit_instance(instance: Instance) -> str:
 def parse_instance(text: str, slack: float = 0.0) -> Instance:
     """KCI text to a validated Instance.  The text must be ASCII without
     '_', which int and float would read inside numbers (1_0, Arabic-Indic
-    digits); the error names the first line breaking that rule, a break
-    that only splitlines takes (NEL, U+2028, U+2029) on the line it ends."""
-    if not text.isascii() or "_" in text:
-        at = re.search(r"[^\x00-\x7f]|_", text).start()
+    digits), and without the ASCII controls that splitlines takes as line
+    breaks (VT, FF, FS, GS, RS); the error names the first line breaking
+    that rule, a break that only splitlines takes (those, NEL, U+2028,
+    U+2029) on the line it ends.  A CR is allowed: reading in text mode
+    turns it into a newline."""
+    # substring tests first: a regex scan of a valid text costs a parse 50%
+    refused = "_\x0b\x0c\x1c\x1d\x1e"
+    if not text.isascii() or any(c in text for c in refused):
+        at = re.search(f"[^\\x00-\\x7f]|[{refused}]", text).start()
         raise KciFormatError(len((text[:at] + "x").splitlines()),
                              f"{ascii(text[at])} is not allowed: KCI text "
-                             "is ASCII without '_'")
+                             "is ASCII without '_' or a control character "
+                             "that breaks lines")
     lines = text.splitlines()
     if not lines or lines[0].strip() != "kci 1":
         raise KciFormatError(1, "expected header 'kci 1'")

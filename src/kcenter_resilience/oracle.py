@@ -325,25 +325,28 @@ def _screen(batch, d, kept, bound, opt_key, chunk):
     set of each such partition, in lexicographic order, as ``{batch index:
     (m, k) array}``.  A covered d' not in it is cleared.
 
-    The batch's tables are stacked and scored on the kept sets ``chunk``
-    sets at a time.  Each pair of a covered d' and a d'-optimal set is
-    keyed by _partition_keys on its set's rows of that d' alone, as many
-    pairs at a time as the batch has scores in a chunk.
+    The batch's tables are stacked once by columns, ``cols[b, p, c] =
+    d'_b[c, p]``, and scored on the kept sets ``chunk`` sets at a time by
+    set_costs.  Each pair of a covered d' and a d'-optimal set is keyed by
+    _partition_keys on its set's rows of that d' alone, taken from the
+    same stack, as many pairs at a time as the batch has scores in a chunk.
     """
     if kept is None:
         return np.zeros(len(batch), dtype=bool), {}
-    tables = np.stack([pert.dprime for pert in batch])
-    scores = np.concatenate([set_costs(tables, kept[s:s + chunk])
+    # stacking copies, so the transposed views cost no extra pass
+    cols = np.stack([pert.dprime.T for pert in batch])
+    scores = np.concatenate([set_costs(cols, kept[s:s + chunk])
                              for s in range(0, len(kept), chunk)], axis=1)
     best = scores.min(axis=1, keepdims=True)
-    covered = np.all(tables >= d, axis=(1, 2)) & (best[:, 0] <= bound)
+    covered = np.all(cols >= d.T, axis=(1, 2)) & (best[:, 0] <= bound)
     # row-major: j ascends within each b
     b, j = np.nonzero((scores == best) & covered[:, None])
     keys = np.empty((len(b), d.shape[0]), dtype=np.intp)
     step = len(batch) * chunk
     for s in range(0, len(b), step):
         sets = kept[j[s:s + step]]
-        keys[s:s + step] = _partition_keys(tables[b[s:s + step, None], sets],
+        # (pairs, k, n): row i, slot j is d'_{b_i}[sets[i, j]]
+        keys[s:s + step] = _partition_keys(cols[b[s:s + step, None], :, sets],
                                            sets)
     first = {}  # the first pair of each d' and partition but OPT's
     for p in np.flatnonzero((keys != opt_key).any(axis=1)).tolist():
@@ -405,9 +408,11 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     covered when d' >= d entrywise and some kept set has cost_d'(S) <=
     alpha r*: then a d'-optimal set T has cost_d(T) <= OPT(d') <= alpha r*,
     so it is kept, and the kept sets hold every d'-optimal set.  The
-    perturbations are pulled in batches of 1, 2, 4, ... tables, at most
-    SCAN_CELLS cells with their scores (one table, its sets scored in
-    chunks, when one fills it).  Each pair of a covered d' and a
+    perturbations are pulled in batches of 1, 2, 4, ... tables, stacked
+    by columns and scored a chunk of kept sets at a time, B n^2 + B chunk
+    k n <= SCAN_CELLS cells (one table, its sets scored in chunks, when
+    one fills it; SCAN_CELLS // (k n) sets beside it when one table
+    leaves no room for a set).  Each pair of a covered d' and a
     d'-optimal set is labelled on that d' alone and named by its partition
     key, as in brute_force_optimal.  A covered d' whose optimal sets all
     induce OPT's partition is cleared; one with other partitions is checked
@@ -437,10 +442,12 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
          for i in itertools.count()))
     kept = _kept_sets(d, k, bound)
     # a batch of B tables scored on chunk kept sets at a time holds
-    # B n^2 + B chunk k n <= SCAN_CELLS cells, or one table past that
+    # B n^2 + B chunk k n <= SCAN_CELLS cells, or one table past that when
+    # one table leaves no room for a set beside it
     n = d.shape[0]
     width = max(1, SCAN_CELLS // (n * n + (0 if kept is None else kept.size * n)))
-    chunk = max(1, (SCAN_CELLS // width - n * n) // (k * n))
+    room = SCAN_CELLS // width - n * n
+    chunk = max(1, (room if room >= k * n else SCAN_CELLS) // (k * n))
     perts = itertools.islice(stream, budget)
     tried = 0
     while batch := list(itertools.islice(perts, min(tried + 1, width))):

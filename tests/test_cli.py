@@ -663,6 +663,23 @@ def _two_point_kci(entry):
      "bad.kci: line 5: '\\u2029' is not allowed"),
     (["solve", "{kci}", "--algo", "ff2", "--k", "1"], "1\u20281",
      "bad.kci: line 4: '\\u2028' is not allowed"),
+    # ASCII controls that splitlines also breaks at: the first two files
+    # were read as valid 2-point instances, with exit 0
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\x0cmode symmetric\nn 2\n0 1\n1 0\n",
+     "bad.kci: line 1: '\\x0c' is not allowed"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\nn 2\n0 1\x0b1 0\n",
+     "bad.kci: line 4: '\\x0b' is not allowed"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\nn 2\n0 1\x1c1 0\n",
+     "bad.kci: line 4: '\\x1c' is not allowed"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\nn 1\n0\n\x1d",
+     "bad.kci: line 5: '\\x1d' is not allowed"),
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\x1en 2\n0 1\n1 0\n",
+     "bad.kci: line 2: '\\x1e' is not allowed"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-alpha-inf", "verify-alpha-1e308",
         "verify-epsilon-above-1", "verify-negative-r",
@@ -691,7 +708,9 @@ def _two_point_kci(entry):
         "eps-padding-no-base", "bench-manifest-object", "kci-count-not-int",
         "kci-count-0", "kci-count-underscore", "kci-entry-underscore",
         "kci-entry-arabic-indic-digit", "kci-next-line",
-        "kci-paragraph-separator", "kci-line-separator"])
+        "kci-paragraph-separator", "kci-line-separator", "kci-form-feed",
+        "kci-vertical-tab", "kci-file-separator", "kci-group-separator",
+        "kci-record-separator"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     # payload: a manifest (a list of rows or an object), one KCI distance
     # entry (a string), a whole KCI file (bytes) or the point count of a

@@ -3,6 +3,7 @@
 import ast
 import collections
 import itertools
+import math
 import re
 
 import numpy as np
@@ -482,6 +483,62 @@ def test_cost_matches_double_loop_and_is_monotone():
     assert cost(inst, centers) == expect
     assert cost(inst, [2, 5, 7]) <= cost(inst, centers)
     assert cost(inst, centers) <= cost(inst, [2])
+
+
+def _definition_cost(d, centers):
+    """max over points p of min over centers c of d[c, p], NaN when an entry
+    it reads is NaN (numpy's min and max propagate NaN)."""
+    reads = [[float(d[c, p]) for c in centers] for p in range(len(d))]
+    if any(math.isnan(x) for row in reads for x in row):
+        return math.nan
+    return max(min(row) for row in reads)
+
+
+def _tie_tables(rng, n):
+    """Raw tables with integer ties, with signed zeros and with NaN."""
+    ties = rng.integers(0, 3, size=(n, n)).astype(float)
+    signed = np.where(ties == 0, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0),
+                      ties)
+    holes = np.where(rng.random((n, n)) < 0.05, np.nan, ties)
+    return [ties, signed, holes]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_set_costs_matches_the_definition(batch):
+    # set_costs reads tables by columns, cols[b, p, c] = d_b[c, p]; every
+    # k-set of every table, scored at once and a few sets at a time
+    rng = np.random.default_rng(batch)
+    checked = 0
+    for n in (1, 2, 5, 8):
+        tables = _tie_tables(rng, n)
+        stacks = ([np.stack(tables)] if batch == 3
+                  else [t[None] for t in tables])
+        for stack in stacks:
+            cols = np.ascontiguousarray(stack.transpose(0, 2, 1))
+            for k in range(1, n + 1):
+                sets = np.array(list(itertools.combinations(range(n), k)),
+                                dtype=np.intp)
+                want = [[_definition_cost(d, s) for s in sets] for d in stack]
+                for chunk in (len(sets), 1, 3):
+                    got = np.concatenate(
+                        [core.set_costs(cols, sets[i:i + chunk])
+                         for i in range(0, len(sets), chunk)], axis=1)
+                    assert np.array_equal(got, want, equal_nan=True)
+                    checked += 1
+    assert checked == 3 * (3 // batch) * (1 + 2 + 5 + 8)
+
+
+def test_cost_keeps_the_bytes_of_the_one_set_stack():
+    # the one-set stack cost once scored is the reference: same reductions
+    # in the same order, so the same double, signed zero and NaN included
+    rng = np.random.default_rng(6)
+    for n in (1, 4, 7):
+        for d in _tie_tables(rng, n) + [rng.random((n, n))]:
+            for k in range(1, n + 1):
+                for s in itertools.combinations(range(n), k):
+                    want = d[..., np.array([s]), :].min(axis=-2).max(axis=-1)[0]
+                    assert (np.float64(cost(d, s)).tobytes()
+                            == np.float64(want).tobytes())
 
 
 def test_voronoi_singletons_and_tie_break():

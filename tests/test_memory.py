@@ -104,3 +104,16 @@ def test_falsifier_peak_is_bounded():
     # most KEPT_CELLS cells of them; scoring them all at once would take 49 MB
     peak = _peak_bytes(falsify_resilience, d, 3, StabilityParams(2.0, 0.0), 3)
     assert peak < 2 * 2 ** 20
+
+
+def test_falsifier_peak_is_a_few_tables_when_one_table_fills_the_cells():
+    # n^2 + k n > SCAN_CELLS: beside one d' there is no room for a kept
+    # set, so each d' is scored SCAN_CELLS // (k n) = 126 of its 16,900
+    # kept sets at a time, one table past the cells.  Scoring them all at
+    # once would take 70 MB (130 tables); one set per call held 16,900
+    # score arrays, 9 tables in all.  Two d', their column stack, the kept
+    # sets and the base scans make up the rest.
+    d = gen_planted_symmetric(260, 2, 1.0, 2.0, 0).instance.dist
+    assert d.size + 2 * 260 > core.SCAN_CELLS
+    peak = _peak_bytes(falsify_resilience, d, 2, StabilityParams(2.0, 0.0), 5)
+    assert peak < 7 * d.nbytes

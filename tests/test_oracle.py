@@ -184,7 +184,7 @@ def test_scan_scores_each_set_once(monkeypatch):
                 == list(itertools.combinations(range(n), k)))
         assert np.array_equal(
             np.concatenate([scores.ravel() for _, _, scores in blocks]),
-            set_costs(d, sets))
+            set_costs(d.T, sets))
         for heads, _, scores in blocks:
             width = max(scores.shape[1], k) + 1
             assert len(heads) == 1 or len(heads) * width * n <= cap
@@ -602,9 +602,12 @@ def test_batched_falsifier_matches_one_at_a_time(monkeypatch):
             want = _falsifier_fields(
                 _one_at_a_time_falsify(inst, k, params, budget, seed))
             # default cells; one d' per batch, scored two kept sets at a
-            # time; no kept sets, so every d' is scanned in full
+            # time; one d' per batch with no room for a set beside it, so
+            # scored a chunk past the cells; no kept sets, so every d' is
+            # scanned in full
             for name, cap in (("SCAN_CELLS", oracle.SCAN_CELLS),
                               ("SCAN_CELLS", n * n + 2 * k * n),
+                              ("SCAN_CELLS", n * n - 1),
                               ("KEPT_CELLS", 0)):
                 # the reruns take budget 200 on every fourth case
                 if cap != oracle.SCAN_CELLS and (
@@ -625,7 +628,8 @@ def test_batched_falsifier_matches_one_at_a_time(monkeypatch):
                     assert seen["built"] <= 2 * got.tried - 1
                 else:
                     assert seen["built"] == got.tried
-                assert all(size == 1 or held <= cells
+                # one table past the cells, and only a lone one
+                assert all(held <= cells or size == 1 and held <= n * n + cells
                            for size, held in seen["batches"])
                 if name == "SCAN_CELLS" and cap < oracle.SCAN_CELLS:
                     assert {size for size, _ in seen["batches"]} <= {1}
