@@ -246,11 +246,13 @@ def optimal_radius(table, k: int, budget: int) -> float:
 
 
 def _require_finite_scale(d, alpha):
-    """Raise ValueError unless alpha >= 1 and alpha times the largest
-    distance is a finite double, so alpha * d and any d' <= alpha * d hold
-    no inf or NaN."""
+    """Raise ValueError unless alpha >= 1, no entry is negative (so
+    d <= alpha * d) and alpha times the largest distance is a finite
+    double, so alpha * d and any d' <= alpha * d hold no inf or NaN."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
+    if d.min(initial=0.0) < 0:
+        raise ValueError("table entries must be >= 0")
     if not isfinite(alpha * float(d.max(initial=0.0))):
         raise ValueError(f"alpha = {alpha!r} times the largest "
                          "distance is not a finite double")
@@ -398,8 +400,8 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     scan, before it is returned: the perturbation bounds must hold and the
     violating clustering must be optimal under d' and > epsilon from OPT.
     Raises ValueError, before any scan, when ``budget`` or ``seed`` is not
-    a non-negative integer, alpha * max d overflows or the table is not
-    square.
+    a non-negative integer, the table is not square or holds a negative
+    entry, or alpha * max d overflows.
 
     Each covered d' is decided on the center sets that can be optimal for
     it, with no oracle call.  Every d' in the stream has d <= d' <= alpha d,
@@ -471,6 +473,7 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
                                    violating_clustering=cl,
                                    opt_clustering=opt_part, eps_dist=eps,
                                    tried=tried, opt_unique=opt.partition_unique)
+        del batch, pert  # one batch of d' alive while the next is built
     # islice stops without pulling past the budget, so the next pair list
     # is the first untried capped perturbation, if any is left
     status = "none-found" if next(capped, None) is None else "budget-exceeded"

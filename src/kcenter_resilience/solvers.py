@@ -419,21 +419,21 @@ def sweep_radius(instance, k: int, solver):
     Returns the solver's outcome at the first candidate radius (0 and the
     distinct off-diagonal distances, ascending) where it succeeds and is
     self-consistent (each cluster has a member within factor * r of all
-    its members), with that radius.  factor is read once, from the first
-    outcome's diagnostics["consistency_factor"], for every check below.
-    r* is a candidate: some center-point pair attains it.  When none works
-    it returns a not-resilient outcome and None, whose
-    diagnostics["sweep_log"] holds one (r, status) per candidate: the
-    solver's status (not-resilient) where it failed, inconsistent where it
-    succeeded without self-consistency.
+    its members), with that radius.  Each candidate is solved at most
+    once; the promise (consistency_factor, monotone, needs_hop_cover) is
+    read once, from the outcome at candidate 0.  r* is a candidate: some
+    center-point pair attains it.  When none works it returns a
+    not-resilient outcome and None, whose diagnostics["sweep_log"] holds
+    one (r, status) per candidate: the solver's status (not-resilient)
+    where it failed, inconsistent where it was ok but not self-consistent.
 
     Both paths start from the first candidate r with r * factor >=
     _opt_lower_bound(d, k): an ok self-consistent outcome is a k-center
     solution of cost <= r * factor, so OPT <= r * factor and no candidate
     below that start could be returned.  This needs all of a solver's
     outcomes to carry one factor, as Solver.solve writes its promise on
-    each; when the first carries none (a raw layer), no candidate is
-    skipped and the checks on both paths use factor 1.
+    each; when candidate 0's carries none (a raw layer), no candidate
+    is skipped and the checks on both paths use factor 1.
 
     Outcomes with diagnostics["monotone"] promise that ok means
     diagnostics["component_count"] == k and that the count never rises
@@ -465,39 +465,63 @@ def sweep_radius(instance, k: int, solver):
     off = d[~np.eye(len(d), dtype=bool)]
     # + 0.0 turns -0.0 into 0.0; tolist keeps each r a Python float
     candidates = (np.unique(np.append(off, 0.0)) + 0.0).tolist()
-    first = solver(instance, k, candidates[0])
-    declared = first.diagnostics.get("consistency_factor")
+    m = len(candidates)
+    seen = {}  # candidate index -> outcome; no index is solved twice
+
+    def at(i):
+        if i not in seen:
+            seen[i] = solver(instance, k, candidates[i])
+        return seen[i]
+
+    declared, monotone, screened = map(at(0).diagnostics.get, (
+        "consistency_factor", "monotone", "needs_hop_cover"))
     factor = 1.0 if declared is None else declared
     start = 0 if declared is None else bisect.bisect_left(
         candidates, _opt_lower_bound(d, k), key=lambda r: r * factor)
-    if first.diagnostics.get("monotone"):
-        return _bisection_sweep(instance, d, k, solver, candidates, first,
-                                factor, start)
-    start = max(1, start)
-    if declared == 1.0:
-        try:
-            start = max(start, bisect.bisect_left(
-                candidates, optimal_radius(d, k, SEARCH_BUDGET)))
-        except (BudgetExceeded, ValueError):  # keep the bound's start
-            pass
-    fits = (_hop_cover_screen(d, k, candidates)
-            if first.diagnostics.get("needs_hop_cover") else lambda i: True)
-    log = []
-    for i, r in enumerate(candidates):
-        if 0 < i < start:
-            log.append((r, "below-bound"))
-            continue
-        if i and not fits(i):
-            log.append((r, "not-resilient"))
-            continue
-        outcome = solver(instance, k, r) if i else first
-        if not outcome.ok:
-            log.append((r, outcome.status))
-        elif _consistency_cost(d, outcome.clustering) <= r * factor:
-            return outcome, r
-        else:
-            log.append((r, "inconsistent"))
-    return _no_radius(log)
+
+    def consistent(i):  # ok, and self-consistent at candidates[i]
+        return at(i).ok and (_consistency_cost(d, at(i).clustering)
+                             <= candidates[i] * factor)
+
+    if monotone:
+        def count(i):
+            return at(i).diagnostics["component_count"]
+
+        lo = _gallop(lambda i: count(i) <= k, start, m)
+        if lo < m and at(lo).ok:
+            j = bisect.bisect_left(candidates,
+                                   _consistency_cost(d, at(lo).clustering),
+                                   lo=lo, key=lambda r: r * factor)
+            if j < m and consistent(j):
+                return at(j), candidates[j]
+        # failed: the log needs the count-k range [lo, hi) in full
+        lo = bisect.bisect_left(range(m), True, key=lambda i: count(i) <= k)
+        hi = (bisect.bisect_left(range(m), True, lo=lo,
+                                 key=lambda i: count(i) < k)
+              if lo < m and at(lo).ok else lo)
+        log = [(r, "inconsistent" if lo <= i < hi else "not-resilient")
+               for i, r in enumerate(candidates)]
+    else:
+        if declared == 1.0:
+            try:
+                start = max(start, bisect.bisect_left(
+                    candidates, optimal_radius(d, k, SEARCH_BUDGET)))
+            except (BudgetExceeded, ValueError):  # keep the bound's start
+                pass
+        fits = (_hop_cover_screen(d, k, candidates) if screened
+                else lambda i: True)
+        log = []
+        for i, r in enumerate(candidates):
+            if 0 < i < start:
+                log.append((r, "below-bound"))
+            elif i and not fits(i):
+                log.append((r, "not-resilient"))
+            elif consistent(i):
+                return at(i), r
+            else:
+                log.append((r, "inconsistent" if at(i).ok else at(i).status))
+    return SolveOutcome(status="not-resilient", diagnostics={
+        "reason": "no candidate radius works", "sweep_log": tuple(log)}), None
 
 
 def _hop_cover_screen(d, k, candidates):
@@ -517,44 +541,6 @@ def _hop_cover_screen(d, k, candidates):
             verdicts.update(enumerate(ok.tolist(), i))
         return verdicts[i]
     return fits
-
-
-def _bisection_sweep(instance, d, k, solver, candidates, first, factor,
-                     start):
-    """sweep_radius for a monotone solver from candidate index start."""
-    m = len(candidates)
-    seen = {0: first}  # candidate index -> outcome; no index is solved twice
-
-    def at(i):
-        if i not in seen:
-            seen[i] = solver(instance, k, candidates[i])
-        return seen[i]
-
-    def first_index(lo, hi, pred):  # first i in [lo, hi) with pred(i), else hi
-        return bisect.bisect_left(range(m), True, lo=lo, hi=hi, key=pred)
-
-    def count(i):
-        return at(i).diagnostics["component_count"]
-
-    lo = _gallop(lambda i: count(i) <= k, start, m)
-    if lo < m and at(lo).ok:
-        j = bisect.bisect_left(candidates,
-                               _consistency_cost(d, at(lo).clustering),
-                               lo=lo, key=lambda r: r * factor)
-        if j < m and at(j).ok and (_consistency_cost(d, at(j).clustering)
-                                   <= candidates[j] * factor):
-            return at(j), candidates[j]
-    # failed: the log needs the count-k range [lo, hi) in full
-    lo = first_index(0, m, lambda i: count(i) <= k)
-    hi = (first_index(lo, m, lambda i: count(i) < k)
-          if lo < m and at(lo).ok else lo)
-    return _no_radius([(r, "inconsistent" if lo <= i < hi else "not-resilient")
-                       for i, r in enumerate(candidates)])
-
-
-def _no_radius(log):
-    return SolveOutcome(status="not-resilient", diagnostics={
-        "reason": "no candidate radius works", "sweep_log": tuple(log)}), None
 
 
 def _consistency_cost(d, clustering):

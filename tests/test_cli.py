@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -66,6 +67,18 @@ def test_kci_parse_errors_name_the_line():
         parse_instance(two + " \n0 5 6\ngarbage here\n")
     assert exc.value.line_no == 7
     assert parse_instance(two + "\n \t\n").n == 2
+
+
+def test_kci_refuses_every_ascii_space_but_space_tab_lf_cr():
+    # str.split splits a row at every ASCII character str.isspace accepts;
+    # all but space, TAB, LF and CR are refused on the line they sit on
+    spaces = [c for c in map(chr, range(128))
+              if c.isspace() and c not in " \t\n\r"]
+    assert spaces == list("\x0b\x0c\x1c\x1d\x1e\x1f")
+    for c in spaces:
+        with pytest.raises(KciFormatError, match=re.escape(
+                f"line 4: {ascii(c)} is not allowed")):
+            parse_instance(f"kci 1\nmode symmetric\nn 2\n0{c}1\n1 0\n")
 
 
 def test_to_jsonable_converts_numpy_values():
@@ -680,6 +693,10 @@ def _two_point_kci(entry):
     (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
      b"kci 1\nmode symmetric\x1en 2\n0 1\n1 0\n",
      "bad.kci: line 2: '\\x1e' is not allowed"),
+    # str.split splits a row at US: was read as a valid 2-point instance
+    (["solve", "{kci}", "--algo", "ff2", "--k", "1"],
+     b"kci 1\nmode symmetric\nn 2\n0\x1f1\n1\x1f0\n",
+     "bad.kci: line 4: '\\x1f' is not allowed"),
 ], ids=["oracle-k-0", "oracle-k-above-n", "verify-alpha-below-1",
         "verify-alpha-nan", "verify-alpha-inf", "verify-alpha-1e308",
         "verify-epsilon-above-1", "verify-negative-r",
@@ -710,7 +727,7 @@ def _two_point_kci(entry):
         "kci-entry-arabic-indic-digit", "kci-next-line",
         "kci-paragraph-separator", "kci-line-separator", "kci-form-feed",
         "kci-vertical-tab", "kci-file-separator", "kci-group-separator",
-        "kci-record-separator"])
+        "kci-record-separator", "kci-unit-separator"])
 def test_input_boundary_exit_1(tmp_path, capsys, argv, payload, needle):
     # payload: a manifest (a list of rows or an object), one KCI distance
     # entry (a string), a whole KCI file (bytes) or the point count of a

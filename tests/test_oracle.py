@@ -690,6 +690,31 @@ def test_falsifier_refuses_overflowing_alpha(monkeypatch):
     assert res.status != "falsified"
 
 
+@pytest.mark.parametrize("table", [
+    [[0, .9, -.1, 2.2], [2.7, 0, 1.2, .8], [2.7, -.8, 0, 1.5],
+     [-.9, 1.9, -.9, 0]],
+    [[0, .7, 1.6, 1.1], [.7, 0, -.8, 2.9], [-.7, -.9, 0, -.5],
+     [2.2, -.4, .4, 0]],
+], ids=["bounds-assertion", "no-kept-set"])
+def test_falsifier_and_builders_refuse_a_negative_entry(monkeypatch, table):
+    # alpha * d < d at a negative entry, so no d' has d <= d' <= alpha * d:
+    # the falsifier ended in its bounds assertion on the first table and in
+    # numpy's concatenate error, from a screen with no kept set, on the
+    # second; both builders returned a Perturbation failing bounds_ok()
+    d = np.array(table)
+    calls = []
+    monkeypatch.setattr(oracle, "brute_force_optimal",
+                        lambda *args, **kwargs: calls.append(args))
+    for refused in (
+            lambda: falsify_resilience(d, 2, StabilityParams(2.0, 0.0),
+                                       budget=20),
+            lambda: sample_perturbation(d, 2.0, 0),
+            lambda: build_lemma1_perturbation(d, 1.0, 2.0, [])):
+        with pytest.raises(ValueError, match="table entries must be >= 0"):
+            refused()
+    assert calls == []
+
+
 def _recording_oracle(monkeypatch):
     """Wrap the falsifier's oracle: each call's table and result are
     recorded."""

@@ -952,7 +952,10 @@ def test_monotone_sweep_without_a_factor_matches_linear_sweep():
     cases = found = 0
     for d in SYM_TABLES:
         for k in range(1, d.shape[0] + 1):
-            got, r_got = sweep_radius(d, k, solve)
+            asked = []
+            got, r_got = sweep_radius(d, k, lambda i, kk, r: (
+                asked.append(r) or solve(i, kk, r)))
+            assert len(asked) == len(set(asked)), (d.shape[0], k)
             want, r_want = _linear_sweep(d, k, solve)
             assert repr(r_got) == repr(r_want), (d.shape[0], k)
             assert _outcome_key(got) == _outcome_key(want), (d.shape[0], k)
@@ -976,9 +979,10 @@ def test_bisection_sweep_matches_linear_sweep():
     calls = mismatches = inconsistent = 0
     for inst, k, sweeps in cases:
         for solver_id, eps in sweeps:
-            solve = SOLVERS[solver_id].solve
-            got, r_got = sweep_radius(inst, k,
-                                      lambda i, kk, r: solve(i, kk, r, eps))
+            solve, asked = SOLVERS[solver_id].solve, []
+            got, r_got = sweep_radius(inst, k, lambda i, kk, r: (
+                asked.append(r) or solve(i, kk, r, eps)))
+            assert len(asked) == len(set(asked)), (k, solver_id, eps)
             want, r_want = _linear_sweep(inst, k,
                                          lambda i, kk, r: solve(i, kk, r, eps))
             calls += 1
@@ -1255,7 +1259,10 @@ def test_bounded_sweep_matches_linear_sweep(monkeypatch, solver_id,
     solve = SOLVERS[solver_id].solve
     found = skipped = skipped_failures = certified = fell_back = 0
     for inst, k in cases:
-        got, r_got = sweep_radius(inst, k, lambda i, kk, r: solve(i, kk, r, None))
+        asked = []
+        got, r_got = sweep_radius(inst, k, lambda i, kk, r: (
+            asked.append(r) or solve(i, kk, r, None)))
+        assert len(asked) == len(set(asked)), (inst.n, k)
         want, r_want = _linear_sweep(inst, k,
                                      lambda i, kk, r: solve(i, kk, r, None))
         candidates = (np.unique(inst.dist) + 0.0).tolist()
