@@ -161,6 +161,11 @@ def _require_k(k, n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
+def _require_finite_entries(d):
+    if not np.all(np.isfinite(d)):  # NaN too
+        raise ValueError("table entries must be finite")
+
+
 def _require_epsilon(epsilon):
     if not (isinstance(epsilon, numbers.Real) and 0 <= epsilon <= 1):  # NaN too
         raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
@@ -220,8 +225,7 @@ def validate_instance(raw_table, mode: str, slack: float = 0.0) -> Instance:
     d = np.ascontiguousarray(_as_table(raw_table))
     if not d.size:
         raise ValueError("table must hold at least one point")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("table entries must be finite")
+    _require_finite_entries(d)
     if mode not in (SYMMETRIC, ASYMMETRIC):
         raise ValueError(f"unknown mode {mode!r}")
     # slack >= 0: an exactly symmetric table then needs no compare

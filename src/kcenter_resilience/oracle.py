@@ -16,9 +16,9 @@ from numbers import Integral
 import numpy as np
 
 from .core import (SCAN_CELLS, Clustering, StabilityParams, _as_table,
-                   _frozen_table, _gallop, _require_k, _traverse,
-                   epsilon_distance, set_costs, voronoi_labels,
-                   voronoi_partition)
+                   _frozen_table, _gallop, _require_finite_entries,
+                   _require_k, _traverse, epsilon_distance, set_costs,
+                   voronoi_labels, voronoi_partition)
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 # the falsifier keeps at most this many cells (sets times k) of base-table
@@ -246,11 +246,12 @@ def optimal_radius(table, k: int, budget: int) -> float:
 
 
 def _require_finite_scale(d, alpha):
-    """Raise ValueError unless alpha >= 1, no entry is negative (so
-    d <= alpha * d) and alpha times the largest distance is a finite
-    double, so alpha * d and any d' <= alpha * d hold no inf or NaN."""
+    """Raise ValueError unless alpha >= 1, every entry is finite and >= 0
+    (so d <= alpha * d) and alpha times the largest is a finite double, so
+    alpha * d and any d' <= alpha * d hold no inf or NaN."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
+    _require_finite_entries(d)
     if d.min(initial=0.0) < 0:
         raise ValueError("table entries must be >= 0")
     if not isfinite(alpha * float(d.max(initial=0.0))):
@@ -279,22 +280,25 @@ def build_lemma1_perturbation(instance, r_star: float, alpha: float,
 
 
 def sample_perturbation(instance, alpha: float, seed: int) -> Perturbation:
-    """Each off-diagonal entry scaled by an independent uniform [1, alpha] draw."""
+    """Each off-diagonal entry scaled by an independent uniform [1, alpha]
+    draw: the falsifier's first random d' under ``seed``."""
     d = _as_table(instance)
     _require_finite_scale(d, alpha)
-    return _random_perturbation(d, alpha, seed)
-
-
-def _random_perturbation(d, alpha, seed):
-    """sample_perturbation on a table already checked by _as_table and
-    _require_finite_scale."""
-    n = d.shape[0]
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(1.0, alpha, size=(n, n))
-    np.fill_diagonal(u, 1.0)
-    dprime = d * u
-    dprime.flags.writeable = False  # handed over: Perturbation keeps it
+    dprime, = _random_tables(d, alpha, np.random.default_rng(seed), 1)
     return Perturbation(base=d, alpha=alpha, dprime=dprime)
+
+
+def _random_tables(d, alpha, rng, m):
+    """The next m random d' of ``rng`` as one read-only (m, n, n) array:
+    d times the next m n x n blocks of uniform [1, alpha] draws, each
+    diagonal factor 1.  numpy draws (m, n, n) as m blocks of (n, n), so
+    d' number i does not depend on how many are drawn per call."""
+    n = d.shape[0]
+    tables = rng.uniform(1.0, alpha, size=(m, n, n))
+    tables.reshape(m, n * n)[:, ::n + 1] = 1.0
+    tables *= d
+    tables.flags.writeable = False  # handed over: views of it are kept
+    return tables
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,7 @@ def _kept_sets(d, k, bound):
 
 
 def _screen(batch, d, kept, bound, opt_key, chunk):
-    """Which perturbations of ``batch`` the base-cost cut covers (see
+    """Which d' of ``batch``, a list of tables, the base-cost cut covers (see
     falsify_resilience), and, for each covered one with a d'-optimal set
     whose partition is not OPT's (partition key ``opt_key``), the first such
     set of each such partition, in lexicographic order, as ``{batch index:
@@ -336,7 +340,7 @@ def _screen(batch, d, kept, bound, opt_key, chunk):
     if kept is None:
         return np.zeros(len(batch), dtype=bool), {}
     # stacking copies, so the transposed views cost no extra pass
-    cols = np.stack([pert.dprime.T for pert in batch])
+    cols = np.stack([t.T for t in batch])
     scores = np.concatenate([set_costs(cols, kept[s:s + chunk])
                              for s in range(0, len(kept), chunk)], axis=1)
     best = scores.min(axis=1, keepdims=True)
@@ -387,8 +391,9 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     Tries up to ``budget`` >= 0 perturbations from one stream: first the
     capped-pair perturbations used in all the impossibility arguments (cap
     distances from each point q to each optimal cluster, skipping a q with
-    no pair to cap), then seeded uniform random perturbations.  The status
-    is
+    no pair to cap), then random perturbations from one generator seeded
+    with ``seed`` (_random_tables; the first is sample_perturbation(
+    instance, alpha, seed)).  The status is
 
     - "falsified": a tried perturbation has a d'-optimal clustering more
       than epsilon from OPT; the first such one is returned;
@@ -400,8 +405,8 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     scan, before it is returned: the perturbation bounds must hold and the
     violating clustering must be optimal under d' and > epsilon from OPT.
     Raises ValueError, before any scan, when ``budget`` or ``seed`` is not
-    a non-negative integer, the table is not square or holds a negative
-    entry, or alpha * max d overflows.
+    a non-negative integer, the table is not square or holds a non-finite
+    or negative entry, or alpha * max d overflows.
 
     Each covered d' is decided on the center sets that can be optimal for
     it, with no oracle call.  Every d' in the stream has d <= d' <= alpha d,
@@ -410,8 +415,9 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     covered when d' >= d entrywise and some kept set has cost_d'(S) <=
     alpha r*: then a d'-optimal set T has cost_d(T) <= OPT(d') <= alpha r*,
     so it is kept, and the kept sets hold every d'-optimal set.  The
-    perturbations are pulled in batches of 1, 2, 4, ... tables, stacked
-    by columns and scored a chunk of kept sets at a time, B n^2 + B chunk
+    perturbations are taken in batches of 1, 2, 4, ... tables, a batch's
+    random ones drawn in one call and none past the budget, stacked by
+    columns and scored a chunk of kept sets at a time, B n^2 + B chunk
     k n <= SCAN_CELLS cells (one table, its sets scored in chunks, when
     one fills it; SCAN_CELLS // (k n) sets beside it when one table
     leaves no room for a set).  Each pair of a covered d' and a
@@ -437,11 +443,7 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     bound = alpha * r_star
     capped = filter(None, ([(q, t) for t in ci if t != q and d[q, t] <= bound]
                            for ci in opt_part.clusters() for q in range(len(d))))
-    stream = itertools.chain(
-        (build_lemma1_perturbation(d, r_star, alpha, pairs)
-         for pairs in capped),
-        (_random_perturbation(d, alpha, seed + i)
-         for i in itertools.count()))
+    rng = np.random.default_rng(seed)
     kept = _kept_sets(d, k, bound)
     # a batch of B tables scored on chunk kept sets at a time holds
     # B n^2 + B chunk k n <= SCAN_CELLS cells, or one table past that when
@@ -450,22 +452,27 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
     width = max(1, SCAN_CELLS // (n * n + (0 if kept is None else kept.size * n)))
     room = SCAN_CELLS // width - n * n
     chunk = max(1, (room if room >= k * n else SCAN_CELLS) // (k * n))
-    perts = itertools.islice(stream, budget)
     tried = 0
-    while batch := list(itertools.islice(perts, min(tried + 1, width))):
+    while (size := min(tried + 1, width, budget - tried)) > 0:
+        # the capped d' left, then exactly the random ones the batch lacks
+        batch = [build_lemma1_perturbation(d, r_star, alpha, pairs).dprime
+                 for pairs in itertools.islice(capped, size)]
+        if len(batch) < size:
+            batch.extend(_random_tables(d, alpha, rng, size - len(batch)))
         covered, flagged = _screen(batch, d, kept, bound, opt_key, chunk)
-        for i, pert in enumerate(batch):
+        for i, dprime in enumerate(batch):
             tried += 1
             if covered[i] and i not in flagged:
                 continue
             sets = (flagged[i] if covered[i] else
-                    _oracle_sets(pert.dprime, k, oracle_budget))
-            cl, eps = _check_perturbation(pert.dprime, sets, opt_part, epsilon)
+                    _oracle_sets(dprime, k, oracle_budget))
+            cl, eps = _check_perturbation(dprime, sets, opt_part, epsilon)
             if cl is None:
                 continue
+            pert = Perturbation(base=d, alpha=alpha, dprime=dprime)
             assert pert.bounds_ok(), "counterexample violates perturbation bounds"
             re_cl, re_eps = _check_perturbation(
-                pert.dprime, _oracle_sets(pert.dprime, k, oracle_budget),
+                dprime, _oracle_sets(dprime, k, oracle_budget),
                 opt_part, epsilon)
             assert re_cl is not None and re_eps > epsilon, \
                 "counterexample did not re-validate"
@@ -473,9 +480,9 @@ def falsify_resilience(instance, k: int, params: StabilityParams,
                                    violating_clustering=cl,
                                    opt_clustering=opt_part, eps_dist=eps,
                                    tried=tried, opt_unique=opt.partition_unique)
-        del batch, pert  # one batch of d' alive while the next is built
-    # islice stops without pulling past the budget, so the next pair list
-    # is the first untried capped perturbation, if any is left
+        del batch, dprime  # one batch of d' alive while the next is built
+    # no batch pulls past the budget, so the next pair list is the first
+    # untried capped perturbation, if any is left
     status = "none-found" if next(capped, None) is None else "budget-exceeded"
     return FalsifierResult(status=status, tried=tried, opt_clustering=opt_part,
                            opt_unique=opt.partition_unique)

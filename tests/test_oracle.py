@@ -268,14 +268,26 @@ def test_sample_perturbation_deterministic_and_bounded():
     lambda seed: gen_planted_symmetric(14, 3, 1.0, 2.0, seed),
     lambda seed: gen_planted_asymmetric(14, 3, 1.0, 2.0, 1.2, seed)],
     ids=["planted-sym", "planted-asym"])
-def test_falsifier_random_builder_matches_sample_perturbation(planted):
-    # the falsifier's stream skips the entry checks it already ran, not bytes
+def test_falsifier_random_stream_does_not_depend_on_grouping(planted):
+    # random d' number i is the i-th n x n block of one generator's draws,
+    # whether drawn 1, 2, 3 or 7 at a time; number 0 is sample_perturbation's
     for seed in range(50):
         d = planted(seed).instance.dist
-        built = oracle._random_perturbation(d, 2.0, seed)
-        sampled = sample_perturbation(d, 2.0, seed)
-        assert built.dprime.tobytes() == sampled.dprime.tobytes()
-        assert built.dprime.dtype == sampled.dprime.dtype
+        streams = []
+        for group in (1, 2, 3, 7):
+            rng = np.random.default_rng(seed)
+            streams.append(np.concatenate(
+                [oracle._random_tables(d, 2.0, rng, group)
+                 for _ in range(42 // group)]))
+        assert all(s.tobytes() == streams[0].tobytes() for s in streams)
+        sampled = sample_perturbation(d, 2.0, seed).dprime
+        assert streams[0][0].tobytes() == sampled.tobytes()
+        assert streams[0].dtype == sampled.dtype
+        assert all(Perturbation(base=d, alpha=2.0, dprime=t).bounds_ok()
+                   for t in streams[0])
+    raw = d + np.eye(len(d))  # a nonzero diagonal is kept, not scaled
+    table, = oracle._random_tables(raw, 2.0, np.random.default_rng(0), 1)
+    assert np.array_equal(np.diag(table), np.diag(raw))
 
 
 def _huge_table():
@@ -413,6 +425,17 @@ def _reference_check_perturbation(d, k, opt_part, epsilon, oracle_budget):
     return None, None
 
 
+def _random_stream(d, alpha, seed):
+    """The falsifier's random d', one at a time: d times one (n, n) block
+    after another of one seeded generator's uniform [1, alpha] draws, each
+    diagonal factor 1."""
+    rng = np.random.default_rng(seed)
+    while True:
+        u = rng.uniform(1.0, alpha, size=d.shape)
+        np.fill_diagonal(u, 1.0)
+        yield Perturbation(base=d, alpha=alpha, dprime=d * u)
+
+
 def _reference_falsify(instance, k, params, budget=200, seed=0,
                        oracle_budget=oracle.DEFAULT_SUBSET_BUDGET):
     """The two-phase falsifier the single stream replaced: a targeted scan
@@ -453,10 +476,9 @@ def _reference_falsify(instance, k, params, budget=200, seed=0,
                                                     oracle_budget)
             if cl is not None:
                 return validated(pert, cl, eps)
-    i = 0
+    draws = _random_stream(d, alpha, seed)
     while tried < budget:
-        pert = sample_perturbation(inst, alpha, seed + i)
-        i += 1
+        pert = next(draws)
         tried += 1
         cl, eps = _reference_check_perturbation(pert, k, opt_part, epsilon,
                                                 oracle_budget)
@@ -543,7 +565,7 @@ def _one_at_a_time_falsify(instance, k, params, budget=200, seed=0,
     stream = itertools.chain(
         (build_lemma1_perturbation(d, r_star, alpha, pairs)
          for pairs in capped),
-        (sample_perturbation(d, alpha, seed + i) for i in itertools.count()))
+        _random_stream(d, alpha, seed))
     tried = 0
     for tried, pert in enumerate(itertools.islice(stream, budget), 1):
         cl, eps = check(pert)
@@ -560,15 +582,23 @@ def _one_at_a_time_falsify(instance, k, params, budget=200, seed=0,
 
 
 def _counting(monkeypatch):
-    """Count the perturbations the falsifier builds, the batches it screens
-    (their sizes and cells) and the d' it checks, flagged by the screen or
-    scanned in full, that are not falsified there."""
+    """Count the perturbations the falsifier builds or draws, the batches
+    it screens (their sizes and cells) and the d' it checks, flagged by the
+    screen or scanned in full, that are not falsified there."""
     seen = {"built": 0, "batches": [], "passed": 0}
-    for name in ("build_lemma1_perturbation", "_random_perturbation"):
-        def counted(*args, _build=getattr(oracle, name)):
-            seen["built"] += 1
-            return _build(*args)
-        monkeypatch.setattr(oracle, name, counted)
+    build, draw = oracle.build_lemma1_perturbation, oracle._random_tables
+
+    def built(*args):
+        seen["built"] += 1
+        return build(*args)
+
+    def drawn(*args):
+        tables = draw(*args)
+        seen["built"] += len(tables)
+        return tables
+
+    monkeypatch.setattr(oracle, "build_lemma1_perturbation", built)
+    monkeypatch.setattr(oracle, "_random_tables", drawn)
     screen, check = oracle._screen, oracle._check_perturbation
 
     def screened(batch, d, kept, bound, opt_key, chunk):
@@ -637,6 +667,33 @@ def test_batched_falsifier_matches_one_at_a_time(monkeypatch):
     assert within_eps > 20 and runs > 1000
 
 
+def test_falsifier_draws_no_random_table_past_the_budget(monkeypatch):
+    # a budget of T + 3 draws exactly 3 random tables, at batch widths 1,
+    # 2, 3, 5 and one batch holding the whole budget
+    inst = gen_planted_symmetric(12, 3, 1.0, 2.0, 0).instance
+    d, params = inst.dist, StabilityParams(2.0, 1.0)  # never falsified
+    T = _capped_count(inst, 3, params.alpha)
+    kept = oracle._kept_sets(d, 3, params.alpha * brute_force_optimal(
+        d, 3).optimal_radius)
+    cells = d.size + kept.size * len(d)  # one d' and its kept sets' scores
+    draw, splits = oracle._random_tables, set()
+    for width in (1, 2, 3, 5, T + 3):
+        drawn = []
+
+        def counted(*args):
+            tables = draw(*args)
+            drawn.append(len(tables))
+            return tables
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "SCAN_CELLS", width * cells)
+            m.setattr(oracle, "_random_tables", counted)
+            res = falsify_resilience(inst, 3, params, budget=T + 3)
+        assert res.tried == T + 3 and sum(drawn) == 3
+        splits.add(tuple(drawn))
+    assert len(splits) > 1
+
+
 def test_falsifier_refuses_bad_budget(monkeypatch):
     calls = []
     monkeypatch.setattr(oracle, "brute_force_optimal",
@@ -690,6 +747,22 @@ def test_falsifier_refuses_overflowing_alpha(monkeypatch):
     assert res.status != "falsified"
 
 
+def _refused_with_no_oracle_call(monkeypatch, d, message):
+    """The falsifier and both builders refuse d with ``message`` before
+    any oracle call."""
+    calls = []
+    monkeypatch.setattr(oracle, "brute_force_optimal",
+                        lambda *args, **kwargs: calls.append(args))
+    for refused in (
+            lambda: falsify_resilience(d, 2, StabilityParams(2.0, 0.0),
+                                       budget=20),
+            lambda: sample_perturbation(d, 2.0, 0),
+            lambda: build_lemma1_perturbation(d, 1.0, 2.0, [])):
+        with pytest.raises(ValueError, match=message):
+            refused()
+    assert calls == []
+
+
 @pytest.mark.parametrize("table", [
     [[0, .9, -.1, 2.2], [2.7, 0, 1.2, .8], [2.7, -.8, 0, 1.5],
      [-.9, 1.9, -.9, 0]],
@@ -701,18 +774,17 @@ def test_falsifier_and_builders_refuse_a_negative_entry(monkeypatch, table):
     # the falsifier ended in its bounds assertion on the first table and in
     # numpy's concatenate error, from a screen with no kept set, on the
     # second; both builders returned a Perturbation failing bounds_ok()
-    d = np.array(table)
-    calls = []
-    monkeypatch.setattr(oracle, "brute_force_optimal",
-                        lambda *args, **kwargs: calls.append(args))
-    for refused in (
-            lambda: falsify_resilience(d, 2, StabilityParams(2.0, 0.0),
-                                       budget=20),
-            lambda: sample_perturbation(d, 2.0, 0),
-            lambda: build_lemma1_perturbation(d, 1.0, 2.0, [])):
-        with pytest.raises(ValueError, match="table entries must be >= 0"):
-            refused()
-    assert calls == []
+    _refused_with_no_oracle_call(monkeypatch, np.array(table),
+                                 "table entries must be >= 0")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_falsifier_and_builders_refuse_a_non_finite_entry(monkeypatch, bad):
+    # a NaN passed the negative-entry test and, like inf, was refused as
+    # "alpha = 2.0 times the largest distance is not a finite double"
+    _refused_with_no_oracle_call(
+        monkeypatch, np.array([[0, 1, 2], [1, 0, bad], [2, 1, 0]]),
+        "^table entries must be finite$")
 
 
 def _recording_oracle(monkeypatch):
@@ -738,10 +810,10 @@ def _recording_screen(monkeypatch):
 
     def recorded(batch, d, kept, bound, opt_key, chunk):
         covered, flagged = screen(batch, d, kept, bound, opt_key, chunk)
-        for i, pert in enumerate(batch):
+        for i, dprime in enumerate(batch):
             kind = ("full" if not covered[i] else
                     "flagged" if i in flagged else "cleared")
-            decisions.append((pert, kind, flagged.get(i), d, kept, bound,
+            decisions.append((dprime, kind, flagged.get(i), d, kept, bound,
                               opt_key))
         return covered, flagged
 
@@ -759,17 +831,17 @@ def _full_scans(decisions):
     cleared d' must have no such partition; a d' scanned in full must not
     be covered."""
     results = []
-    for pert, kind, sets, d, kept, bound, opt_key in decisions:
+    for dprime, kind, sets, d, kept, bound, opt_key in decisions:
         k = len(set(opt_key.tolist()))
-        want = brute_force_optimal(pert.dprime, k)
-        covered = (kept is not None and bool(np.all(pert.dprime >= d))
+        want = brute_force_optimal(dprime, k)
+        covered = (kept is not None and bool(np.all(dprime >= d))
                    and want.optimal_radius <= bound)
         assert covered == (kind != "full")
         if covered:
             opt = tuple(map(tuple, label_groups(opt_key)))
             firsts = [want.optimal_center_sets[i] for i in want.partitions]
             far = [s for s in firsts
-                   if voronoi_partition(pert.dprime, s).canonical_partition()
+                   if voronoi_partition(dprime, s).canonical_partition()
                    != opt]
             assert (kind == "cleared") == (sets is None) == (not far)
             if sets is not None:
@@ -782,7 +854,7 @@ def _scanned(calls, base, decisions, counterexample=None):
     """Whether the oracle scanned exactly the base table, then each d' the
     screen left to it, in stream order, then the counterexample's
     re-validation, if one is given."""
-    want = [base] + [pert.dprime for pert, kind, *_ in decisions
+    want = [base] + [dprime for dprime, kind, *_ in decisions
                      if kind == "full"]
     want += [] if counterexample is None else [counterexample.dprime]
     return len(calls) == len(want) and all(
@@ -916,17 +988,17 @@ def test_falsifier_falls_back_past_kept_cap(monkeypatch, make, params):
 
 def test_falsifier_scans_in_full_when_dprime_passes_alpha_d(monkeypatch):
     # a random d' drawn up to 4 d under alpha = 2: UB = cost_d'(S0) passes
-    # alpha r*, the kept sets' bound, and the third such d' has an optimal
+    # alpha r*, the kept sets' bound, and the 15th such d' has an optimal
     # set whose base cost is above alpha r*
     d = gen_random_metric(9, "symmetric", 0).dist
-    draw = oracle._random_perturbation
-    monkeypatch.setattr(oracle, "_random_perturbation",
-                        lambda d, alpha, seed: draw(d, 4.0, seed))
+    draw = oracle._random_tables
+    monkeypatch.setattr(oracle, "_random_tables",
+                        lambda d, alpha, rng, m: draw(d, 4.0, rng, m))
     calls = _recording_oracle(monkeypatch)
     decisions = _recording_screen(monkeypatch)
     T = _capped_count(validate_instance(d, "symmetric"), 3, 2.0)
-    res = falsify_resilience(d, 3, StabilityParams(2.0, 1.0), budget=T + 3)
-    assert res.tried == T + 3
+    res = falsify_resilience(d, 3, StabilityParams(2.0, 1.0), budget=T + 15)
+    assert res.tried == T + 15
     full = _full_scans(decisions)
     # the d' with an optimal set above the kept sets' bound reached the
     # oracle, which scanned them in full

@@ -122,8 +122,8 @@ def test_linkage_counter_reads_a_stuck_outcome():
 
 
 # traced names that no command reaches: nothing in the package calls
-# core.ball, and the falsifier builds its random d' with
-# oracle._random_perturbation.  The benchmark revision (ROADMAP item 1)
+# core.ball, and the falsifier draws its random d' with
+# oracle._random_tables.  The benchmark revision (ROADMAP item 1)
 # retires the one and traces the other, which empties this set.
 DARK = {"core.ball", "oracle.sample_perturbation"}
 
